@@ -9,15 +9,12 @@ All three are monotone per (half-)step up to the epsilon floor.
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics
 from .linalg import as_matrix, spectral_norm
-from .solver import RunTrace, TraceRow
+from .solver import RunTrace, TraceRecorder
 
 ALGORITHMS = ("mu", "hals", "anls")
 
@@ -136,34 +133,7 @@ def run_baseline(cfg: BaselineConfig, y, a0, truth=None, eval_every: int = 1, on
     d = a.shape[1]
     rng = np.random.default_rng(cfg.seed)
     x = rng.random((d, y.shape[1]))
-    evaluator = None
-    if truth is not None:
-        evaluator = metrics.Evaluator(getattr(truth, "a_star", truth))
-
-    trace = RunTrace()
-    t0 = time.perf_counter()
-
-    def record(it):
-        if evaluator is not None:
-            dec = evaluator.decompose(a)
-            err = evaluator.error_report(a).total
-            e_norm, n_norm = dec.off_diag_norm, dec.residual_norm
-        else:
-            err = float(np.linalg.norm(y - a @ x))
-            e_norm = n_norm = None
-        row = TraceRow(
-            stage=0,
-            iteration=it,
-            seconds=time.perf_counter() - t0,
-            alpha=0.0,
-            total_error=err,
-            log10_error=math.log10(err) if err > 0 else -math.inf,
-            e_norm=e_norm,
-            n_norm=n_norm,
-        )
-        trace.append(row)
-        if on_row is not None:
-            on_row(row)
+    recorder = TraceRecorder(truth, on_row=on_row)
 
     for it in range(cfg.outer_iters):
         if cfg.algorithm == "mu":
@@ -173,5 +143,5 @@ def run_baseline(cfg: BaselineConfig, y, a0, truth=None, eval_every: int = 1, on
         else:
             a, x = anls_step(a, x, y, cfg.inner_iters, cfg.epsilon_floor)
         if it % eval_every == 0 or it == cfg.outer_iters - 1:
-            record(it)
-    return BaselineResult(a=a, x=x, trace=trace)
+            recorder.record(0, it, 0.0, a, lambda: np.linalg.norm(y - a @ x))
+    return BaselineResult(a=a, x=x, trace=recorder.trace)

@@ -7,8 +7,8 @@ Subcommands:
     gcc        empirical correlation bounds + decay profile of a weight sample
 
 Exit codes: 0 success, 1 validation error (bad config, bad values, a solver
-refusing its preconditions), 2 runtime error or solver divergence, 3 I/O or
-file-format error.
+refusing its preconditions), 2 runtime error or solver divergence (including
+a solver's "error" status), 3 I/O or file-format error.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def main(argv=None) -> int:
             cfg, out = _load(args)
             summary = run(cfg, out, jobs=args.jobs)
             statuses = [s["status"] for s in summary["solvers"]]
-            if any(s == "diverged" for s in statuses):
+            if any(s in ("diverged", "error") for s in statuses):
                 return EXIT_RUNTIME
             if any(s == "refused" for s in statuses):
                 return EXIT_VALIDATION
@@ -108,9 +108,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except MatrixFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except OSError as exc:

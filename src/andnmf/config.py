@@ -6,8 +6,9 @@ fills in family defaults (weight distribution, ground-truth kind, noise level
 and solver tweaks); explicit keys always win over preset defaults.
 
 Seeds: one top-level dataset seed drives everything. The ground truth,
-weights, noise, initialization, and each solver get child streams split off
-deterministically, unless the config pins their seeds explicitly.
+weights, noise, initialization, and each baseline solver get child streams
+split off deterministically, unless the config pins their seeds explicitly.
+The staged `and` solver draws no random numbers and takes no seed.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ class ExperimentConfig:
             "weights": int(self.dataset.weights.seed),
             "noise": self.children[2],
             "init": self.init.seed,
-            "solvers": {e.label: int(e.config.seed) for e in self.solvers},
+            "solvers": {e.label: int(e.config.seed) for e in self.solvers
+                        if e.name != "and"},
         }
 
     def effective_eval_every(self) -> int:
@@ -207,9 +209,9 @@ def _parse_schedule(obj, path):
     raise ConfigError(f"{path}.kind: unknown schedule kind {kind!r}")
 
 
-def _parse_and_solver(obj, defaults, seed, path):
+def _parse_and_solver(obj, defaults, path):
     allowed = {"name", "label", "stages", "iters_per_stage", "eta", "eta_scale",
-               "schedule", "batch", "pinv_rel_tol", "seed"}
+               "schedule", "batch", "pinv_rel_tol"}
     _require_keys(obj, allowed, path)
     merged = dict(defaults)
     merged.update(obj)
@@ -230,7 +232,6 @@ def _parse_and_solver(obj, defaults, seed, path):
         schedule=schedule,
         batch=batch,
         pinv_rel_tol=_get(merged, "pinv_rel_tol", float, path, default=1e-12),
-        seed=_get(merged, "seed", int, path, default=seed),
     )
     try:
         cfg.validate()
@@ -285,7 +286,8 @@ def validate_config(raw: dict, seed_override: int | None = None) -> ExperimentCo
     seed = _get(merged, "seed", int, "config.dataset", default=0)
     if seed_override is not None:
         seed = seed_override
-    # child streams: 0 ground truth, 1 weights, 2 noise, 3 init, 4.. solvers
+    # child streams: 0 ground truth, 1 weights, 2 noise, 3 init, 4 + i solver i
+    # (read by baselines only)
     solver_count = len(raw.get("solvers", [])) or 1
     children = _child_seeds(seed, 4 + solver_count)
 
@@ -337,11 +339,10 @@ def validate_config(raw: dict, seed_override: int | None = None) -> ExperimentCo
         if label in labels:
             raise ConfigError(f"{path}.label: duplicate label {label!r}; set explicit labels")
         labels.add(label)
-        child = children[4 + i]
         if name == "and":
-            cfg = _parse_and_solver(sobj, _solver_defaults(preset), child, path)
+            cfg = _parse_and_solver(sobj, _solver_defaults(preset), path)
         elif name in ("mu", "hals", "anls"):
-            cfg = _parse_baseline_solver(sobj, name, child, path)
+            cfg = _parse_baseline_solver(sobj, name, children[4 + i], path)
         else:
             raise ConfigError(f"{path}.name: unknown solver {name!r}")
         entries.append(SolverEntry(name=name, label=label, config=cfg))
@@ -398,7 +399,7 @@ def _solver_dict(entry: SolverEntry) -> dict:
             "name": "and", "label": entry.label, "stages": c.stages,
             "iters_per_stage": c.iters_per_stage, "eta": c.eta,
             "eta_scale": c.eta_scale, "schedule": _schedule_dict(c.schedule),
-            "batch": c.batch, "pinv_rel_tol": c.pinv_rel_tol, "seed": c.seed,
+            "batch": c.batch, "pinv_rel_tol": c.pinv_rel_tol,
         }
     return {
         "name": entry.name, "label": entry.label, "outer_iters": c.outer_iters,

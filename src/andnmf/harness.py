@@ -6,16 +6,15 @@ Directory layout written by `generate` / `run` under one output directory:
     <label>_trace.csv  <label>_A_final.mat  summary.json
 
 Traces stream to disk row by row, so a diverging run leaves its partial trace
-behind; the divergence is recorded in summary.json rather than crashing the
-other solvers. The manifest carries the resolved config, its hash, every
-derived seed, and library versions: enough to reproduce each file bitwise on
-the same machine.
+behind; a divergence or runtime error is recorded in summary.json rather than
+crashing the other solvers. The manifest carries the resolved config, its
+hash, every derived seed, and library versions: enough to reproduce each file
+bitwise on the same machine.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import csv
 import json
 import sys
 import time
@@ -26,7 +25,7 @@ import numpy as np
 from . import __version__, metrics
 from .baselines import run_baseline
 from .config import ExperimentConfig
-from .matio import TRACE_HEADER, read_matrix, write_matrix, _fmt
+from .matio import TraceWriter, read_matrix, write_matrix
 from .solver import DivergenceError, run as run_and
 from .synth import GroundTruth, generate_dataset, generate_ground_truth, generate_initialization
 from .weights import NoClosedFormError, decay_profile, gcc_closed_form, gcc_from_samples
@@ -72,34 +71,17 @@ def generate(cfg: ExperimentConfig, out_dir) -> dict:
     return manifest
 
 
-class _TraceWriter:
-    def __init__(self, path):
-        self._fh = open(path, "w", newline="")
-        self._writer = csv.writer(self._fh)
-        self._writer.writerow(TRACE_HEADER)
-
-    def __call__(self, r):
-        self._writer.writerow([
-            r.stage, r.iteration, _fmt(r.seconds), _fmt(r.alpha),
-            _fmt(r.total_error), _fmt(r.log10_error),
-            _fmt(r.e_norm), _fmt(r.n_norm),
-        ])
-
-    def close(self):
-        self._fh.close()
-
-
 def _run_one(entry, y, a0, truth, eval_every, out):
-    writer = _TraceWriter(out / f"{entry.label}_trace.csv")
     t0 = time.perf_counter()
     status = {"label": entry.label, "solver": entry.name, "status": "ok"}
     try:
-        if entry.name == "and":
-            result = run_and(a0, y, entry.config, truth=truth,
-                             eval_every=eval_every, on_row=writer)
-        else:
-            result = run_baseline(entry.config, y, a0, truth=truth,
-                                  eval_every=eval_every, on_row=writer)
+        with TraceWriter(out / f"{entry.label}_trace.csv") as writer:
+            if entry.name == "and":
+                result = run_and(a0, y, entry.config, truth=truth,
+                                 eval_every=eval_every, on_row=writer)
+            else:
+                result = run_baseline(entry.config, y, a0, truth=truth,
+                                      eval_every=eval_every, on_row=writer)
         write_matrix(out / f"{entry.label}_A_final.mat", result.a)
         rows = result.trace.rows
         status.update({
@@ -116,8 +98,8 @@ def _run_one(entry, y, a0, truth, eval_every, out):
         })
     except ValueError as exc:
         status.update({"status": "refused", "detail": str(exc)})
-    finally:
-        writer.close()
+    except RuntimeError as exc:
+        status.update({"status": "error", "detail": f"{type(exc).__name__}: {exc}"})
     status["wall_seconds"] = time.perf_counter() - t0
     return status
 

@@ -11,11 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Power iteration parameters: deterministic all-ones start, hard cap, and the
-# convergence delta on the singular-value estimate.
-_POWER_ITER_CAP = 1000
-_POWER_ITER_DELTA = 1e-10
-
 
 class SvdConvergenceError(RuntimeError):
     """SVD failed to converge; distinct from input-validation failures."""
@@ -59,45 +54,48 @@ def svd_factors(m) -> SvdFactors:
     return SvdFactors(u, s, vt)
 
 
+def _invert(f: SvdFactors, rel_tol: float) -> np.ndarray:
+    """Pseudo-inverse from thin SVD factors, zeroing s <= rel_tol * s_max."""
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
+    inv = np.zeros_like(f.s)
+    keep = f.s > rel_tol * f.s[0]
+    inv[keep] = 1.0 / f.s[keep]
+    return (f.vt.T * inv) @ f.u.T
+
+
 def pseudo_inverse(m, rel_tol: float = 1e-12) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via SVD.
 
     Singular values below `rel_tol * s_max` are treated as exactly zero, so
     rank-deficient inputs invert only on their row/column space.
     """
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
+    return _invert(svd_factors(m), rel_tol)
+
+
+def full_rank_pseudo_inverse(m, rel_tol: float = 1e-12, name: str = "matrix") -> np.ndarray:
+    """Pseudo-inverse of a matrix that must keep full rank, from one SVD.
+
+    Raises ValueError when s_min <= rel_tol * s_max * max(shape); otherwise
+    every singular value is inverted.
+    """
+    m = as_matrix(m, name)
     f = svd_factors(m)
-    cutoff = rel_tol * (f.s[0] if f.s.size else 0.0)
-    inv = np.zeros_like(f.s)
-    keep = f.s > cutoff
-    inv[keep] = 1.0 / f.s[keep]
-    return (f.vt.T * inv) @ f.u.T
+    if f.s[-1] <= rel_tol * f.s[0] * max(m.shape):
+        raise ValueError(
+            f"{name} is rank deficient "
+            f"(sigma_min={f.s[-1]:.3e}, sigma_max={f.s[0]:.3e})"
+        )
+    return _invert(f, rel_tol)
 
 
 def spectral_norm(m) -> float:
-    """Largest singular value of `m`.
-
-    Power iteration on M^T M from the normalized all-ones vector; falls back
-    to a full SVD when the iteration stalls (zero matrix aside) or fails to
-    converge within the cap, which keeps the result deterministic either way.
-    """
+    """Largest singular value of `m`, computed exactly from its singular values."""
     m = as_matrix(m)
-    v = np.full(m.shape[1], 1.0 / np.sqrt(m.shape[1]))
-    prev = 0.0
-    for _ in range(_POWER_ITER_CAP):
-        w = m.T @ (m @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            if not m.any():
-                return 0.0
-            break  # all-ones start is orthogonal to the top singular vector
-        v = w / nw
-        cur = float(np.linalg.norm(m @ v))
-        if abs(cur - prev) <= _POWER_ITER_DELTA * max(cur, 1.0):
-            return cur
-        prev = cur
-    return float(svd_factors(m).s[0])
+    try:
+        return float(np.linalg.norm(m, 2))
+    except np.linalg.LinAlgError as exc:
+        raise SvdConvergenceError(f"SVD did not converge: {exc}") from exc
 
 
 def threshold_elementwise(v, alpha: float) -> np.ndarray:

@@ -87,16 +87,33 @@ def _fmt(x) -> str:
     return format(x, ".17g")
 
 
+class TraceWriter:
+    """Streams trace rows to a CSV file: the header on open, then one line per
+    call, so a run that fails midway leaves its rows so far on disk."""
+
+    def __init__(self, path):
+        self._fh = open(path, "w", newline="")
+        self._writer = csv.writer(self._fh)
+        self._writer.writerow(TRACE_HEADER)
+
+    def __call__(self, r: TraceRow) -> None:
+        self._writer.writerow([
+            r.stage, r.iteration, _fmt(r.seconds), _fmt(r.alpha),
+            _fmt(r.total_error), _fmt(r.log10_error),
+            _fmt(r.e_norm), _fmt(r.n_norm),
+        ])
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
 def write_trace(path, rows: list[TraceRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
+    with TraceWriter(path) as write:
         for r in rows:
-            writer.writerow([
-                r.stage, r.iteration, _fmt(r.seconds), _fmt(r.alpha),
-                _fmt(r.total_error), _fmt(r.log10_error),
-                _fmt(r.e_norm), _fmt(r.n_norm),
-            ])
+            write(r)
 
 
 def read_trace(path) -> list[TraceRow]:

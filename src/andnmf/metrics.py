@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, pseudo_inverse, spectral_norm, svd_factors
+from .linalg import as_matrix, full_rank_pseudo_inverse, spectral_norm
 
 _ZERO_COL_TOL = 1e-24  # squared-norm cutoff below which a column is "zero"
 
@@ -112,13 +112,7 @@ class Evaluator:
 
     def __init__(self, a_star, pinv_rel_tol: float = 1e-12):
         self.a_star = as_matrix(a_star, "a_star")
-        f = svd_factors(self.a_star)
-        if f.s[-1] <= pinv_rel_tol * f.s[0] * max(self.a_star.shape):
-            raise ValueError(
-                "ground truth is rank deficient "
-                f"(sigma_min={f.s[-1]:.3e}, sigma_max={f.s[0]:.3e})"
-            )
-        self.pinv = pseudo_inverse(self.a_star, pinv_rel_tol)
+        self.pinv = full_rank_pseudo_inverse(self.a_star, pinv_rel_tol, "ground truth")
         self.column_norm_total = float(np.linalg.norm(self.a_star, axis=0).sum())
 
     def error_report(self, a) -> ErrorReport:
@@ -141,7 +135,7 @@ class Evaluator:
             residual=residual,
             sigma_min=float(sigma.min()),
             off_diag_norm=spectral_norm(off),
-            residual_norm=spectral_norm(residual) if residual.any() else 0.0,
+            residual_norm=spectral_norm(residual),
         )
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .linalg import as_matrix, spectral_norm, svd_factors, threshold_elementwise
+from .linalg import as_matrix, full_rank_pseudo_inverse, spectral_norm, threshold_elementwise
 
 DIVERGENCE_LIMIT = 1e12
 _THEORY_ALPHA_FLOOR = 1e-12
@@ -129,7 +129,6 @@ class AndConfig:
     schedule: ThresholdSchedule = field(default_factory=ThresholdSchedule.geometric)
     batch: object = "full"
     pinv_rel_tol: float = 1e-12
-    seed: int = 0
 
     def validate(self):
         if self.stages < 1 or self.iters_per_stage < 1:
@@ -180,6 +179,53 @@ class RunTrace:
         return np.array([ends[s] for s in sorted(ends)])
 
 
+class TraceRecorder:
+    """Builds trace rows for one run and streams each to `on_row`.
+
+    With a ground truth a row records the total correlation error and the
+    in-span/out-of-span norms of the decomposition; without one it records the
+    no-truth residual norm that the caller supplies.
+    """
+
+    def __init__(self, truth=None, pinv_rel_tol: float = 1e-12, on_row=None):
+        self.evaluator = None
+        if truth is not None:
+            a_star = getattr(truth, "a_star", truth)
+            self.evaluator = metrics.Evaluator(a_star, pinv_rel_tol)
+        self.trace = RunTrace()
+        self._on_row = on_row
+        self._t0 = time.perf_counter()
+
+    def record(self, stage, iteration, alpha, a, residual_norm):
+        """Append the row of estimate `a`; `residual_norm()` is called only
+        without a ground truth."""
+        if self.evaluator is not None:
+            dec = self.evaluator.decompose(a)
+            err = self.evaluator.total(a)
+            self._emit(stage, iteration, alpha, err, dec.off_diag_norm, dec.residual_norm)
+        else:
+            self._emit(stage, iteration, alpha, float(residual_norm()), None, None)
+
+    def record_divergence(self, stage, iteration, alpha):
+        """Append the row of a diverged estimate without evaluating it."""
+        self._emit(stage, iteration, alpha, math.inf, None, None)
+
+    def _emit(self, stage, iteration, alpha, err, e_norm, n_norm):
+        row = TraceRow(
+            stage=stage,
+            iteration=iteration,
+            seconds=time.perf_counter() - self._t0,
+            alpha=alpha,
+            total_error=err,
+            log10_error=math.log10(err) if err > 0 else -math.inf,
+            e_norm=e_norm,
+            n_norm=n_norm,
+        )
+        self.trace.append(row)
+        if self._on_row is not None:
+            self._on_row(row)
+
+
 @dataclass
 class AndResult:
     a: np.ndarray
@@ -207,17 +253,6 @@ def gradient_update(a, y, z, eta: float) -> np.ndarray:
     return a + eta * ((y - a @ z) @ z.T)
 
 
-def _stage_pinv(a, rel_tol):
-    f = svd_factors(a)
-    if f.s[-1] <= rel_tol * f.s[0] * max(a.shape):
-        raise ValueError(
-            "working matrix lost full column rank "
-            f"(sigma_min={f.s[-1]:.3e}, sigma_max={f.s[0]:.3e})"
-        )
-    inv = 1.0 / f.s
-    return (f.vt.T * inv) @ f.u.T
-
-
 def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> AndResult:
     """Run the staged solver on Y from the initialization a0.
 
@@ -225,7 +260,9 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
     in-span/out-of-span norms from the decomposition); without one it records
     the data residual ||Y - A Z||_F of the state entering each iteration.
     Rows are recorded every `eval_every` iterations plus the last iteration of
-    each stage, and stream to `on_row` as produced.
+    each stage, and stream to `on_row` as produced. An iterate with an entry
+    beyond DIVERGENCE_LIMIT in magnitude (or a NaN) is not evaluated: its row
+    records total_error = inf, and DivergenceError carries the partial trace.
 
     The theory-driven schedule needs the current mixing norm, which is only
     observable against a ground truth; without one it falls back to the
@@ -239,43 +276,17 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
     w, n = y.shape
     if a.shape[0] != w:
         raise ValueError(f"a0 has {a.shape[0]} rows but y has {w}")
-    evaluator = None
-    if truth is not None:
-        a_star = getattr(truth, "a_star", truth)
-        evaluator = metrics.Evaluator(a_star, cfg.pinv_rel_tol)
+    recorder = TraceRecorder(truth, cfg.pinv_rel_tol, on_row)
+    evaluator, trace = recorder.evaluator, recorder.trace
 
     schedule = cfg.schedule
     if schedule.kind == "theory" and evaluator is None:
         schedule = ThresholdSchedule.geometric()
 
     batch = n if cfg.batch == "full" else min(cfg.batch, n)
-    trace = RunTrace()
-    t0 = time.perf_counter()
-
-    def record(stage, it, alpha, resid):
-        if evaluator is not None:
-            dec = evaluator.decompose(a)
-            err = evaluator.error_report(a).total
-            e_norm, n_norm = dec.off_diag_norm, dec.residual_norm
-        else:
-            err = float(np.linalg.norm(resid))
-            e_norm = n_norm = None
-        row = TraceRow(
-            stage=stage,
-            iteration=it,
-            seconds=time.perf_counter() - t0,
-            alpha=alpha,
-            total_error=err,
-            log10_error=math.log10(err) if err > 0 else -math.inf,
-            e_norm=e_norm,
-            n_norm=n_norm,
-        )
-        trace.append(row)
-        if on_row is not None:
-            on_row(row)
 
     for j in range(cfg.stages):
-        pinv = _stage_pinv(a, cfg.pinv_rel_tol)
+        pinv = full_rank_pseudo_inverse(a, cfg.pinv_rel_tol, "working matrix")
         trace.pinv_count += 1
         if schedule.kind == "theory":
             e_est = evaluator.decompose(a).off_diag_norm
@@ -295,11 +306,12 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
                 eta = cfg.eta_scale / (spectral_norm(z @ z.T) + 1e-12)
             resid = y_batch - a @ z
             a = a + eta * (resid @ z.T)
-            if np.max(np.abs(a)) > DIVERGENCE_LIMIT:
-                record(j, t, alpha, resid)
+            # negated so that a NaN entry counts as diverged too
+            if not np.abs(a).max() <= DIVERGENCE_LIMIT:
+                recorder.record_divergence(j, t, alpha)
                 raise DivergenceError(j, t, trace)
             if t % eval_every == 0 or t == cfg.iters_per_stage - 1:
-                record(j, t, alpha, resid)
+                recorder.record(j, t, alpha, a, lambda: np.linalg.norm(resid))
     return AndResult(a=a, trace=trace)
 
 

@@ -11,7 +11,7 @@ coordinates put near zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,9 +66,6 @@ class WeightSpec:
     @classmethod
     def sparse_uniform(cls, dim, s, low=0.0, high=1.0, seed=0):
         return cls(family="sparse_uniform", dim=dim, s=s, low=low, high=high, seed=seed)
-
-    def with_seed(self, seed: int) -> "WeightSpec":
-        return replace(self, seed=seed)
 
     def validate(self) -> None:
         if self.family not in FAMILIES:

@@ -1,9 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s`. Solver runs reuse
-session-scoped datasets where protocols coincide; every tolerance is asserted
-exactly as stated. Criteria that pin no stage count or annealing ratio use
-per-run values chosen for robust margins at desk scale (documented inline).
+Run with `pytest tests/test_acceptance.py -v -s`. Every test here carries the
+`acceptance` marker, so `pytest -m "not acceptance"` runs the unit tests
+alone. Solver runs reuse session-scoped datasets where protocols coincide;
+every tolerance is asserted exactly as stated. Criteria that pin no stage
+count or annealing ratio use per-run values chosen for robust margins at desk
+scale (documented inline).
 """
 
 import itertools
@@ -21,6 +23,8 @@ from andnmf.metrics import Evaluator, total_correlation_error
 from andnmf.solver import AndConfig, ThresholdSchedule, run, simulate_update_recurrence
 from andnmf.synth import InitSpec, NoiseSpec, generate_dataset, generate_ground_truth, generate_initialization
 from andnmf.weights import WeightSpec, gcc_from_samples, sample_weights
+
+pytestmark = pytest.mark.acceptance
 
 W, D, N = 200, 20, 2000
 GEOMETRIC = ThresholdSchedule.geometric(0.1, 1.0 / 1.1)

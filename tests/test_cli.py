@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from andnmf import harness
 from andnmf.cli import main
 from andnmf.config import ConfigError, preset_config, validate_config
+from andnmf.linalg import SvdConvergenceError
 from andnmf.matio import read_matrix, read_trace, write_matrix
 from andnmf.weights import WeightSpec, sample_weights
 
@@ -44,6 +46,13 @@ class TestConfigValidation:
         raw = tiny_config()
         raw["solvers"][0]["step"] = 0.1
         with pytest.raises(ConfigError, match=r"config.solvers\[0\].step"):
+            validate_config(raw)
+
+    def test_and_solver_takes_no_seed(self):
+        # the staged solver draws no random numbers, so a seed would be unread
+        raw = tiny_config()
+        raw["solvers"][0]["seed"] = 5
+        with pytest.raises(ConfigError, match=r"config\.solvers\[0\]\.seed: unknown key"):
             validate_config(raw)
 
     def test_unknown_preset(self):
@@ -116,6 +125,17 @@ class TestGenerate:
         assert manifest["gcc_closed_form"] is not None  # dirichlet has one
         x = read_matrix(out / "X.mat")
         assert x.sum(axis=0) == pytest.approx(np.ones(80), abs=1e-12)
+
+    def test_manifest_solver_seeds_list_baselines_only(self, tmp_path):
+        raw = tiny_config()
+        raw["solvers"].append({"name": "hals", "outer_iters": 3})
+        cfg_path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["seeds"]["solvers"]) == ["hals"]
+        assert "seed" not in manifest["config"]["solvers"][0]
+        assert "seed" in manifest["config"]["solvers"][1]
 
     def test_rerun_bitwise_identical(self, tmp_path):
         cfg_path = write_config(tmp_path, tiny_config())
@@ -228,6 +248,45 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["solvers"][0]["status"] == "diverged"
         assert read_trace(out / "and_trace.csv")  # partial rows retained
+
+    def test_overflow_divergence_row_is_not_evaluated(self, tmp_path):
+        raw = tiny_config()
+        raw["solvers"] = [{"name": "and", "stages": 1, "iters_per_stage": 5, "eta": 1e308}]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc, out = self.run_tiny(tmp_path, raw)
+        assert rc == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["solvers"][0]["status"] == "diverged"
+        last = read_trace(out / "and_trace.csv")[-1]
+        assert last.total_error == float("inf")
+        assert last.e_norm is None and last.n_norm is None
+
+    def test_solver_runtime_error_recorded(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise SvdConvergenceError("SVD did not converge")
+
+        monkeypatch.setattr(harness, "run_and", fail)
+        raw = tiny_config()
+        raw["solvers"].append({"name": "hals", "outer_iters": 3})
+        rc, out = self.run_tiny(tmp_path, raw)
+        assert rc == 2
+        statuses = json.loads((out / "summary.json").read_text())["solvers"]
+        assert statuses[0]["status"] == "error"
+        assert "SvdConvergenceError" in statuses[0]["detail"]
+        assert statuses[1]["status"] == "ok"
+        assert (out / "hals_A_final.mat").exists()
+
+    def test_paper_scale_short_run(self, tmp_path):
+        # D = 100 > 50, so the default evaluates every 10th iteration plus
+        # the last of each stage: iterations 0 and 4 of both stages
+        raw = preset_config("paper-scale")
+        raw["solvers"] = [{"name": "and", "stages": 2, "iters_per_stage": 5}]
+        rc, out = self.run_tiny(tmp_path, raw)
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["solvers"][0]["status"] == "ok"
+        rows = read_trace(out / "and_trace.csv")
+        assert [(r.stage, r.iteration) for r in rows] == [(0, 0), (0, 4), (1, 0), (1, 4)]
 
 
 class TestEvalAndGcc:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from andnmf.linalg import (
+    full_rank_pseudo_inverse,
     least_squares_coefficients,
     pseudo_inverse,
     spectral_norm,
@@ -67,16 +68,36 @@ def test_spectral_norm_nilpotent_vs_svd_oracle():
 
 
 def test_spectral_norm_ones_start_degenerate():
-    # top singular vector orthogonal to the all-ones start; SVD fallback kicks in
+    # top singular vector orthogonal to the all-ones vector
     m = np.array([[1.0, -1.0], [0.0, 0.0]])
     assert spectral_norm(m) == pytest.approx(np.sqrt(2.0), rel=1e-8)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_spectral_norm_matches_svd(seed):
+    # the norm is relative to the matrix: tiny matrices (round-off level
+    # residuals in the decomposition) must be as exact as unit-scale ones
     rng = np.random.default_rng(seed)
-    m = rng.standard_normal((15, 7))
-    assert spectral_norm(m) == pytest.approx(svd_factors(m).s[0], rel=1e-8)
+    base = rng.standard_normal((15, 7))
+    for scale in (1.0, 1e-6, 1e-9, 1e-12):
+        m = base * scale
+        assert spectral_norm(m) == pytest.approx(svd_factors(m).s[0], rel=1e-12)
+
+
+def test_full_rank_pinv_equals_pseudo_inverse_bitwise():
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((20, 6))
+    assert np.array_equal(full_rank_pseudo_inverse(m), pseudo_inverse(m))
+
+
+def test_full_rank_pinv_cutoff_scales_with_shape():
+    # sigma_min / sigma_max = 1e-11 is kept by pseudo_inverse (rel_tol 1e-12)
+    # but fails the full-rank rule rel_tol * sigma_max * max(shape) = 2e-11
+    m = np.zeros((20, 2))
+    m[0, 0], m[1, 1] = 1.0, 1e-11
+    assert pseudo_inverse(m)[1, 1] == pytest.approx(1e11)
+    with pytest.raises(ValueError, match="rank deficient"):
+        full_rank_pseudo_inverse(m)
 
 
 def test_svd_reconstruction():

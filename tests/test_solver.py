@@ -172,6 +172,22 @@ class TestRun:
         assert exc.value.stage == 0
         assert exc.value.trace.rows  # partial trace retained
 
+    def test_overflow_to_nan_is_divergence_and_not_evaluated(self):
+        # eta = 1e308 overflows the first update to inf/NaN entries, which a
+        # bare `max > limit` test lets through; metrics on such a matrix fail
+        gt = generate_ground_truth(40, 5, seed=20)
+        ds = generate_dataset(gt, WeightSpec.dirichlet(5, 1.0, seed=21), NoiseSpec(0.0),
+                              200, seed=22)
+        init = generate_initialization(gt, InitSpec(r_l=1.0, seed=23))
+        cfg = AndConfig(stages=1, iters_per_stage=5, eta=1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as exc:
+                run(init.a0, ds.y, cfg, truth=gt)
+        last = exc.value.trace.rows[-1]
+        assert (last.stage, last.iteration) == (exc.value.stage, exc.value.iteration)
+        assert last.total_error == math.inf
+        assert last.e_norm is None and last.n_norm is None
+
     def test_rank_deficient_a0_rejected(self):
         gt, ds, _ = make_problem()
         a0 = gt.a_star.copy()
