@@ -12,6 +12,16 @@ A changes. The default is the whole dataset per iteration; `batch=b` uses a
 cyclic window of b columns per iteration (b = n reproduces full batch bitwise;
 b = 1 is the one-sample-per-step variant).
 
+On the full batch Pinv, alpha and Y are all fixed within a stage, so Z is too.
+The stage is then run in its Gram form: G = Z Z^T and B = Y Z^T are computed
+once per stage from one decode, and each iteration is
+
+    update   A <- A + eta * (B - A @ G)
+
+which gives the same iterates up to rounding at O(W D^2) per iteration instead
+of O(W D n). A mini-batch window (b < n) changes every iteration, so it is
+decoded and updated per iteration as above.
+
 `simulate_update_recurrence` is a numeric harness for the contraction that
 drives the analysis of this update: iterating M <- M (I - eta L) + eta Q L
 + eta R with a PSD L and bounded disturbances R keeps
@@ -118,7 +128,8 @@ class AndConfig:
     """Solver hyperparameters.
 
     `eta=None` uses a curvature-scaled step recomputed at each stage start:
-    eta_scale / (||Z0 Z0^T||_2 + 1e-12) with Z0 the stage's first decode.
+    eta_scale / (||Z0 Z0^T||_2 + 1e-12) with Z0 the stage's decode of the full
+    batch, or of its first window when `batch` is smaller than the dataset.
     `batch` is "full" or a positive window size.
     """
 
@@ -294,24 +305,33 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
         else:
             alpha = stage_threshold(schedule, j)
         eta = cfg.eta
+        if batch == n:
+            # Z is fixed for the whole stage: decode once, iterate on Z's Gram form
+            y_batch = y
+            z = decode(pinv, y, alpha)
+            g = z @ z.T
+            b = y @ z.T
+            if eta is None:
+                eta = cfg.eta_scale / (spectral_norm(g) + 1e-12)
         for t in range(cfg.iters_per_stage):
+            a_prev = a
             if batch == n:
-                y_batch = y
+                a = a + eta * (b - a @ g)
             else:
                 cols = (t * batch + np.arange(batch)) % n
                 y_batch = y[:, cols]
-            z = decode(pinv, y_batch, alpha)
-            if eta is None:
-                # curvature-scaled step, fixed for the rest of the stage
-                eta = cfg.eta_scale / (spectral_norm(z @ z.T) + 1e-12)
-            resid = y_batch - a @ z
-            a = a + eta * (resid @ z.T)
+                z = decode(pinv, y_batch, alpha)
+                if eta is None:
+                    # curvature-scaled step, fixed for the rest of the stage
+                    eta = cfg.eta_scale / (spectral_norm(z @ z.T) + 1e-12)
+                a = a + eta * ((y_batch - a @ z) @ z.T)
             # negated so that a NaN entry counts as diverged too
             if not np.abs(a).max() <= DIVERGENCE_LIMIT:
                 recorder.record_divergence(j, t, alpha)
                 raise DivergenceError(j, t, trace)
             if t % eval_every == 0 or t == cfg.iters_per_stage - 1:
-                recorder.record(j, t, alpha, a, lambda: np.linalg.norm(resid))
+                # the residual of the state entering this iteration, not of `a`
+                recorder.record(j, t, alpha, a, lambda: np.linalg.norm(y_batch - a_prev @ z))
     return AndResult(a=a, trace=trace)
 
 
