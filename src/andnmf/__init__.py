@@ -13,9 +13,6 @@ from .metrics import (
     Decomposition,
     ErrorReport,
     Evaluator,
-    column_correlation_error,
-    decompose,
-    noise_moments,
     total_correlation_error,
 )
 from .solver import (
@@ -23,7 +20,6 @@ from .solver import (
     DivergenceError,
     ThresholdSchedule,
     decode,
-    gradient_update,
     run,
     simulate_update_recurrence,
     stage_threshold,
@@ -67,20 +63,16 @@ __all__ = [
     "ThresholdSchedule",
     "WeightSpec",
     "anls_step",
-    "column_correlation_error",
     "decay_profile",
     "decode",
-    "decompose",
     "gcc_closed_form",
     "gcc_from_samples",
     "generate_dataset",
     "generate_ground_truth",
     "generate_initialization",
-    "gradient_update",
     "hals_step",
     "least_squares_coefficients",
     "mu_step",
-    "noise_moments",
     "pseudo_inverse",
     "run",
     "run_baseline",

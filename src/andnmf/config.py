@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,6 +150,8 @@ def _get(obj, key, types, path, default=None, required=False):
     if types is float:
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
+        if not math.isfinite(val):
+            raise ConfigError(f"{path}.{key}: must be finite, got {val!r}")
         return float(val)
     if types is str:
         if not isinstance(val, str):
@@ -277,6 +280,8 @@ def validate_config(raw: dict, seed_override: int | None = None) -> ExperimentCo
         )
     d = _get(ds_raw, "D", int, "config.dataset",
              default=100 if preset == "paper-scale" else _DEF_D)
+    if d < 1:
+        raise ConfigError(f"config.dataset.D: must be >= 1, got {d}")
     defaults = _dataset_defaults(preset, d) if preset else _dataset_defaults(None, d)
     merged = dict(defaults)
     merged.update({k: v for k, v in ds_raw.items() if k != "preset"})

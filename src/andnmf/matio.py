@@ -7,8 +7,8 @@ NMF1 layout (little-endian throughout):
     offset 8   uint32    cols
     offset 12  float64 * rows * cols, column-major
 
-CSV import/export of matrices is provided for interop; values are written
-with 17 significant digits so a write/read round trip is exact.
+Trace values are written with 17 significant digits so a write/read round
+trip is exact.
 """
 
 from __future__ import annotations
@@ -70,15 +70,6 @@ def read_matrix(path) -> np.ndarray:
     return m
 
 
-def write_matrix_csv(path, a) -> None:
-    a = as_matrix(a, "matrix")
-    np.savetxt(path, a, delimiter=",", fmt="%.17g")
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    return as_matrix(np.loadtxt(path, delimiter=",", ndmin=2), str(path))
-
-
 def _fmt(x) -> str:
     if x is None:
         return ""
@@ -108,12 +99,6 @@ class TraceWriter:
 
     def __exit__(self, *exc):
         self._fh.close()
-
-
-def write_trace(path, rows: list[TraceRow]) -> None:
-    with TraceWriter(path) as write:
-        for r in rows:
-            write(r)
 
 
 def read_trace(path) -> list[TraceRow]:

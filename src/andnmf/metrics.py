@@ -7,9 +7,9 @@ distance from each ground-truth column to the best scaled column of A,
 
 solved in closed form by projection (sigma = <A_j, a*_i> / ||A_j||^2). The
 total error sums eps_i over i; it is invariant to column permutations and
-nonzero column scalings of A. `decompose` splits an estimate into a diagonal
-scale, an off-diagonal in-span mixing part, and an out-of-span residual:
-A = A_star (Sigma + E) + N.
+nonzero column scalings of A. `Evaluator.decompose` splits an estimate into a
+diagonal scale, an off-diagonal in-span mixing part, and an out-of-span
+residual: A = A_star (Sigma + E) + N.
 """
 
 from __future__ import annotations
@@ -62,22 +62,6 @@ def _residual_table(a, a_star):
     if ok.any():
         res2[ok] = star2[None, :] - h[ok] ** 2 / cn[ok, None]
     return res2, h, cn, ok
-
-
-def column_correlation_error(a_star_col, a):
-    """Error of one ground-truth column against the best scaled column of `a`.
-
-    Returns (eps, j, sigma); ties in j break toward the smaller index and zero
-    columns of `a` are excluded (j = -1 with sigma = 0 if every column is zero).
-    """
-    col = as_matrix(a_star_col, "a_star_col")
-    if col.shape[1] != 1:
-        raise ValueError("a_star_col must be a single column")
-    a = as_matrix(a, "estimate")
-    if a.shape[0] != col.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} != {col.shape[0]}")
-    report = total_correlation_error(a, col)
-    return float(report.per_column[0]), report.matches[0], report.scales[0]
 
 
 def total_correlation_error(a, a_star) -> ErrorReport:
@@ -137,18 +121,3 @@ class Evaluator:
             off_diag_norm=spectral_norm(off),
             residual_norm=spectral_norm(residual),
         )
-
-
-def decompose(a, a_star) -> Decomposition:
-    """One-shot A = A_star (Sigma + E) + N split; A_star must have full column rank."""
-    return Evaluator(a_star).decompose(a)
-
-
-def noise_moments(zeta):
-    """(gamma1_hat, gamma2_hat): spectral norm of the empirical second moment
-    (1/n) Z Z^T and the maximum column norm."""
-    zeta = as_matrix(zeta, "zeta")
-    n = zeta.shape[1]
-    gamma1 = spectral_norm(zeta @ zeta.T / n)
-    gamma2 = float(np.linalg.norm(zeta, axis=0).max())
-    return gamma1, gamma2

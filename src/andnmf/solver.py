@@ -9,18 +9,18 @@ matrix (computed once per stage) and the threshold is fixed by the schedule:
 
 Batch semantics: the gradient accumulates over all columns of the batch before
 A changes. The default is the whole dataset per iteration; `batch=b` uses a
-cyclic window of b columns per iteration (b = n reproduces full batch bitwise;
-b = 1 is the one-sample-per-step variant).
+cyclic window of b columns per iteration, starting at column (t * b) mod n
+(b = n reproduces full batch bitwise; b = 1 is the one-sample-per-step variant).
 
-On the full batch Pinv, alpha and Y are all fixed within a stage, so Z is too.
-The stage is then run in its Gram form: G = Z Z^T and B = Y Z^T are computed
-once per stage from one decode, and each iteration is
+Pinv, alpha and Y are all fixed within a stage, so the decode Z_w of each
+window is too. Each stage therefore runs in its Gram form: at a window's first
+visit in the stage, Z_w, G_w = Z_w Z_w^T and B_w = Y_w Z_w^T are computed once,
+and every iteration is
 
-    update   A <- A + eta * (B - A @ G)
+    update   A <- A + eta * (B_w - A @ G_w)
 
-which gives the same iterates up to rounding at O(W D^2) per iteration instead
-of O(W D n). A mini-batch window (b < n) changes every iteration, so it is
-decoded and updated per iteration as above.
+which gives the same iterates up to rounding at O(W D^2) per iteration. The
+full batch is the case of a single window, decoded once per stage.
 
 `simulate_update_recurrence` is a numeric harness for the contraction that
 drives the analysis of this update: iterating M <- M (I - eta L) + eta Q L
@@ -252,16 +252,14 @@ def decode(pinv, y, alpha: float) -> np.ndarray:
     return threshold_elementwise(pinv @ y, alpha)
 
 
-def gradient_update(a, y, z, eta: float) -> np.ndarray:
-    """A + eta * (Y - A Z) Z^T, accumulated over all columns of the batch."""
-    a = as_matrix(a, "a")
-    y = as_matrix(y, "y")
-    z = as_matrix(z, "z")
-    if y.shape[1] != z.shape[1] or a.shape[1] != z.shape[0] or a.shape[0] != y.shape[0]:
-        raise ValueError(
-            f"shape mismatch: a {a.shape}, y {y.shape}, z {z.shape}"
-        )
-    return a + eta * ((y - a @ z) @ z.T)
+def _window(y, start: int, b: int) -> np.ndarray:
+    """Columns start .. start + b - 1 of y, cyclically: a view unless the window
+    wraps past the last column. Not cached with the stage's windows, since a
+    wrapping copy is W x b where the cached Z_w is only D x b."""
+    n = y.shape[1]
+    if start + b <= n:
+        return y[:, start:start + b]
+    return y[:, (start + np.arange(b)) % n]
 
 
 def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> AndResult:
@@ -269,7 +267,8 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
 
     With a ground truth the trace records the total correlation error (and the
     in-span/out-of-span norms from the decomposition); without one it records
-    the data residual ||Y - A Z||_F of the state entering each iteration.
+    the residual ||Y_w - A Z_w||_F of the iteration's window and of the state
+    entering the iteration.
     Rows are recorded every `eval_every` iterations plus the last iteration of
     each stage, and stream to `on_row` as produced. An iterate with an entry
     beyond DIVERGENCE_LIMIT in magnitude (or a NaN) is not evaluated: its row
@@ -305,33 +304,29 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
         else:
             alpha = stage_threshold(schedule, j)
         eta = cfg.eta
-        if batch == n:
-            # Z is fixed for the whole stage: decode once, iterate on Z's Gram form
-            y_batch = y
-            z = decode(pinv, y, alpha)
-            g = z @ z.T
-            b = y @ z.T
-            if eta is None:
-                eta = cfg.eta_scale / (spectral_norm(g) + 1e-12)
+        # pinv and alpha change between stages, so a window's Gram form is
+        # valid for this stage only
+        windows = {}
         for t in range(cfg.iters_per_stage):
+            start = t * batch % n
+            if start not in windows:
+                y_w = _window(y, start, batch)
+                z = decode(pinv, y_w, alpha)
+                windows[start] = (z, z @ z.T, y_w @ z.T)
+            z, g, bm = windows[start]
+            if eta is None:
+                # curvature-scaled step, fixed for the rest of the stage
+                eta = cfg.eta_scale / (spectral_norm(g) + 1e-12)
             a_prev = a
-            if batch == n:
-                a = a + eta * (b - a @ g)
-            else:
-                cols = (t * batch + np.arange(batch)) % n
-                y_batch = y[:, cols]
-                z = decode(pinv, y_batch, alpha)
-                if eta is None:
-                    # curvature-scaled step, fixed for the rest of the stage
-                    eta = cfg.eta_scale / (spectral_norm(z @ z.T) + 1e-12)
-                a = a + eta * ((y_batch - a @ z) @ z.T)
+            a = a + eta * (bm - a @ g)
             # negated so that a NaN entry counts as diverged too
             if not np.abs(a).max() <= DIVERGENCE_LIMIT:
                 recorder.record_divergence(j, t, alpha)
                 raise DivergenceError(j, t, trace)
             if t % eval_every == 0 or t == cfg.iters_per_stage - 1:
                 # the residual of the state entering this iteration, not of `a`
-                recorder.record(j, t, alpha, a, lambda: np.linalg.norm(y_batch - a_prev @ z))
+                recorder.record(j, t, alpha, a,
+                                lambda: np.linalg.norm(_window(y, start, batch) - a_prev @ z))
     return AndResult(a=a, trace=trace)
 
 

@@ -50,14 +50,6 @@ class NoiseSpec:
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
 
-    def gamma1(self, w: int) -> float:
-        """Spectral norm of E[zeta zeta^T] for this model: gamma^2 / W."""
-        return self.gamma**2 / w
-
-    def gamma2(self) -> float:
-        """Typical per-column norm; the 1/W scaling makes this about gamma."""
-        return self.gamma
-
 
 @dataclass(frozen=True)
 class InitSpec:

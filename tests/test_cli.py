@@ -111,6 +111,28 @@ class TestConfigValidation:
         rc = main(["generate", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    @pytest.mark.parametrize("command, edit, key", [
+        ("generate", lambda raw: raw["dataset"].update(D=0), "config.dataset.D"),
+        ("generate", lambda raw: raw["dataset"].update(gamma=float("nan")),
+         "config.dataset.gamma"),
+        ("generate",
+         lambda raw: raw["solvers"][0].update(schedule={"kind": "geometric", "start": float("nan")}),
+         "config.solvers[0].schedule.start"),
+        ("run", lambda raw: raw["solvers"][0].update(eta_scale=float("nan")),
+         "config.solvers[0].eta_scale"),
+    ], ids=["D-zero", "gamma-nan", "start-nan", "eta_scale-nan"])
+    def test_zero_size_or_nonfinite_value_is_validation_error(self, tmp_path, capsys,
+                                                             command, edit, key):
+        # JSON as Python reads it accepts NaN and Infinity literals
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(write_config(tmp_path, tiny_config())),
+                     "--out", str(out)]) == 0
+        raw = tiny_config()
+        edit(raw)
+        path = write_config(tmp_path, raw, "bad.json")
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert key in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_writes_all_files_and_manifest(self, tmp_path):

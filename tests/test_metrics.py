@@ -3,13 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from andnmf.linalg import spectral_norm
-from andnmf.metrics import (
-    Evaluator,
-    column_correlation_error,
-    decompose,
-    noise_moments,
-    total_correlation_error,
-)
+from andnmf.metrics import Evaluator, total_correlation_error
 
 
 def grid_search_column_error(a_star_col, a, sigmas=None):
@@ -28,48 +22,49 @@ class TestColumnError:
     def test_exact_column_present(self):
         rng = np.random.default_rng(0)
         a = rng.random((10, 4))
-        eps, j, sigma = column_correlation_error(a[:, [2]], a)
-        assert eps == pytest.approx(0.0, abs=1e-7)
-        assert j == 2
-        assert sigma == pytest.approx(1.0)
+        r = total_correlation_error(a, a[:, [2]])
+        assert r.per_column[0] == pytest.approx(0.0, abs=1e-7)
+        assert r.matches == [2]
+        assert r.scales[0] == pytest.approx(1.0)
 
     def test_scaled_column_present(self):
         rng = np.random.default_rng(1)
         a = rng.random((10, 4))
         star = 7.0 * a[:, [1]]
-        eps, j, sigma = column_correlation_error(star, a)
-        assert eps == pytest.approx(0.0, abs=1e-6)
-        assert j == 1
-        assert sigma == pytest.approx(7.0)
+        r = total_correlation_error(a, star)
+        assert r.per_column[0] == pytest.approx(0.0, abs=1e-6)
+        assert r.matches == [1]
+        assert r.scales[0] == pytest.approx(7.0)
 
     def test_projection_formula_and_grid_oracle(self):
         star = np.array([[1.0], [0.0]])
         a = np.array([[1.0], [1.0]])
-        eps, j, sigma = column_correlation_error(star, a)
-        assert sigma == pytest.approx(0.5)
-        assert eps == pytest.approx(np.sqrt(0.5), abs=1e-12)
-        assert eps == pytest.approx(grid_search_column_error(star, a), abs=1e-4)
+        r = total_correlation_error(a, star)
+        assert r.scales[0] == pytest.approx(0.5)
+        assert r.per_column[0] == pytest.approx(np.sqrt(0.5), abs=1e-12)
+        assert r.per_column[0] == pytest.approx(grid_search_column_error(star, a), abs=1e-4)
 
     def test_pythagoras(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((15, 5))
         star = rng.standard_normal((15, 1))
-        eps, j, _ = column_correlation_error(star, a)
+        r = total_correlation_error(a, star)
+        eps, j = r.per_column[0], r.matches[0]
         proj = (a[:, j] @ star.ravel()) ** 2 / (a[:, j] @ a[:, j])
         assert eps**2 + proj == pytest.approx(float(star.ravel() @ star.ravel()), abs=1e-10)
 
     def test_zero_columns_skipped(self):
         star = np.array([[1.0], [1.0]])
         a = np.array([[0.0, 1.0], [0.0, 0.9]])
-        eps, j, _ = column_correlation_error(star, a)
-        assert j == 1
-        assert eps < np.linalg.norm(star)
+        r = total_correlation_error(a, star)
+        assert r.matches == [1]
+        assert r.per_column[0] < np.linalg.norm(star)
 
     def test_all_zero_estimate(self):
         star = np.array([[3.0], [4.0]])
-        eps, j, sigma = column_correlation_error(star, np.zeros((2, 3)))
-        assert eps == pytest.approx(5.0)
-        assert j == -1 and sigma == 0.0
+        r = total_correlation_error(np.zeros((2, 3)), star)
+        assert r.per_column[0] == pytest.approx(5.0)
+        assert r.matches == [-1] and r.scales == [0.0]
 
 
 class TestTotalError:
@@ -134,7 +129,7 @@ class TestDecompose:
     def test_identity(self):
         rng = np.random.default_rng(8)
         star = rng.random((15, 4))
-        dec = decompose(star, star)
+        dec = Evaluator(star).decompose(star)
         assert dec.sigma == pytest.approx(np.ones(4), abs=1e-10)
         assert dec.off_diag_norm == pytest.approx(0.0, abs=1e-10)
         assert dec.residual_norm == pytest.approx(0.0, abs=1e-10)
@@ -144,7 +139,7 @@ class TestDecompose:
         star = rng.random((30, 6))
         u = rng.uniform(-0.05, 0.05, (6, 6))
         a = star @ (np.eye(6) + u)
-        dec = decompose(a, star)
+        dec = Evaluator(star).decompose(a)
         assert dec.residual_norm <= 1e-10
         assert dec.sigma == pytest.approx(1.0 + np.diag(u), abs=1e-10)
         assert dec.off_diag == pytest.approx(u - np.diag(np.diag(u)), abs=1e-10)
@@ -158,7 +153,7 @@ class TestDecompose:
         raw = rng.standard_normal((25, 5))
         p = raw - q @ (q.T @ raw)
         a = star + p
-        dec = decompose(a, star)
+        dec = Evaluator(star).decompose(a)
         assert dec.sigma == pytest.approx(np.ones(5), abs=1e-10)
         assert dec.off_diag_norm <= 1e-10
         assert dec.residual_norm == pytest.approx(spectral_norm(p), rel=1e-7)
@@ -167,41 +162,20 @@ class TestDecompose:
         rng = np.random.default_rng(11)
         star = rng.random((18, 4))
         a = rng.standard_normal((18, 4))
-        dec = decompose(a, star)
+        dec = Evaluator(star).decompose(a)
         rebuilt = star @ (np.diag(dec.sigma) + dec.off_diag) + dec.residual
         assert np.linalg.norm(rebuilt - a) <= 1e-9 * np.linalg.norm(a)
 
     def test_residual_orthogonal_to_span(self):
         rng = np.random.default_rng(12)
         star = rng.random((18, 4))
-        dec = decompose(rng.standard_normal((18, 4)), star)
+        dec = Evaluator(star).decompose(rng.standard_normal((18, 4)))
         assert np.linalg.norm(star.T @ dec.residual) <= 1e-8
 
     def test_rank_deficient_truth_rejected(self):
         star = np.ones((10, 3))
         with pytest.raises(ValueError, match="rank deficient"):
-            decompose(np.ones((10, 3)), star)
-
-
-class TestNoiseMoments:
-    def test_zero(self):
-        assert noise_moments(np.zeros((5, 4))) == (0.0, 0.0)
-
-    def test_repeated_column(self):
-        z = np.array([[1.0], [2.0], [2.0]])
-        zeta = np.tile(z, (1, 7))
-        g1, g2 = noise_moments(zeta)
-        assert g1 == pytest.approx(9.0, rel=1e-10)
-        assert g2 == pytest.approx(3.0, rel=1e-12)
-
-    def test_gaussian_scaling(self):
-        w, n, gamma = 200, 20000, 0.5
-        rng = np.random.default_rng(13)
-        zeta = gamma * rng.standard_normal((w, n)) / np.sqrt(w)
-        g1, g2 = noise_moments(zeta)
-        # max column norm concentrates a bit above gamma (chi tail)
-        assert 0.9 * gamma <= g2 <= 1.3 * gamma
-        assert g1 == pytest.approx(gamma**2 / w, rel=0.25)
+            Evaluator(star).decompose(np.ones((10, 3)))
 
 
 def test_evaluator_matches_free_functions():
@@ -210,6 +184,6 @@ def test_evaluator_matches_free_functions():
     a = rng.random((20, 5))
     ev = Evaluator(star)
     assert ev.total(a) == total_correlation_error(a, star).total
-    dec1, dec2 = ev.decompose(a), decompose(a, star)
-    assert np.array_equal(dec1.sigma, dec2.sigma)
-    assert np.array_equal(dec1.residual, dec2.residual)
+    report, free = ev.error_report(a), total_correlation_error(a, star)
+    assert np.array_equal(report.per_column, free.per_column)
+    assert report.matches == free.matches and report.scales == free.scales

@@ -9,7 +9,6 @@ from andnmf.solver import (
     DivergenceError,
     ThresholdSchedule,
     decode,
-    gradient_update,
     run,
     simulate_update_recurrence,
     stage_threshold,
@@ -77,23 +76,6 @@ class TestDecodeUpdate:
         z = decode(pseudo_inverse(gt.a_star), ds.y, 0.25)
         assert z == pytest.approx(ds.x, abs=1e-9)
 
-    def test_update_zero_code_is_noop(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((6, 3))
-        y = rng.standard_normal((6, 10))
-        assert np.array_equal(gradient_update(a, y, np.zeros((3, 10)), 0.5), a)
-
-    def test_update_fixed_point(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((6, 3))
-        z = rng.random((3, 10))
-        y = a @ z
-        assert gradient_update(a, y, z, 0.7) == pytest.approx(a, abs=1e-12)
-
-    def test_update_scalar_arithmetic(self):
-        out = gradient_update(np.array([[2.0]]), np.array([[1.0]]), np.array([[1.0]]), 0.5)
-        assert out[0, 0] == pytest.approx(1.5)
-
 
 class TestRun:
     def test_ground_truth_is_fixed_point_binary(self):
@@ -141,9 +123,8 @@ class TestRun:
         gt, ds, _ = make_problem(w=80, d=8, n=200, s=2, seed=11)
         scales = np.array([0.5, 1.0, 2.0, 1.0, 0.5, 2.0, 1.0, 0.5])
         a = gt.a_star * scales
-        z = decode(pseudo_inverse(a), ds.y, 0.25)
-        eta = 0.5 / (spectral_norm(z @ z.T) + 1e-12)
-        updated = gradient_update(a, ds.y, z, eta)
+        cfg = AndConfig(stages=1, iters_per_stage=1, schedule=ThresholdSchedule.constant(0.25))
+        updated = run(a, ds.y, cfg).a
         assert np.abs(updated - a).max() <= 1e-10
 
     def test_residual_trace_without_truth(self):

@@ -1,10 +1,12 @@
 """Differential checks of `solver.run` against the per-iteration reference loop.
 
-`reference_run` is the staged solver as it was before full-batch stages ran in
-their Gram form: every iteration decodes its batch and takes the gradient step
-through `(Y - A Z) Z^T`. The production path must give the same rows and the
+`reference_run` is the staged solver as it was before stages ran in their Gram
+form: every iteration decodes its batch and takes the gradient step through
+`(Y - A Z) Z^T`. The production path must give the same rows and the
 same final matrix up to rounding.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -168,11 +170,16 @@ def test_run_matches_reference_loop(d, extra_w, n, seed, weights, batch_kind, wi
         assert _close(got.a, ref.a, floor)
 
 
-@pytest.mark.parametrize("batch", ["full", "n", 7])
+@pytest.mark.parametrize("batch", ["full", "n", 7, 10])
 def test_one_decode_per_full_batch_stage(monkeypatch, batch):
+    # each distinct window is decoded once per stage: windows start at
+    # (t * b) mod n, so a stage of T iterations visits min(T, n / gcd(n, b))
     gt, y, a0 = _problem(24, 4, 40, seed=3)
     n = y.shape[1]
-    cfg = AndConfig(stages=3, iters_per_stage=5, batch=n if batch == "n" else batch)
+    batch = n if batch == "n" else batch
+    b = n if batch == "full" else batch
+    iters = 12 if b == 10 else 5
+    cfg = AndConfig(stages=3, iters_per_stage=iters, batch=batch)
     calls = []
     original = solver.decode
 
@@ -181,9 +188,16 @@ def test_one_decode_per_full_batch_stage(monkeypatch, batch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(solver, "decode", counting_decode)
-    run(a0, y, cfg, truth=gt)
-    per_stage = cfg.iters_per_stage if batch == 7 else 1
-    assert len(calls) == cfg.stages * per_stage
+    got = run(a0, y, cfg, truth=gt)
+    assert len(calls) == cfg.stages * min(iters, n // math.gcd(n, b))
+    ref = reference_run(a0, y, cfg, truth=gt)
+    floor = spectral_norm(gt.a_star)
+    assert [(r.stage, r.iteration) for r in got.trace.rows] == \
+           [(r.stage, r.iteration) for r in ref.trace.rows]
+    for g, r in zip(got.trace.rows, ref.trace.rows):
+        assert g.alpha == r.alpha
+        assert _close(g.total_error, r.total_error, floor)
+    assert _close(got.a, ref.a, floor)
 
 
 @pytest.mark.parametrize("batch", ["full", 9])

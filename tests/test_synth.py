@@ -36,10 +36,7 @@ def test_ground_truth_rejects_wide():
         generate_ground_truth(10, 20)
 
 
-def test_noise_spec_moments():
-    spec = NoiseSpec(gamma=0.3)
-    assert spec.gamma1(100) == pytest.approx(0.0009)
-    assert spec.gamma2() == 0.3
+def test_noise_spec_rejects_negative_gamma():
     with pytest.raises(ValueError):
         NoiseSpec(gamma=-1.0)
 
