@@ -8,11 +8,10 @@ plateau level of each run. The plateau grows about linearly with gamma.
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 from andnmf.config import validate_config
 from andnmf.harness import generate, run
 from andnmf.matio import read_trace
+from andnmf.solver import RunTrace
 
 
 def main():
@@ -33,11 +32,7 @@ def main():
         cfg = validate_config(raw)
         generate(cfg, out)
         run(cfg, out)
-        rows = read_trace(out / "and_trace.csv")
-        ends = {}
-        for r in rows:
-            ends[r.stage] = r.total_error
-        last5 = np.array([ends[s] for s in sorted(ends)[-5:]])
+        last5 = RunTrace(read_trace(out / "and_trace.csv")).stage_end_errors()[-5:]
         print(f"gamma={gamma:g}: plateau={last5.mean():.4g} "
               f"(last-5 change {(last5.max() - last5.min()) / last5.min():.1%})")
 

@@ -19,22 +19,25 @@ from .solver import RunTrace, TraceRecorder
 ALGORITHMS = ("mu", "hals", "anls")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BaselineConfig:
+    """Baseline hyperparameters, checked when built."""
+
     algorithm: str = "hals"
     outer_iters: int = 200
     inner_iters: int = 10  # projected-gradient steps per ANLS block
     epsilon_floor: float = 1e-12
     seed: int = 0
 
-    def validate(self):
+    # every check is negated so that NaN fails it
+    def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if self.outer_iters < 0:
+        if not self.outer_iters >= 0:
             raise ValueError(f"outer_iters must be >= 0, got {self.outer_iters}")
-        if self.inner_iters < 0:
+        if not self.inner_iters >= 0:
             raise ValueError(f"inner_iters must be >= 0, got {self.inner_iters}")
-        if self.epsilon_floor <= 0:
+        if not self.epsilon_floor > 0:
             raise ValueError(f"epsilon_floor must be > 0, got {self.epsilon_floor}")
 
 
@@ -118,7 +121,6 @@ def run_baseline(cfg: BaselineConfig, y, a0, truth=None, eval_every: int = 1, on
     data; Y with negative entries is rejected up front, and a0 is clipped at
     zero for MU since its iterations cannot leave the nonnegative orthant.
     """
-    cfg.validate()
     y = as_matrix(y, "y")
     a = as_matrix(a0, "a0").copy()
     if a.shape[0] != y.shape[0]:
@@ -133,7 +135,7 @@ def run_baseline(cfg: BaselineConfig, y, a0, truth=None, eval_every: int = 1, on
     d = a.shape[1]
     rng = np.random.default_rng(cfg.seed)
     x = rng.random((d, y.shape[1]))
-    recorder = TraceRecorder(truth, on_row=on_row)
+    recorder = TraceRecorder(truth, on_row=on_row, eval_every=eval_every)
 
     for it in range(cfg.outer_iters):
         if cfg.algorithm == "mu":
@@ -142,6 +144,6 @@ def run_baseline(cfg: BaselineConfig, y, a0, truth=None, eval_every: int = 1, on
             a, x = hals_step(a, x, y, cfg.epsilon_floor)
         else:
             a, x = anls_step(a, x, y, cfg.inner_iters, cfg.epsilon_floor)
-        if it % eval_every == 0 or it == cfg.outer_iters - 1:
+        if recorder.due(it, cfg.outer_iters):
             recorder.record(0, it, 0.0, a, lambda: np.linalg.norm(y - a @ x))
     return BaselineResult(a=a, x=x, trace=recorder.trace)

@@ -20,7 +20,6 @@ import sys
 from .config import ConfigError, load_config, preset_config, validate_config
 from .harness import evaluate, gcc_report, generate, run
 from .matio import MatrixFormatError
-from .solver import DivergenceError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -104,19 +103,13 @@ def main(argv=None) -> int:
             _emit(gcc_report(args.weights), args.out)
             return EXIT_OK
         raise AssertionError(f"unhandled command {args.command}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except MatrixFormatError as exc:
+    except (MatrixFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except DivergenceError as exc:
+    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -39,7 +39,7 @@ def generate(cfg: ExperimentConfig, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     ds = cfg.dataset
     gt = generate_ground_truth(ds.w, ds.d, ds.kind, seed=cfg.children[0])
-    data = generate_dataset(gt, ds.weights, cfg.noise(), ds.n, seed=cfg.children[2])
+    data = generate_dataset(gt, ds.weights, ds.noise, ds.n, seed=cfg.children[2])
     init = generate_initialization(gt, cfg.init)
 
     write_matrix(out / "A_star.mat", gt.a_star)

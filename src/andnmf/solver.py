@@ -62,21 +62,23 @@ class RecurrenceBoundError(AssertionError):
 
 @dataclass(frozen=True)
 class ThresholdSchedule:
-    """Stage threshold policy.
+    """Stage threshold policy, checked when built.
 
     constant:  alpha_j = c
     geometric: alpha_j = start * ratio^j
     theory:    alpha_j = (lam * ||E||_2 / r)^(2 / (q + 1)), clamped to
                (0, 1/4]; requires an estimate of the current mixing norm.
+
+    A kind's parameters without a default (c; lam, r and q) are required.
     """
 
     kind: str
-    c: float = 0.0
+    c: float | None = None
     start: float = 0.1
     ratio: float = 1.0 / 1.1
-    lam: float = 1.0
-    r: float = 1.0
-    q: float = 1.0
+    lam: float | None = None
+    r: float | None = None
+    q: float | None = None
 
     @classmethod
     def constant(cls, c):
@@ -90,17 +92,20 @@ class ThresholdSchedule:
     def theory(cls, lam, r, q):
         return cls(kind="theory", lam=lam, r=r, q=q)
 
-    def validate(self):
+    # every check is negated so that NaN fails it
+    def __post_init__(self):
         if self.kind == "constant":
-            if self.c < 0:
-                raise ValueError(f"constant threshold must be >= 0, got {self.c}")
+            if self.c is None or not self.c >= 0:
+                raise ValueError(f"constant threshold c must be >= 0, got {self.c}")
         elif self.kind == "geometric":
-            if self.start <= 0:
+            if not self.start > 0:
                 raise ValueError(f"geometric start must be > 0, got {self.start}")
             if not 0 < self.ratio <= 1:
                 raise ValueError(f"geometric ratio must be in (0, 1], got {self.ratio}")
         elif self.kind == "theory":
-            if self.lam <= 0 or self.r < 1 or self.q < 1:
+            if None in (self.lam, self.r, self.q) or not (
+                self.lam > 0 and self.r >= 1 and self.q >= 1
+            ):
                 raise ValueError(
                     f"theory schedule needs lam > 0, r >= 1, q >= 1; "
                     f"got lam={self.lam}, r={self.r}, q={self.q}"
@@ -112,7 +117,6 @@ class ThresholdSchedule:
 def stage_threshold(schedule: ThresholdSchedule, j: int, e_norm_estimate=None) -> float:
     if j < 0:
         raise ValueError(f"stage index must be >= 0, got {j}")
-    schedule.validate()
     if schedule.kind == "constant":
         return schedule.c
     if schedule.kind == "geometric":
@@ -123,9 +127,9 @@ def stage_threshold(schedule: ThresholdSchedule, j: int, e_norm_estimate=None) -
     return float(min(max(raw, _THEORY_ALPHA_FLOOR), 0.25))
 
 
-@dataclass
+@dataclass(frozen=True)
 class AndConfig:
-    """Solver hyperparameters.
+    """Solver hyperparameters, checked when built.
 
     `eta=None` uses a curvature-scaled step recomputed at each stage start:
     eta_scale / (||Z0 Z0^T||_2 + 1e-12) with Z0 the stage's decode of the full
@@ -141,18 +145,20 @@ class AndConfig:
     batch: object = "full"
     pinv_rel_tol: float = 1e-12
 
-    def validate(self):
-        if self.stages < 1 or self.iters_per_stage < 1:
+    # every check is negated so that NaN fails it
+    def __post_init__(self):
+        if not (self.stages >= 1 and self.iters_per_stage >= 1):
             raise ValueError("stages and iters_per_stage must be >= 1")
-        if self.eta is not None and self.eta <= 0:
+        if self.eta is not None and not self.eta > 0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
-        if self.eta_scale <= 0:
+        if not self.eta_scale > 0:
             raise ValueError(f"eta_scale must be > 0, got {self.eta_scale}")
-        if self.batch != "full" and (not isinstance(self.batch, int) or self.batch < 1):
+        if self.batch != "full" and (
+            isinstance(self.batch, bool) or not isinstance(self.batch, int) or self.batch < 1
+        ):
             raise ValueError(f"batch must be 'full' or a positive int, got {self.batch!r}")
         if not 0 < self.pinv_rel_tol < 1:
             raise ValueError(f"pinv_rel_tol must be in (0, 1), got {self.pinv_rel_tol}")
-        self.schedule.validate()
 
 
 @dataclass
@@ -195,10 +201,14 @@ class TraceRecorder:
 
     With a ground truth a row records the total correlation error and the
     in-span/out-of-span norms of the decomposition; without one it records the
-    no-truth residual norm that the caller supplies.
+    no-truth residual norm that the caller supplies. A row is due every
+    `eval_every` iterations and at the last iteration of each stage.
     """
 
-    def __init__(self, truth=None, pinv_rel_tol: float = 1e-12, on_row=None):
+    def __init__(self, truth=None, pinv_rel_tol: float = 1e-12, on_row=None, eval_every: int = 1):
+        if not eval_every >= 1:
+            raise ValueError(f"eval_every must be >= 1, got {eval_every}")
+        self.eval_every = eval_every
         self.evaluator = None
         if truth is not None:
             a_star = getattr(truth, "a_star", truth)
@@ -206,6 +216,10 @@ class TraceRecorder:
         self.trace = RunTrace()
         self._on_row = on_row
         self._t0 = time.perf_counter()
+
+    def due(self, t: int, stage_length: int) -> bool:
+        """Whether iteration `t` of a stage of `stage_length` iterations gets a row."""
+        return t % self.eval_every == 0 or t == stage_length - 1
 
     def record(self, stage, iteration, alpha, a, residual_norm):
         """Append the row of estimate `a`; `residual_norm()` is called only
@@ -278,15 +292,12 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
     observable against a ground truth; without one it falls back to the
     default geometric schedule.
     """
-    cfg.validate()
     a = as_matrix(a0, "a0").copy()
     y = as_matrix(y, "y")
-    if eval_every < 1:
-        raise ValueError(f"eval_every must be >= 1, got {eval_every}")
     w, n = y.shape
     if a.shape[0] != w:
         raise ValueError(f"a0 has {a.shape[0]} rows but y has {w}")
-    recorder = TraceRecorder(truth, cfg.pinv_rel_tol, on_row)
+    recorder = TraceRecorder(truth, cfg.pinv_rel_tol, on_row, eval_every)
     evaluator, trace = recorder.evaluator, recorder.trace
 
     schedule = cfg.schedule
@@ -323,7 +334,7 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
             if not np.abs(a).max() <= DIVERGENCE_LIMIT:
                 recorder.record_divergence(j, t, alpha)
                 raise DivergenceError(j, t, trace)
-            if t % eval_every == 0 or t == cfg.iters_per_stage - 1:
+            if recorder.due(t, cfg.iters_per_stage):
                 # the residual of the state entering this iteration, not of `a`
                 recorder.record(j, t, alpha, a,
                                 lambda: np.linalg.norm(_window(y, start, batch) - a_prev @ z))

@@ -47,7 +47,7 @@ class NoiseSpec:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
 
 
@@ -66,7 +66,7 @@ class InitSpec:
     zero_diag: bool = False
 
     def __post_init__(self):
-        if self.r_l < 0 or self.r_n < 0:
+        if not (self.r_l >= 0 and self.r_n >= 0):
             raise ValueError("r_l and r_n must be >= 0")
 
 

@@ -24,15 +24,15 @@ class NoClosedFormError(ValueError):
     """No closed-form correlation bounds for this family; use gcc_from_samples."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WeightSpec:
-    """Distribution of one weight column; columns are sampled i.i.d.
+    """Distribution of one weight column, checked when built; columns are
+    sampled i.i.d.
 
     Family-specific fields:
       sparse_binary    s ones on a uniformly random support
       dirichlet        symmetric Dirichlet with per-coordinate `concentration`
-      logistic_normal  softmax of N(mean, cov); default cov is
-                       cov_scale * rho^|i-j| (Toeplitz), mean zero
+      logistic_normal  softmax of N(0, cov_scale * rho^|i-j|) (Toeplitz)
       sparse_uniform   s-sparse support, values Unif[low, high)
     """
 
@@ -43,8 +43,6 @@ class WeightSpec:
     concentration: float | None = None
     rho: float = 0.5
     cov_scale: float = 1.0
-    mean: np.ndarray | None = None
-    cov: np.ndarray | None = None
     low: float = 0.0
     high: float = 1.0
 
@@ -57,20 +55,18 @@ class WeightSpec:
         return cls(family="dirichlet", dim=dim, concentration=concentration, seed=seed)
 
     @classmethod
-    def logistic_normal(cls, dim, rho=0.5, cov_scale=1.0, seed=0, mean=None, cov=None):
-        return cls(
-            family="logistic_normal", dim=dim, rho=rho, cov_scale=cov_scale,
-            seed=seed, mean=mean, cov=cov,
-        )
+    def logistic_normal(cls, dim, rho=0.5, cov_scale=1.0, seed=0):
+        return cls(family="logistic_normal", dim=dim, rho=rho, cov_scale=cov_scale, seed=seed)
 
     @classmethod
     def sparse_uniform(cls, dim, s, low=0.0, high=1.0, seed=0):
         return cls(family="sparse_uniform", dim=dim, s=s, low=low, high=high, seed=seed)
 
-    def validate(self) -> None:
+    # every check is negated so that NaN fails it
+    def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown weight family {self.family!r}")
-        if self.dim < 1:
+        if not self.dim >= 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.family in ("sparse_binary", "sparse_uniform"):
             if self.s is None or not 1 <= self.s <= self.dim:
@@ -79,26 +75,14 @@ class WeightSpec:
             if not 0.0 <= self.low < self.high <= 1.0:
                 raise ValueError(f"need 0 <= low < high <= 1, got [{self.low}, {self.high})")
         if self.family == "dirichlet":
-            if self.concentration is None or self.concentration <= 0:
+            if self.concentration is None or not self.concentration > 0:
                 raise ValueError(f"concentration must be > 0, got {self.concentration}")
         if self.family == "logistic_normal":
-            if self.cov_scale <= 0:
+            if not self.cov_scale > 0:
                 raise ValueError(f"cov_scale must be > 0, got {self.cov_scale}")
-            if self.mean is not None and np.asarray(self.mean).shape != (self.dim,):
-                raise ValueError("mean must have shape (dim,)")
-            if self.cov is not None:
-                c = np.asarray(self.cov, dtype=np.float64)
-                if c.shape != (self.dim, self.dim):
-                    raise ValueError("cov must have shape (dim, dim)")
-                if not np.allclose(c, c.T, atol=1e-10):
-                    raise ValueError("cov must be symmetric")
-                if np.linalg.eigvalsh(c)[0] < -1e-8:
-                    raise ValueError("cov must be positive semidefinite")
 
     def covariance(self) -> np.ndarray:
-        """Effective Gaussian covariance for the logistic_normal family."""
-        if self.cov is not None:
-            return np.asarray(self.cov, dtype=np.float64)
+        """Gaussian covariance of the logistic_normal family."""
         idx = np.arange(self.dim)
         return self.cov_scale * self.rho ** np.abs(idx[:, None] - idx[None, :])
 
@@ -115,7 +99,6 @@ def sample_weights(spec: WeightSpec, n: int) -> np.ndarray:
     Deterministic for a fixed (spec, seed, n): the generator is created per
     call from spec.seed, so concurrent calls are independent.
     """
-    spec.validate()
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(spec.seed)
@@ -134,8 +117,7 @@ def sample_weights(spec: WeightSpec, n: int) -> np.ndarray:
     if spec.family == "dirichlet":
         return rng.dirichlet(np.full(d, spec.concentration), size=n).T
     # logistic_normal
-    mean = np.zeros(d) if spec.mean is None else np.asarray(spec.mean, dtype=np.float64)
-    g = rng.multivariate_normal(mean, spec.covariance(), size=n, method="svd")
+    g = rng.multivariate_normal(np.zeros(d), spec.covariance(), size=n, method="svd")
     g -= g.max(axis=1, keepdims=True)
     e = np.exp(g)
     return (e / e.sum(axis=1, keepdims=True)).T
@@ -167,7 +149,6 @@ def gcc_closed_form(spec: WeightSpec) -> GccParams:
     its decay order has no closed form and is reported as None (measure it with
     decay_profile). Other families raise NoClosedFormError.
     """
-    spec.validate()
     if spec.family == "sparse_binary":
         s = float(spec.s)
         return GccParams(r=s, k=s, m=s * s, lam=1.0 - 1.0 / s, q=math.inf)

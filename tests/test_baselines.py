@@ -118,6 +118,12 @@ class TestRunBaseline:
         with pytest.raises(ValueError, match="negative"):
             run_baseline(BaselineConfig("mu", outer_iters=3), ds.y, init.a0, truth=gt)
 
+    def test_zero_eval_every_rejected(self):
+        gt, ds, init = self.make_problem()
+        with pytest.raises(ValueError, match="eval_every"):
+            run_baseline(BaselineConfig("hals", outer_iters=3), ds.y, init.a0, truth=gt,
+                         eval_every=0)
+
     def test_trace_schema_matches_and_solver(self):
         gt, ds, init = self.make_problem()
         res = run_baseline(BaselineConfig("hals", outer_iters=5), ds.y, init.a0, truth=gt)
@@ -157,6 +163,6 @@ class TestRunBaseline:
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
-            BaselineConfig("newton").validate()
+            BaselineConfig("newton")
         with pytest.raises(ValueError):
-            BaselineConfig("mu", epsilon_floor=0.0).validate()
+            BaselineConfig("mu", epsilon_floor=0.0)

@@ -1,11 +1,13 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from andnmf import harness
 from andnmf.cli import main
-from andnmf.config import ConfigError, preset_config, validate_config
+from andnmf.config import PRESET_NAMES, ConfigError, preset_config, validate_config
 from andnmf.linalg import SvdConvergenceError
 from andnmf.matio import read_matrix, read_trace, write_matrix
 from andnmf.weights import WeightSpec, sample_weights
@@ -23,6 +25,45 @@ def tiny_config(**overrides):
     }
     raw.update(overrides)
     return raw
+
+
+def every_kind_config(weights):
+    """A config that sets every key, with one `and` solver per schedule kind."""
+    return {
+        "dataset": {"W": 40, "D": 5, "n": 80, "kind": "signed", "gamma": 0.02, "seed": 7,
+                    "weights": weights},
+        "init": {"r_l": 0.5, "r_n": 1, "seed": 11, "zero_diag": True},
+        "solvers": [
+            {"name": "and", "label": "constant", "stages": 2, "iters_per_stage": 3,
+             "eta": 0.01, "eta_scale": 0.5, "batch": 20, "pinv_rel_tol": 1e-10,
+             "schedule": {"kind": "constant", "value": 0.1}},
+            {"name": "and", "label": "geometric",
+             "schedule": {"kind": "geometric", "start": 0.2, "ratio": 0.8}},
+            {"name": "and", "label": "theory",
+             "schedule": {"kind": "theory", "lambda": 1, "r": 2, "q": 1}},
+            {"name": "hals", "outer_iters": 3, "inner_iters": 1, "epsilon_floor": 1e-9,
+             "seed": 4},
+            {"name": "anls"},
+            {"name": "mu"},
+        ],
+        "eval_every": 2,
+        "out_dir": "runs/every-kind",
+    }
+
+
+WEIGHTS = {
+    "sparse_binary": {"family": "sparse_binary", "s": 2},
+    "dirichlet": {"family": "dirichlet", "concentration": 0.4},
+    "logistic_normal": {"family": "logistic_normal", "rho": 0.3, "cov_scale": 4},
+    "sparse_uniform": {"family": "sparse_uniform", "s": 2, "low": 0.2, "high": 0.9},
+}
+
+
+def readme_config():
+    """The JSON example of README's "Config format" section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text[text.index("### Config format"):]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
 
 
 def write_config(tmp_path, raw, name="config.json"):
@@ -98,12 +139,49 @@ class TestConfigValidation:
         cfg = validate_config(preset_config("NEG"))
         assert cfg.dataset.kind == "signed"
         cfg = validate_config(preset_config("NOISE"))
-        assert cfg.dataset.gamma == 0.01
+        assert cfg.dataset.noise.gamma == 0.01
         assert cfg.solvers[0].config.iters_per_stage == 100
         cfg = validate_config(preset_config("BINARY"))
         assert cfg.solvers[0].config.schedule.kind == "constant"
         cfg = validate_config(preset_config("paper-scale"))
         assert (cfg.dataset.w, cfg.dataset.d, cfg.dataset.n) == (1000, 100, 5000)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [preset_config(p) for p in PRESET_NAMES]
+        + [every_kind_config(w) for w in WEIGHTS.values()]
+        + [readme_config()],
+        ids=[*PRESET_NAMES, *(f"every-kind-{f}" for f in WEIGHTS), "README"],
+    )
+    def test_resolved_config_loads_back(self, raw):
+        cfg = validate_config(raw)
+        back = validate_config(json.loads(json.dumps(cfg.raw)))
+        assert back.raw == cfg.raw
+        assert back.config_hash() == cfg.config_hash()
+
+    def test_null_means_absent(self):
+        raw = tiny_config(eval_every=None, out_dir=None)
+        raw["dataset"]["weights"] = None
+        raw["solvers"][0].update(label=None, eta=None, schedule=None)
+        assert validate_config(raw).raw == validate_config(tiny_config()).raw
+
+    @pytest.mark.parametrize("section, value, key", [
+        ("weights", {"family": "dirichlet", "concentration": 0.4, "rho": 0.5},
+         "config.dataset.weights.rho"),
+        ("weights", {"family": "logistic_normal", "s": 2}, "config.dataset.weights.s"),
+        ("schedule", {"kind": "constant", "value": 0.1, "start": 0.1},
+         "config.solvers[0].schedule.start"),
+        ("schedule", {"kind": "geometric", "lambda": 1.0}, "config.solvers[0].schedule.lambda"),
+    ], ids=["rho-on-dirichlet", "s-on-logistic_normal", "start-on-constant",
+            "lambda-on-geometric"])
+    def test_other_family_or_kind_key_is_error(self, section, value, key):
+        raw = tiny_config()
+        if section == "weights":
+            raw["dataset"]["weights"] = value
+        else:
+            raw["solvers"][0]["schedule"] = value
+        with pytest.raises(ConfigError, match=re.escape(f"{key}: unknown key")):
+            validate_config(raw)
 
     def test_json_syntax_error_carries_line(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -166,6 +244,25 @@ class TestGenerate:
         main(["generate", "--config", str(cfg_path), "--out", str(out2)])
         for name in ("A_star.mat", "X.mat", "Y.mat", "Zeta.mat", "A0.mat", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_manifest_config_regenerates_same_files(self, tmp_path):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        cfg_path = write_config(tmp_path, tiny_config())
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out1)]) == 0
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        cfg_path = write_config(tmp_path, manifest["config"], "manifest_config.json")
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out2)]) == 0
+        for name in ("A_star.mat", "X.mat", "Y.mat", "Zeta.mat", "A0.mat", "manifest.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_runtime_error_outside_a_solver_exits_2(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise SvdConvergenceError("SVD did not converge")
+
+        monkeypatch.setattr(harness, "generate_ground_truth", fail)
+        cfg_path = write_config(tmp_path, tiny_config())
+        assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "SVD did not converge" in capsys.readouterr().err
 
     def test_neg_preset_ranges(self, tmp_path):
         raw = tiny_config()

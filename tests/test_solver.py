@@ -49,11 +49,11 @@ class TestStageThreshold:
 
     def test_invalid_schedules(self):
         with pytest.raises(ValueError):
-            ThresholdSchedule.geometric(start=0.0).validate()
+            ThresholdSchedule.geometric(start=0.0)
         with pytest.raises(ValueError):
-            ThresholdSchedule.geometric(ratio=1.5).validate()
+            ThresholdSchedule.geometric(ratio=1.5)
         with pytest.raises(ValueError):
-            ThresholdSchedule.theory(lam=0.0, r=1.0, q=1.0).validate()
+            ThresholdSchedule.theory(lam=0.0, r=1.0, q=1.0)
 
 
 class TestDecodeUpdate:
@@ -269,8 +269,8 @@ class TestUpdateRecurrence:
 
 def test_run_rejects_bad_config():
     with pytest.raises(ValueError):
-        AndConfig(stages=0).validate()
+        AndConfig(stages=0)
     with pytest.raises(ValueError):
-        AndConfig(eta=-1.0).validate()
+        AndConfig(eta=-1.0)
     with pytest.raises(ValueError):
-        AndConfig(batch=0).validate()
+        AndConfig(batch=0)

@@ -33,7 +33,6 @@ REL_TOL = 1e-12
 
 def reference_run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1) -> AndResult:
     """The per-iteration solver loop, kept as the oracle for `solver.run`."""
-    cfg.validate()
     a = as_matrix(a0, "a0").copy()
     y = as_matrix(y, "y")
     if eval_every < 1:

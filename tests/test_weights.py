@@ -68,12 +68,7 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_weights(WeightSpec.sparse_binary(4, 2), 0)
         with pytest.raises(ValueError):
-            WeightSpec.sparse_uniform(4, 2, low=0.5, high=0.5).validate()
-
-    def test_logistic_normal_bad_cov(self):
-        bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
-        with pytest.raises(ValueError, match="semidefinite"):
-            WeightSpec.logistic_normal(2, cov=bad).validate()
+            WeightSpec.sparse_uniform(4, 2, low=0.5, high=0.5)
 
 
 class TestClosedForm:
