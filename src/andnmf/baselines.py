@@ -146,4 +146,5 @@ def run_baseline(cfg: BaselineConfig, y, a0, truth=None, eval_every: int = 1, on
             a, x = anls_step(a, x, y, cfg.inner_iters, cfg.epsilon_floor)
         if recorder.due(it, cfg.outer_iters):
             recorder.record(0, it, 0.0, a, lambda: np.linalg.norm(y - a @ x))
+            recorder.flush()  # a baseline's rows stream one by one
     return BaselineResult(a=a, x=x, trace=recorder.trace)

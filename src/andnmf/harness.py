@@ -5,9 +5,11 @@ Directory layout written by `generate` / `run` under one output directory:
     A_star.mat  X.mat  Y.mat  Zeta.mat  A0.mat  manifest.json
     <label>_trace.csv  <label>_A_final.mat  summary.json
 
-Traces stream to disk row by row, so a diverging run leaves its partial trace
-behind; a divergence or runtime error is recorded in summary.json rather than
-crashing the other solvers. The manifest carries the resolved config, its
+Traces stream to disk as their rows are evaluated: with a ground truth, a
+stack of recorded iterates at a time (`solver.TraceRecorder`), every stage's
+rows by the stage's end, and every earlier row before a divergence row, so a
+diverging run leaves its whole partial trace behind. A divergence or runtime
+error is recorded in summary.json rather than crashing the other solvers. The manifest carries the resolved config, its
 hash, every derived seed, and library versions: enough to reproduce each file
 bitwise on the same machine.
 """

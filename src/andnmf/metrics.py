@@ -9,7 +9,11 @@ solved in closed form by projection (sigma = <A_j, a*_i> / ||A_j||^2). The
 total error sums eps_i over i; it is invariant to column permutations and
 nonzero column scalings of A. `Evaluator.decompose` splits an estimate into a
 diagonal scale, an off-diagonal in-span mixing part, and an out-of-span
-residual: A = A_star (Sigma + E) + N.
+residual: A = A_star (Sigma + E) + N. `Evaluator.evaluate` gives the total
+error and the spectral norms of E and N for a whole stack of estimates in one
+vectorised pass; every single-estimate entry point is its k = 1 case. Those
+norms come from the Gram form sqrt(lambda_max(M^T M)) of each M scaled by its
+largest |entry|; `linalg.spectral_norm` stays the exact SVD for other callers.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, full_rank_pseudo_inverse, spectral_norm
+from .linalg import SvdConvergenceError, as_matrix, full_rank_pseudo_inverse
 
 _ZERO_COL_TOL = 1e-24  # squared-norm cutoff below which a column is "zero"
 
@@ -51,17 +55,42 @@ class Decomposition:
     residual_norm: float
 
 
-def _residual_table(a, a_star):
-    """res2[j, i]: squared residual of projecting a*_i on span(A_j); plus the
-    projection coefficients and validity mask for zero columns of A."""
-    h = a.T @ a_star                      # h[j, i] = <A_j, a*_i>
-    cn = np.einsum("ij,ij->j", a, a)      # ||A_j||^2
+def _correlation_errors(stack, a_star):
+    """Per-column errors of each estimate in a (k, W, Da) stack against a_star
+    (W, Ds): eps (k, Ds), the winning estimate column (k, Ds; -1 when every
+    column of that estimate is zero) and its optimal scale (k, Ds)."""
+    h = np.swapaxes(stack, 1, 2) @ a_star                # h[k, j, i] = <A_j, a*_i>
+    cn = np.einsum("kwj,kwj->kj", stack, stack)          # ||A_j||^2
     ok = cn > _ZERO_COL_TOL
+    cn = np.where(ok, cn, 1.0)
     star2 = np.einsum("ij,ij->j", a_star, a_star)
-    res2 = np.tile(star2, (a.shape[1], 1))
-    if ok.any():
-        res2[ok] = star2[None, :] - h[ok] ** 2 / cn[ok, None]
-    return res2, h, cn, ok
+    # squared residual of projecting a*_i on span(A_j); zero columns never win
+    res2 = np.where(ok[:, :, None], star2 - h**2 / cn[:, :, None], np.inf)
+    js = np.argmin(res2, axis=1)                         # first minimum = smallest index
+    kk = np.arange(stack.shape[0])[:, None]
+    any_ok = ok.any(axis=1)[:, None]
+    sigmas = np.where(any_ok, h[kk, js, np.arange(a_star.shape[1])] / cn[kk, js], 0.0)
+    # evaluate the winner through the explicit residual vector: the
+    # closed-form ||a||^2 - proj^2 cancels catastrophically near exact
+    # matches, the direct difference does not (sigma = 0 leaves a*_i itself)
+    resid = a_star.T - stack[kk, :, js] * sigmas[:, :, None]   # (k, Ds, W)
+    eps = np.sqrt(np.einsum("kiw,kiw->ki", resid, resid))
+    return eps, np.where(any_ok, js, -1), sigmas
+
+
+def _top_singular_values(m) -> np.ndarray:
+    """Largest singular value of each matrix in a (k, p, q) stack, from the top
+    eigenvalue of its q x q Gram matrix. Each matrix is first scaled by its
+    largest |entry|, so the Gram form neither underflows nor overflows; a zero
+    matrix stays zero, and the clamp keeps its eigenvalue from rounding to a
+    negative whose square root is NaN."""
+    scale = np.abs(m).max(axis=(1, 2))
+    unit = m / np.where(scale > 0, scale, 1.0)[:, None, None]
+    try:
+        top = np.linalg.eigvalsh(np.swapaxes(unit, 1, 2) @ unit)[:, -1]
+    except np.linalg.LinAlgError as exc:
+        raise SvdConvergenceError(f"eigenvalues did not converge: {exc}") from exc
+    return scale * np.sqrt(np.maximum(top, 0.0))
 
 
 def total_correlation_error(a, a_star) -> ErrorReport:
@@ -69,24 +98,12 @@ def total_correlation_error(a, a_star) -> ErrorReport:
     a_star = as_matrix(a_star, "a_star")
     if a.shape[0] != a_star.shape[0]:
         raise ValueError(f"row mismatch: {a.shape[0]} != {a_star.shape[0]}")
-    res2, h, cn, ok = _residual_table(a, a_star)
-    if ok.any():
-        masked = np.where(ok[:, None], res2, np.inf)
-        js = np.argmin(masked, axis=0)  # first minimum = smallest index
-        sigmas = h[js, np.arange(a_star.shape[1])] / cn[js]
-        # evaluate the winner through the explicit residual vector: the
-        # closed-form ||a||^2 - proj^2 cancels catastrophically near exact
-        # matches, the direct difference does not
-        resid = a_star - a[:, js] * sigmas[None, :]
-        eps = np.sqrt(np.einsum("ij,ij->j", resid, resid))
-        matches = [int(j) for j in js]
-        scales = [float(s) for s in sigmas]
-    else:
-        eps = np.sqrt(np.einsum("ij,ij->j", a_star, a_star))
-        matches = [-1] * a_star.shape[1]
-        scales = [0.0] * a_star.shape[1]
+    eps, js, sigmas = _correlation_errors(a[None], a_star)
     return ErrorReport(
-        per_column=eps, total=float(np.sum(eps)), matches=matches, scales=scales
+        per_column=eps[0],
+        total=float(eps[0].sum()),
+        matches=[int(j) for j in js[0]],
+        scales=[float(s) for s in sigmas[0]],
     )
 
 
@@ -105,19 +122,39 @@ class Evaluator:
     def total(self, a) -> float:
         return self.error_report(a).total
 
+    def _split(self, stack):
+        """C = Pinv* A and its off-diagonal part, and N = A - A* C, per estimate."""
+        c = self.pinv @ stack
+        off = c.copy()
+        d = np.arange(c.shape[1])
+        off[:, d, d] = 0.0
+        return c, off, stack - self.a_star @ c
+
+    def evaluate(self, stack):
+        """(total, E_norm, N_norm) of each estimate in a (k, W, D) stack, as
+        length-k arrays: `total` and the two norms of `decompose`, batched."""
+        stack = np.asarray(stack, dtype=np.float64)
+        if stack.ndim != 3 or stack.shape[1:] != self.a_star.shape:
+            raise ValueError(
+                f"shape mismatch: {stack.shape} is not a stack of {self.a_star.shape}"
+            )
+        if not np.all(np.isfinite(stack)):
+            raise ValueError("estimate contains a non-finite entry")
+        _, off, residual = self._split(stack)
+        eps = _correlation_errors(stack, self.a_star)[0]
+        return eps.sum(axis=1), _top_singular_values(off), _top_singular_values(residual)
+
     def decompose(self, a) -> Decomposition:
         a = as_matrix(a, "estimate")
         if a.shape != self.a_star.shape:
             raise ValueError(f"shape mismatch: {a.shape} != {self.a_star.shape}")
-        c = self.pinv @ a
-        sigma = np.diag(c).copy()
-        off = c - np.diag(sigma)
-        residual = a - self.a_star @ c
+        c, off, residual = self._split(a[None])
+        sigma = np.diagonal(c[0]).copy()
         return Decomposition(
             sigma=sigma,
-            off_diag=off,
-            residual=residual,
+            off_diag=off[0],
+            residual=residual[0],
             sigma_min=float(sigma.min()),
-            off_diag_norm=spectral_norm(off),
-            residual_norm=spectral_norm(residual),
+            off_diag_norm=float(_top_singular_values(off)[0]),
+            residual_norm=float(_top_singular_values(residual)[0]),
         )

@@ -196,6 +196,12 @@ class RunTrace:
         return np.array([ends[s] for s in sorted(ends)])
 
 
+# Iterates due a trace row are evaluated in stacks of at most this many bytes:
+# several DIR-sized (200 x 20) iterates share each vectorised pass, and the
+# stack stays cache-sized (a whole 50-iterate DIR stage is slower and larger).
+EVAL_BATCH_BYTES = 192 * 1024
+
+
 class TraceRecorder:
     """Builds trace rows for one run and streams each to `on_row`.
 
@@ -203,6 +209,11 @@ class TraceRecorder:
     in-span/out-of-span norms of the decomposition; without one it records the
     no-truth residual norm that the caller supplies. A row is due every
     `eval_every` iterations and at the last iteration of each stage.
+
+    With a ground truth, recorded iterates are copied into a stack of at most
+    EVAL_BATCH_BYTES and evaluated together when it fills, at `flush()` (the
+    caller's stage end) and before a divergence row. A row's `seconds` is the
+    time its iterate was recorded, and rows reach `on_row` in order.
     """
 
     def __init__(self, truth=None, pinv_rel_tol: float = 1e-12, on_row=None, eval_every: int = 1):
@@ -210,9 +221,14 @@ class TraceRecorder:
             raise ValueError(f"eval_every must be >= 1, got {eval_every}")
         self.eval_every = eval_every
         self.evaluator = None
+        self._stack = None
         if truth is not None:
             a_star = getattr(truth, "a_star", truth)
             self.evaluator = metrics.Evaluator(a_star, pinv_rel_tol)
+            shape = self.evaluator.a_star.shape
+            capacity = max(1, EVAL_BATCH_BYTES // (8 * shape[0] * shape[1]))
+            self._stack = np.empty((capacity,) + shape)
+        self._pending = []  # (stage, iteration, alpha, seconds) of the stacked iterates
         self.trace = RunTrace()
         self._on_row = on_row
         self._t0 = time.perf_counter()
@@ -222,24 +238,39 @@ class TraceRecorder:
         return t % self.eval_every == 0 or t == stage_length - 1
 
     def record(self, stage, iteration, alpha, a, residual_norm):
-        """Append the row of estimate `a`; `residual_norm()` is called only
-        without a ground truth."""
-        if self.evaluator is not None:
-            dec = self.evaluator.decompose(a)
-            err = self.evaluator.total(a)
-            self._emit(stage, iteration, alpha, err, dec.off_diag_norm, dec.residual_norm)
-        else:
-            self._emit(stage, iteration, alpha, float(residual_norm()), None, None)
+        """Record the row of estimate `a`; `residual_norm()` is called only
+        without a ground truth, whose rows are emitted at once."""
+        seconds = time.perf_counter() - self._t0
+        if self.evaluator is None:
+            self._emit(stage, iteration, seconds, alpha, float(residual_norm()), None, None)
+            return
+        if np.shape(a) != self.evaluator.a_star.shape:
+            raise ValueError(f"shape mismatch: {np.shape(a)} != {self.evaluator.a_star.shape}")
+        self._stack[len(self._pending)] = a
+        self._pending.append((stage, iteration, alpha, seconds))
+        if len(self._pending) == len(self._stack):
+            self.flush()
+
+    def flush(self):
+        """Evaluate the stacked iterates and emit their rows in order."""
+        if not self._pending:
+            return
+        pending, self._pending = self._pending, []
+        totals, e_norms, n_norms = self.evaluator.evaluate(self._stack[:len(pending)])
+        for (stage, iteration, alpha, seconds), err, e, n in zip(pending, totals, e_norms, n_norms):
+            self._emit(stage, iteration, seconds, alpha, float(err), float(e), float(n))
 
     def record_divergence(self, stage, iteration, alpha):
-        """Append the row of a diverged estimate without evaluating it."""
-        self._emit(stage, iteration, alpha, math.inf, None, None)
+        """Emit the rows still stacked, then the row of a diverged estimate
+        without evaluating it."""
+        self.flush()
+        self._emit(stage, iteration, time.perf_counter() - self._t0, alpha, math.inf, None, None)
 
-    def _emit(self, stage, iteration, alpha, err, e_norm, n_norm):
+    def _emit(self, stage, iteration, seconds, alpha, err, e_norm, n_norm):
         row = TraceRow(
             stage=stage,
             iteration=iteration,
-            seconds=time.perf_counter() - self._t0,
+            seconds=seconds,
             alpha=alpha,
             total_error=err,
             log10_error=math.log10(err) if err > 0 else -math.inf,
@@ -284,7 +315,9 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
     the residual ||Y_w - A Z_w||_F of the iteration's window and of the state
     entering the iteration.
     Rows are recorded every `eval_every` iterations plus the last iteration of
-    each stage, and stream to `on_row` as produced. An iterate with an entry
+    each stage, and stream to `on_row` in order: with a ground truth, once per
+    evaluated stack of iterates (see TraceRecorder), and every row of a stage
+    before the next stage starts. An iterate with an entry
     beyond DIVERGENCE_LIMIT in magnitude (or a NaN) is not evaluated: its row
     records total_error = inf, and DivergenceError carries the partial trace.
 
@@ -338,6 +371,7 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
                 # the residual of the state entering this iteration, not of `a`
                 recorder.record(j, t, alpha, a,
                                 lambda: np.linalg.norm(_window(y, start, batch) - a_prev @ z))
+        recorder.flush()
     return AndResult(a=a, trace=trace)
 
 

@@ -78,6 +78,9 @@ class WeightSpec:
             if self.concentration is None or not self.concentration > 0:
                 raise ValueError(f"concentration must be > 0, got {self.concentration}")
         if self.family == "logistic_normal":
+            # rho^|i-j| is a covariance (positive definite) only for |rho| < 1
+            if not -1 < self.rho < 1:
+                raise ValueError(f"rho must be in (-1, 1), got {self.rho}")
             if not self.cov_scale > 0:
                 raise ValueError(f"cov_scale must be > 0, got {self.cov_scale}")
 

@@ -120,6 +120,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="weights"):
             validate_config(raw)
 
+    def test_logistic_normal_rho_outside_unit_interval(self):
+        # rho^|i-j| is not a covariance for |rho| >= 1
+        raw = tiny_config()
+        raw["dataset"]["weights"] = {"family": "logistic_normal", "rho": 1.5}
+        with pytest.raises(ConfigError, match=r"config\.dataset\.weights: rho"):
+            validate_config(raw)
+
     def test_explicit_keys_override_preset(self):
         raw = tiny_config()
         raw["dataset"]["weights"] = {"family": "sparse_binary", "s": 2}

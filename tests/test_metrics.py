@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from andnmf.linalg import spectral_norm
+from andnmf.linalg import full_rank_pseudo_inverse, spectral_norm
 from andnmf.metrics import Evaluator, total_correlation_error
+from andnmf.solver import EVAL_BATCH_BYTES
+
+import per_row_oracle
 
 
 def grid_search_column_error(a_star_col, a, sigmas=None):
@@ -187,3 +190,109 @@ def test_evaluator_matches_free_functions():
     report, free = ev.error_report(a), total_correlation_error(a, star)
     assert np.array_equal(report.per_column, free.per_column)
     assert report.matches == free.matches and report.scales == free.scales
+
+
+def _estimates(star, k, rng, scale=1.0):
+    """k estimates near the truth: in-span mixing plus a residual of `scale`."""
+    w, d = star.shape
+    mix = np.diag(rng.uniform(0.5, 2.0, d)) + 0.1 * rng.standard_normal((k, d, d))
+    return star @ mix + scale * rng.standard_normal((k, w, d))
+
+
+def _assert_matches_per_row_oracle(star, stack, rel_only=False):
+    """Evaluator.evaluate against the exact-SVD per-row path, within
+    1e-12 * max(|ref|, ||A*||_2) (or 1e-12 * |ref| with `rel_only`)."""
+    got = Evaluator(star).evaluate(stack)
+    pinv = full_rank_pseudo_inverse(star)
+    ref = np.array([per_row_oracle.row_values(a, star, pinv) for a in stack]).T
+    floor = 0.0 if rel_only else spectral_norm(star)
+    for g, r in zip(got, ref):
+        assert g.shape == (len(stack),)
+        assert np.all(np.isfinite(g)) and np.all(g >= 0)
+        assert np.all(np.abs(g - r) <= 1e-12 * np.maximum(np.abs(r), floor))
+    return got
+
+
+class TestBatchedEvaluate:
+    @pytest.mark.parametrize("shape", [(200, 20), (40, 5), (12, 3), (7, 7)])
+    @pytest.mark.parametrize("k", ["1", "2", "budget+1", "50"])
+    def test_matches_per_row_oracle(self, shape, k):
+        # budget+1 is one iterate more than a trace stack holds
+        w, d = shape
+        k = {"budget+1": EVAL_BATCH_BYTES // (8 * w * d) + 1}.get(k) or int(k)
+        rng = np.random.default_rng(w * d + k)
+        star = rng.random(shape)
+        _assert_matches_per_row_oracle(star, _estimates(star, k, rng, 0.01))
+
+    def test_zero_columns_and_zero_estimate(self):
+        rng = np.random.default_rng(20)
+        star = rng.random((15, 4))
+        stack = _estimates(star, 3, rng, 0.01)
+        stack[0, :, 1] = 0.0
+        stack[1, :, :3] = 0.0
+        stack[2] = 0.0
+        totals, e_norms, n_norms = _assert_matches_per_row_oracle(star, stack)
+        assert totals[2] == pytest.approx(np.linalg.norm(star, axis=0).sum(), rel=1e-15)
+        assert e_norms[2] == 0.0 and n_norms[2] == 0.0
+
+    def test_duplicate_columns_tie_to_the_first(self):
+        rng = np.random.default_rng(21)
+        star = rng.random((15, 4))
+        a = star.copy()
+        a[:, 3] = a[:, 1]  # a*_1 is matched exactly by columns 1 and 3
+        report = total_correlation_error(a, star)
+        eps, matches, scales = per_row_oracle.column_errors(a, star)
+        assert report.matches == matches and matches[1] == 1
+        assert report.scales == scales
+        assert np.array_equal(report.per_column, eps)
+        _assert_matches_per_row_oracle(star, np.stack([a, a[:, ::-1]]))
+
+    def test_exactly_in_span_gives_zero_residual_norm(self):
+        # A* = 2 [I; 0] inverts exactly, so N = A - A* Pinv* A is exactly zero
+        star = 2.0 * np.vstack([np.eye(4), np.zeros((8, 4))])
+        a = star @ np.diag([0.5, 2.0, 4.0, 1.0])
+        totals, e_norms, n_norms = _assert_matches_per_row_oracle(star, np.stack([a, star]))
+        assert np.array_equal(n_norms, [0.0, 0.0])
+        assert np.array_equal(e_norms, [0.0, 0.0]) and np.array_equal(totals, [0.0, 0.0])
+
+    # squared, 1e-170 underflows a float64
+    @pytest.mark.parametrize("scale", [1e-12, 1e-14, 1e-150, 1e-170])
+    def test_residual_at_extreme_scale(self, scale):
+        rng = np.random.default_rng(22)
+        star = rng.random((30, 6))
+        # a residual of `scale` on top of an in-span estimate ...
+        _assert_matches_per_row_oracle(star, _estimates(star, 5, rng, scale))
+        # ... and a whole estimate of that scale, where each norm must keep
+        # its relative accuracy (no Gram-form underflow)
+        tiny = scale * rng.standard_normal((5, 30, 6))
+        _, e_norms, n_norms = _assert_matches_per_row_oracle(star, tiny, rel_only=True)
+        assert np.all(n_norms > 0) and np.all(e_norms > 0)
+
+    def test_rejects_wrong_shape_and_non_finite(self):
+        star = np.random.default_rng(23).random((10, 3))
+        ev = Evaluator(star)
+        with pytest.raises(ValueError, match="shape"):
+            ev.evaluate(star)
+        with pytest.raises(ValueError, match="shape"):
+            ev.evaluate(np.zeros((2, 10, 4)))
+        bad = np.stack([star, star])
+        bad[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            ev.evaluate(bad)
+
+    @given(
+        d=st.integers(1, 6),
+        extra_w=st.integers(0, 10),
+        k=st.integers(1, 12),
+        scale=st.sampled_from([1.0, 1e-3, 1e-12, 1e-14, 1e-150, 1e-170]),
+        zero_column=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_per_row_oracle(self, d, extra_w, k, scale, zero_column, seed):
+        rng = np.random.default_rng(seed)
+        star = rng.random((d + extra_w, d)) + np.vstack(
+            [np.eye(d), np.zeros((extra_w, d))])  # well conditioned
+        stack = _estimates(star, k, rng, scale)
+        if zero_column:
+            stack[0, :, rng.integers(d)] = 0.0
+        _assert_matches_per_row_oracle(star, stack)

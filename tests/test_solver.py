@@ -1,10 +1,14 @@
+import itertools
 import math
+import types
 
 import numpy as np
 import pytest
 
-from andnmf.linalg import pseudo_inverse, spectral_norm
+from andnmf import metrics, solver
+from andnmf.linalg import full_rank_pseudo_inverse, pseudo_inverse, spectral_norm
 from andnmf.solver import (
+    EVAL_BATCH_BYTES,
     AndConfig,
     DivergenceError,
     ThresholdSchedule,
@@ -169,6 +173,13 @@ class TestRun:
         assert last.total_error == math.inf
         assert last.e_norm is None and last.n_norm is None
 
+    @pytest.mark.parametrize("cols", [1, 5])
+    def test_estimate_of_another_shape_than_truth_rejected(self, cols):
+        # a W x 1 iterate would broadcast silently into a stacked W x D slot
+        gt, ds, init = make_problem()
+        with pytest.raises(ValueError, match="shape mismatch"):
+            run(init.a0[:, :cols], ds.y, AndConfig(stages=1, iters_per_stage=2), truth=gt)
+
     def test_rank_deficient_a0_rejected(self):
         gt, ds, _ = make_problem()
         a0 = gt.a_star.copy()
@@ -192,6 +203,98 @@ class TestRun:
                         schedule=ThresholdSchedule.theory(lam=1.0, r=1.0, q=1.0))
         result = run(init.a0, ds.y, cfg)
         assert result.trace.rows[0].alpha == pytest.approx(0.1)
+
+
+class TestTraceStreaming:
+    """Rows are evaluated in stacks of at most EVAL_BATCH_BYTES, yet keep the
+    time their iterate was produced, arrive in order, and never outlive a stage
+    or a divergence."""
+
+    W, D = 200, 20
+    CAPACITY = EVAL_BATCH_BYTES // (8 * W * D)
+
+    def problem(self):
+        return make_problem(w=self.W, d=self.D, n=400, s=3, seed=7)
+
+    @pytest.fixture
+    def log(self, monkeypatch):
+        """`events` in call order: ("row", row, tick) at each `on_row`, ("eval", k)
+        at each batched evaluation and ("pinv",) at each stage pseudo-inverse.
+        The solver's clock is a counter whose first tick, 0, is the recorder's
+        start, so a row's `seconds` is the tick at which its iterate was recorded."""
+        events = []
+        clock = itertools.count()
+        monkeypatch.setattr(solver, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
+        evaluate, pinv = metrics.Evaluator.evaluate, solver.full_rank_pseudo_inverse
+
+        def logged_evaluate(ev, stack):
+            events.append(("eval", len(stack)))
+            return evaluate(ev, stack)
+
+        def logged_pinv(*args, **kwargs):
+            events.append(("pinv",))
+            return pinv(*args, **kwargs)
+
+        monkeypatch.setattr(metrics.Evaluator, "evaluate", logged_evaluate)
+        monkeypatch.setattr(solver, "full_rank_pseudo_inverse", logged_pinv)
+        return types.SimpleNamespace(
+            events=events, on_row=lambda row: events.append(("row", row, next(clock))))
+
+    def test_seconds_are_production_times(self, log):
+        gt, ds, init = self.problem()
+        result = run(init.a0, ds.y, AndConfig(stages=2, iters_per_stage=20), truth=gt,
+                     on_row=log.on_row)
+        arrivals = [(e[1], e[2]) for e in log.events if e[0] == "row"]
+        assert [row for row, _ in arrivals] == result.trace.rows
+        seconds = [row.seconds for row in result.trace.rows]
+        assert seconds == sorted(seconds)
+        assert all(tick > row.seconds for row, tick in arrivals)
+        # a stacked row arrives after later iterates were produced, and its
+        # seconds still say when its own iterate was
+        assert any(tick > later.seconds
+                   for (_, tick), (later, _) in zip(arrivals, arrivals[1:]))
+
+    def test_stage_rows_arrive_before_next_pseudo_inverse(self, log):
+        gt, ds, init = self.problem()
+        cfg = AndConfig(stages=3, iters_per_stage=18)
+        run(init.a0, ds.y, cfg, truth=gt, eval_every=2, on_row=log.on_row)
+        stages = [e[1].stage if e[0] == "row" else "pinv" for e in log.events if e[0] != "eval"]
+        per_stage = len(range(0, 18, 2)) + 1  # every 2nd iteration, and the last
+        expected = []
+        for j in range(cfg.stages):
+            expected += ["pinv"] + [j] * per_stage
+        assert stages == expected
+
+    def test_stage_over_budget_is_evaluated_in_several_batches(self, log):
+        gt, ds, init = self.problem()
+        run(init.a0, ds.y, AndConfig(stages=1, iters_per_stage=50), truth=gt,
+            on_row=log.on_row)
+        batches = [e[1] for e in log.events if e[0] == "eval"]
+        assert 1 < self.CAPACITY < 50
+        assert batches == [self.CAPACITY] * (50 // self.CAPACITY) + [50 % self.CAPACITY]
+
+    def test_divergence_mid_stage_writes_every_earlier_row_first(self, log):
+        gt, ds, init = self.problem()
+        z0 = decode(full_rank_pseudo_inverse(init.a0), ds.y, 0.25)
+        # a step 3x the stable one on the top curvature mode: |1 - 3| = 2 per step
+        cfg = AndConfig(stages=1, iters_per_stage=200, eta=3.0 / spectral_norm(z0 @ z0.T),
+                        schedule=ThresholdSchedule.constant(0.25))
+        with pytest.raises(DivergenceError) as exc:
+            run(init.a0, ds.y, cfg, truth=gt, on_row=log.on_row)
+        t = exc.value.iteration
+        assert self.CAPACITY < t < cfg.iters_per_stage - 1
+        rows = [e[1] for e in log.events if e[0] == "row"]
+        assert rows == exc.value.trace.rows
+        assert [row.iteration for row in rows] == list(range(t + 1))
+        for row in rows[:-1]:
+            assert math.isfinite(row.total_error)
+            assert row.e_norm is not None and row.n_norm is not None
+        assert rows[-1].total_error == math.inf and rows[-1].e_norm is None
+        # the divergence evaluates a part-filled stack and emits its rows
+        # before the inf row
+        last = max(i for i, e in enumerate(log.events) if e[0] == "eval")
+        assert log.events[last][1] == t % self.CAPACITY > 0
+        assert [e[0] for e in log.events[last + 1:]] == ["row"] * (t % self.CAPACITY + 1)
 
 
 class TestUpdateRecurrence:

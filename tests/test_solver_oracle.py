@@ -2,8 +2,9 @@
 
 `reference_run` is the staged solver as it was before stages ran in their Gram
 form: every iteration decodes its batch and takes the gradient step through
-`(Y - A Z) Z^T`. The production path must give the same rows and the
-same final matrix up to rounding.
+`(Y - A Z) Z^T`, and every trace row is evaluated on its own by the exact-SVD
+`per_row_oracle`. The production path must give the same rows and the same
+final matrix up to rounding.
 """
 
 import math
@@ -18,8 +19,9 @@ from andnmf.solver import (
     AndConfig,
     AndResult,
     DivergenceError,
+    RunTrace,
     ThresholdSchedule,
-    TraceRecorder,
+    TraceRow,
     decode,
     run,
     stage_threshold,
@@ -27,12 +29,15 @@ from andnmf.solver import (
 from andnmf.synth import InitSpec, NoiseSpec, generate_dataset, generate_ground_truth, generate_initialization
 from andnmf.weights import WeightSpec
 
+import per_row_oracle
+
 DIVERGENCE_LIMIT = solver.DIVERGENCE_LIMIT
 REL_TOL = 1e-12
 
 
 def reference_run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1) -> AndResult:
-    """The per-iteration solver loop, kept as the oracle for `solver.run`."""
+    """The per-iteration solver loop, kept as the oracle for `solver.run`; each
+    row is evaluated on its own by `per_row_oracle`."""
     a = as_matrix(a0, "a0").copy()
     y = as_matrix(y, "y")
     if eval_every < 1:
@@ -40,11 +45,16 @@ def reference_run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1) -> And
     w, n = y.shape
     if a.shape[0] != w:
         raise ValueError(f"a0 has {a.shape[0]} rows but y has {w}")
-    recorder = TraceRecorder(truth, cfg.pinv_rel_tol)
-    evaluator, trace = recorder.evaluator, recorder.trace
+    a_star = None if truth is None else as_matrix(truth.a_star, "a_star")
+    pinv_star = None if truth is None else full_rank_pseudo_inverse(a_star, cfg.pinv_rel_tol)
+    trace = RunTrace()
+
+    def row(j, t, alpha, err, e_norm=None, n_norm=None):
+        log10 = math.log10(err) if err > 0 else -math.inf
+        trace.append(TraceRow(j, t, 0.0, alpha, err, log10, e_norm, n_norm))
 
     schedule = cfg.schedule
-    if schedule.kind == "theory" and evaluator is None:
+    if schedule.kind == "theory" and truth is None:
         schedule = ThresholdSchedule.geometric()
 
     batch = n if cfg.batch == "full" else min(cfg.batch, n)
@@ -53,7 +63,7 @@ def reference_run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1) -> And
         pinv = full_rank_pseudo_inverse(a, cfg.pinv_rel_tol, "working matrix")
         trace.pinv_count += 1
         if schedule.kind == "theory":
-            e_est = evaluator.decompose(a).off_diag_norm
+            e_est = per_row_oracle.row_values(a, a_star, pinv_star)[1]
             alpha = stage_threshold(schedule, j, e_est)
         else:
             alpha = stage_threshold(schedule, j)
@@ -72,10 +82,13 @@ def reference_run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1) -> And
             a = a + eta * (resid @ z.T)
             # negated so that a NaN entry counts as diverged too
             if not np.abs(a).max() <= DIVERGENCE_LIMIT:
-                recorder.record_divergence(j, t, alpha)
+                row(j, t, alpha, math.inf)
                 raise DivergenceError(j, t, trace)
             if t % eval_every == 0 or t == cfg.iters_per_stage - 1:
-                recorder.record(j, t, alpha, a, lambda: np.linalg.norm(resid))
+                if truth is None:
+                    row(j, t, alpha, float(np.linalg.norm(resid)))
+                else:
+                    row(j, t, alpha, *per_row_oracle.row_values(a, a_star, pinv_star))
     return AndResult(a=a, trace=trace)
 
 
@@ -111,7 +124,8 @@ SCHEDULES = {
 }
 
 
-@settings(deadline=None, max_examples=100)
+# 100 draws under the default `ci` profile, the profile's count under `stress`
+@settings(deadline=None, max_examples=max(100, settings.default.max_examples))
 @given(
     d=st.integers(2, 4),
     extra_w=st.integers(0, 12),

@@ -19,6 +19,7 @@ NAN_SPECS = {
     "c": lambda: ThresholdSchedule.constant(NAN),
     "epsilon_floor": lambda: BaselineConfig("hals", epsilon_floor=NAN),
     "concentration": lambda: WeightSpec.dirichlet(4, NAN),
+    "rho": lambda: WeightSpec.logistic_normal(4, rho=NAN),
     "gamma": lambda: NoiseSpec(gamma=NAN),
     "r_l": lambda: InitSpec(r_l=NAN),
 }
