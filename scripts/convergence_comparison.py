@@ -17,7 +17,7 @@ def build_config(preset, stages, seed):
     solvers = [
         {"name": "and", "stages": stages, "iters_per_stage": 50},
         {"name": "hals", "outer_iters": stages * 10},
-        {"name": "anls", "outer_iters": stages * 2, "inner_iters": 10},
+        {"name": "anls", "outer_iters": stages * 2},
     ]
     if preset != "NEG":  # multiplicative updates refuse negative data
         solvers.append({"name": "mu", "outer_iters": stages * 10})

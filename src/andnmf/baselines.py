@@ -4,7 +4,7 @@ Three standard alternating schemes over ||Y - A X||_F^2 with nonnegativity:
 multiplicative updates (ratio rules with a denominator floor), hierarchical
 ALS (cyclic exact single-column/row minimization, clipped at zero), and
 alternating NNLS approximated by projected gradient with step 1/L per block.
-All three are monotone per (half-)step up to the epsilon floor.
+All three are monotone per (half-)step up to the 1e-12 denominator floor.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .linalg import as_matrix, spectral_norm
 from .solver import RunTrace, TraceRecorder
 
 ALGORITHMS = ("mu", "hals", "anls")
+_EPS = 1e-12  # denominator floor of every update
 
 
 @dataclass(frozen=True)
@@ -25,8 +26,6 @@ class BaselineConfig:
 
     algorithm: str = "hals"
     outer_iters: int = 200
-    inner_iters: int = 10  # projected-gradient steps per ANLS block
-    epsilon_floor: float = 1e-12
     seed: int = 0
 
     # every check is negated so that NaN fails it
@@ -35,10 +34,6 @@ class BaselineConfig:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if not self.outer_iters >= 0:
             raise ValueError(f"outer_iters must be >= 0, got {self.outer_iters}")
-        if not self.inner_iters >= 0:
-            raise ValueError(f"inner_iters must be >= 0, got {self.inner_iters}")
-        if not self.epsilon_floor > 0:
-            raise ValueError(f"epsilon_floor must be > 0, got {self.epsilon_floor}")
 
 
 @dataclass
@@ -53,7 +48,7 @@ def _check_shapes(a, x, y):
         raise ValueError(f"shape mismatch: a {a.shape}, x {x.shape}, y {y.shape}")
 
 
-def mu_step(a, x, y, eps: float = 1e-12):
+def mu_step(a, x, y):
     """One multiplicative update of X then A; requires nonnegative inputs."""
     a = as_matrix(a, "a")
     x = as_matrix(x, "x")
@@ -62,12 +57,12 @@ def mu_step(a, x, y, eps: float = 1e-12):
     for name, m in (("a", a), ("x", x), ("y", y)):
         if np.any(m < 0):
             raise ValueError(f"multiplicative updates require nonnegative {name}")
-    x2 = x * (a.T @ y) / (a.T @ a @ x + eps)
-    a2 = a * (y @ x2.T) / (a @ (x2 @ x2.T) + eps)
+    x2 = x * (a.T @ y) / (a.T @ a @ x + _EPS)
+    a2 = a * (y @ x2.T) / (a @ (x2 @ x2.T) + _EPS)
     return a2, x2
 
 
-def hals_step(a, x, y, eps: float = 1e-12):
+def hals_step(a, x, y):
     """One sweep of cyclic column updates of A, then row updates of X.
 
     Each block solves its single-variable least squares exactly and clips at
@@ -82,16 +77,16 @@ def hals_step(a, x, y, eps: float = 1e-12):
     yxt = y @ x.T
     for j in range(d):
         num = yxt[:, j] - a @ xxt[:, j]
-        a[:, j] = np.maximum(0.0, a[:, j] + num / (xxt[j, j] + eps))
+        a[:, j] = np.maximum(0.0, a[:, j] + num / (xxt[j, j] + _EPS))
     ata = a.T @ a
     aty = a.T @ y
     for j in range(d):
         num = aty[j] - ata[j] @ x
-        x[j] = np.maximum(0.0, x[j] + num / (ata[j, j] + eps))
+        x[j] = np.maximum(0.0, x[j] + num / (ata[j, j] + _EPS))
     return a, x
 
 
-def anls_step(a, x, y, inner_iters: int = 10, eps: float = 1e-12):
+def anls_step(a, x, y, inner_iters: int = 10):
     """Approximate alternating NNLS: `inner_iters` projected-gradient steps on
     X with step 1/||A^T A||_2, then the symmetric update of A."""
     a = as_matrix(a, "a").copy()
@@ -102,12 +97,12 @@ def anls_step(a, x, y, inner_iters: int = 10, eps: float = 1e-12):
         return a, x
     ata = a.T @ a
     aty = a.T @ y
-    step = 1.0 / (spectral_norm(ata) + eps)
+    step = 1.0 / (spectral_norm(ata) + _EPS)
     for _ in range(inner_iters):
         x = np.maximum(0.0, x - step * (ata @ x - aty))
     xxt = x @ x.T
     yxt = y @ x.T
-    step = 1.0 / (spectral_norm(xxt) + eps)
+    step = 1.0 / (spectral_norm(xxt) + _EPS)
     for _ in range(inner_iters):
         a = np.maximum(0.0, a - step * (a @ xxt - yxt))
     return a, x
@@ -139,11 +134,11 @@ def run_baseline(cfg: BaselineConfig, y, a0, truth=None, eval_every: int = 1, on
 
     for it in range(cfg.outer_iters):
         if cfg.algorithm == "mu":
-            a, x = mu_step(a, x, y, cfg.epsilon_floor)
+            a, x = mu_step(a, x, y)
         elif cfg.algorithm == "hals":
-            a, x = hals_step(a, x, y, cfg.epsilon_floor)
+            a, x = hals_step(a, x, y)
         else:
-            a, x = anls_step(a, x, y, cfg.inner_iters, cfg.epsilon_floor)
+            a, x = anls_step(a, x, y)
         if recorder.due(it, cfg.outer_iters):
             recorder.record(0, it, 0.0, a, lambda: np.linalg.norm(y - a @ x))
             recorder.flush()  # a baseline's rows stream one by one

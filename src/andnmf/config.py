@@ -15,10 +15,10 @@ table key back from the built spec, so a manifest's `config` loads back to
 itself.
 
 Seeds: one top-level dataset seed drives everything. The ground truth,
-weights and noise always take child streams split off it deterministically.
-The initialization and each baseline solver take child streams too, unless
-the config pins them (`init.seed`, a baseline's `seed`). The staged `and`
-solver draws no random numbers and takes no seed.
+weights, noise, initialization and each baseline solver take child streams
+split off it deterministically; no config key sets them, and the manifest
+records each one. The staged `and` solver draws no random numbers and takes
+no seed.
 """
 
 from __future__ import annotations
@@ -65,10 +65,9 @@ _SCHEDULE_KEYS = {
     "geometric": {"start": float, "ratio": float},
     "theory": {"lambda": float, "r": float, "q": float},
 }
-_AND_KEYS = {"stages": int, "iters_per_stage": int, "eta": float, "eta_scale": float,
-             "batch": object, "pinv_rel_tol": float}
-_BASELINE_KEYS = {"outer_iters": int, "inner_iters": int, "epsilon_floor": float, "seed": int}
-_INIT_KEYS = {"r_l": float, "r_n": float, "seed": int, "zero_diag": bool}
+_AND_KEYS = {"stages": int, "iters_per_stage": int, "eta": float, "batch": object}
+_BASELINE_KEYS = {"outer_iters": int}
+_INIT_KEYS = {"r_l": float, "r_n": float}
 # JSON keys whose spec field has another name
 _FIELD = {"value": "c", "lambda": "lam"}
 
@@ -169,10 +168,7 @@ def _require_keys(obj, allowed, path):
 
 
 def _typed(val, kind, path):
-    if kind is bool:
-        if not isinstance(val, bool):
-            raise ConfigError(f"{path}: expected a bool, got {val!r}")
-    elif kind is int:
+    if kind is int:
         if isinstance(val, bool) or not isinstance(val, int):
             raise ConfigError(f"{path}: expected an integer, got {val!r}")
     elif kind is float:
@@ -246,8 +242,8 @@ def _parse_and_solver(obj, defaults, path):
 
 
 def _parse_baseline_solver(obj, name, seed, path):
-    kwargs = {"seed": seed, **_fields(obj, _BASELINE_KEYS, path, {"name", "label"})}
-    return _build(BaselineConfig, path, algorithm=name, **kwargs)
+    return _build(BaselineConfig, path, algorithm=name, seed=seed,
+                  **_fields(obj, _BASELINE_KEYS, path, {"name", "label"}))
 
 
 def _solver_dict(entry: SolverEntry) -> dict:
@@ -264,7 +260,7 @@ def validate_config(raw: dict, seed_override: int | None = None) -> ExperimentCo
     """Validate a raw config dict (parsed JSON) into typed configuration.
 
     `seed_override` replaces the dataset seed, which re-derives every child
-    seed that the config does not pin explicitly.
+    seed.
     """
     raw = _section(raw, "config")
     top = _fields(raw, {"eval_every": int, "out_dir": str}, "config",
@@ -305,8 +301,8 @@ def validate_config(raw: dict, seed_override: int | None = None) -> ExperimentCo
     )
 
     init_raw = _section(raw.get("init"), "config.init")
-    init = _build(InitSpec, "config.init",
-                  **{"seed": children[3], **_fields(init_raw, _INIT_KEYS, "config.init")})
+    init = _build(InitSpec, "config.init", seed=children[3],
+                  **_fields(init_raw, _INIT_KEYS, "config.init"))
 
     entries = []
     labels = set()

@@ -25,6 +25,9 @@ import numpy as np
 from .linalg import SvdConvergenceError, as_matrix, full_rank_pseudo_inverse
 
 _ZERO_COL_TOL = 1e-24  # squared-norm cutoff below which a column is "zero"
+# Below 2^_HUGE_EXP an estimate's squared entries, and h^2 = <A_j, a*_i>^2
+# while W max|a*| < 2^256, stay inside the float64 range.
+_HUGE_EXP = 256
 
 
 @dataclass
@@ -58,10 +61,18 @@ class Decomposition:
 def _correlation_errors(stack, a_star):
     """Per-column errors of each estimate in a (k, W, Da) stack against a_star
     (W, Ds): eps (k, Ds), the winning estimate column (k, Ds; -1 when every
-    column of that estimate is zero) and its optimal scale (k, Ds)."""
-    h = np.swapaxes(stack, 1, 2) @ a_star                # h[k, j, i] = <A_j, a*_i>
-    cn = np.einsum("kwj,kwj->kj", stack, stack)          # ||A_j||^2
-    ok = cn > _ZERO_COL_TOL
+    column of that estimate is zero) and its optimal scale (k, Ds).
+
+    An estimate whose largest |entry| reaches 2^_HUGE_EXP is searched divided
+    by 2^e, the power of two just above that entry, so that squaring it cannot
+    overflow. The winners do not depend on the scale of the estimate, and a
+    power-of-two scaling is exact."""
+    e = np.frexp(np.abs(stack).max(axis=(1, 2)))[1]
+    e = np.where(e > _HUGE_EXP, e, 0)                    # (k,)
+    unit = np.ldexp(stack, -e[:, None, None]) if e.any() else stack
+    h = np.swapaxes(unit, 1, 2) @ a_star                 # h[k, j, i] = <U_j, a*_i>
+    cn = np.einsum("kwj,kwj->kj", unit, unit)            # ||U_j||^2
+    ok = cn > np.ldexp(_ZERO_COL_TOL, -2 * e)[:, None]   # ||A_j||^2 = ||U_j||^2 4^e
     cn = np.where(ok, cn, 1.0)
     star2 = np.einsum("ij,ij->j", a_star, a_star)
     # squared residual of projecting a*_i on span(A_j); zero columns never win
@@ -73,9 +84,9 @@ def _correlation_errors(stack, a_star):
     # evaluate the winner through the explicit residual vector: the
     # closed-form ||a||^2 - proj^2 cancels catastrophically near exact
     # matches, the direct difference does not (sigma = 0 leaves a*_i itself)
-    resid = a_star.T - stack[kk, :, js] * sigmas[:, :, None]   # (k, Ds, W)
+    resid = a_star.T - unit[kk, :, js] * sigmas[:, :, None]   # (k, Ds, W)
     eps = np.sqrt(np.einsum("kiw,kiw->ki", resid, resid))
-    return eps, np.where(any_ok, js, -1), sigmas
+    return eps, np.where(any_ok, js, -1), np.ldexp(sigmas, -e[:, None])
 
 
 def _top_singular_values(m) -> np.ndarray:
@@ -111,9 +122,9 @@ class Evaluator:
     """Caches the pseudo-inverse of a ground truth so per-iteration metric
     evaluation inside solver loops stays cheap."""
 
-    def __init__(self, a_star, pinv_rel_tol: float = 1e-12):
+    def __init__(self, a_star):
         self.a_star = as_matrix(a_star, "a_star")
-        self.pinv = full_rank_pseudo_inverse(self.a_star, pinv_rel_tol, "ground truth")
+        self.pinv = full_rank_pseudo_inverse(self.a_star, name="ground truth")
         self.column_norm_total = float(np.linalg.norm(self.a_star, axis=0).sum())
 
     def error_report(self, a) -> ErrorReport:

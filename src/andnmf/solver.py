@@ -41,6 +41,8 @@ from .linalg import as_matrix, full_rank_pseudo_inverse, spectral_norm, threshol
 
 DIVERGENCE_LIMIT = 1e12
 _THEORY_ALPHA_FLOOR = 1e-12
+# numerator of the curvature-scaled step eta = _ETA_SCALE / (||G||_2 + 1e-12)
+_ETA_SCALE = 0.5
 
 
 class DivergenceError(RuntimeError):
@@ -132,7 +134,7 @@ class AndConfig:
     """Solver hyperparameters, checked when built.
 
     `eta=None` uses a curvature-scaled step recomputed at each stage start:
-    eta_scale / (||Z0 Z0^T||_2 + 1e-12) with Z0 the stage's decode of the full
+    0.5 / (||Z0 Z0^T||_2 + 1e-12) with Z0 the stage's decode of the full
     batch, or of its first window when `batch` is smaller than the dataset.
     `batch` is "full" or a positive window size.
     """
@@ -140,10 +142,8 @@ class AndConfig:
     stages: int = 30
     iters_per_stage: int = 50
     eta: float | None = None
-    eta_scale: float = 0.5
     schedule: ThresholdSchedule = field(default_factory=ThresholdSchedule.geometric)
     batch: object = "full"
-    pinv_rel_tol: float = 1e-12
 
     # every check is negated so that NaN fails it
     def __post_init__(self):
@@ -151,14 +151,10 @@ class AndConfig:
             raise ValueError("stages and iters_per_stage must be >= 1")
         if self.eta is not None and not self.eta > 0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
-        if not self.eta_scale > 0:
-            raise ValueError(f"eta_scale must be > 0, got {self.eta_scale}")
         if self.batch != "full" and (
             isinstance(self.batch, bool) or not isinstance(self.batch, int) or self.batch < 1
         ):
             raise ValueError(f"batch must be 'full' or a positive int, got {self.batch!r}")
-        if not 0 < self.pinv_rel_tol < 1:
-            raise ValueError(f"pinv_rel_tol must be in (0, 1), got {self.pinv_rel_tol}")
 
 
 @dataclass
@@ -216,7 +212,7 @@ class TraceRecorder:
     time its iterate was recorded, and rows reach `on_row` in order.
     """
 
-    def __init__(self, truth=None, pinv_rel_tol: float = 1e-12, on_row=None, eval_every: int = 1):
+    def __init__(self, truth=None, on_row=None, eval_every: int = 1):
         if not eval_every >= 1:
             raise ValueError(f"eval_every must be >= 1, got {eval_every}")
         self.eval_every = eval_every
@@ -224,7 +220,7 @@ class TraceRecorder:
         self._stack = None
         if truth is not None:
             a_star = getattr(truth, "a_star", truth)
-            self.evaluator = metrics.Evaluator(a_star, pinv_rel_tol)
+            self.evaluator = metrics.Evaluator(a_star)
             shape = self.evaluator.a_star.shape
             capacity = max(1, EVAL_BATCH_BYTES // (8 * shape[0] * shape[1]))
             self._stack = np.empty((capacity,) + shape)
@@ -322,25 +318,25 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
     records total_error = inf, and DivergenceError carries the partial trace.
 
     The theory-driven schedule needs the current mixing norm, which is only
-    observable against a ground truth; without one it falls back to the
-    default geometric schedule.
+    observable against a ground truth; without one the run is refused with
+    ValueError before its first stage.
     """
     a = as_matrix(a0, "a0").copy()
     y = as_matrix(y, "y")
     w, n = y.shape
     if a.shape[0] != w:
         raise ValueError(f"a0 has {a.shape[0]} rows but y has {w}")
-    recorder = TraceRecorder(truth, cfg.pinv_rel_tol, on_row, eval_every)
+    recorder = TraceRecorder(truth, on_row, eval_every)
     evaluator, trace = recorder.evaluator, recorder.trace
 
     schedule = cfg.schedule
     if schedule.kind == "theory" and evaluator is None:
-        schedule = ThresholdSchedule.geometric()
+        raise ValueError("a theory schedule needs a ground truth to estimate the mixing norm")
 
     batch = n if cfg.batch == "full" else min(cfg.batch, n)
 
     for j in range(cfg.stages):
-        pinv = full_rank_pseudo_inverse(a, cfg.pinv_rel_tol, "working matrix")
+        pinv = full_rank_pseudo_inverse(a, name="working matrix")
         trace.pinv_count += 1
         if schedule.kind == "theory":
             e_est = evaluator.decompose(a).off_diag_norm
@@ -360,7 +356,7 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
             z, g, bm = windows[start]
             if eta is None:
                 # curvature-scaled step, fixed for the rest of the stage
-                eta = cfg.eta_scale / (spectral_norm(g) + 1e-12)
+                eta = _ETA_SCALE / (spectral_norm(g) + 1e-12)
             a_prev = a
             a = a + eta * (bm - a @ g)
             # negated so that a NaN entry counts as diverged too

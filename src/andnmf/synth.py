@@ -55,15 +55,13 @@ class NoiseSpec:
 class InitSpec:
     """Levels for the init recipe A0 = A_star (I + U) + N.
 
-    U and N entries are i.i.d. Unif[-0.05, 0.05) times r_l and r_n. The
-    diagonal of U is included by default (zero_diag=True removes it, leaving
-    the pure off-diagonal mixing perturbation).
+    U and N entries are i.i.d. Unif[-0.05, 0.05) times r_l and r_n, drawn
+    from `seed`; the diagonal of U is included.
     """
 
     r_l: float = 1.0
     r_n: float = 0.0
     seed: int = 0
-    zero_diag: bool = False
 
     def __post_init__(self):
         if not (self.r_l >= 0 and self.r_n >= 0):
@@ -136,8 +134,6 @@ def generate_initialization(gt: GroundTruth, ispec: InitSpec) -> Initialization:
     w, d = gt.a_star.shape
     rng = np.random.default_rng(ispec.seed)
     u = rng.uniform(-0.05, 0.05, size=(d, d)) * ispec.r_l
-    if ispec.zero_diag:
-        np.fill_diagonal(u, 0.0)
     nmat = rng.uniform(-0.05, 0.05, size=(w, d)) * ispec.r_n
     a0 = gt.a_star @ (np.eye(d) + u) + nmat
     offdiag = u - np.diag(np.diag(u))

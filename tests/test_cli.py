@@ -32,17 +32,15 @@ def every_kind_config(weights):
     return {
         "dataset": {"W": 40, "D": 5, "n": 80, "kind": "signed", "gamma": 0.02, "seed": 7,
                     "weights": weights},
-        "init": {"r_l": 0.5, "r_n": 1, "seed": 11, "zero_diag": True},
+        "init": {"r_l": 0.5, "r_n": 1},
         "solvers": [
             {"name": "and", "label": "constant", "stages": 2, "iters_per_stage": 3,
-             "eta": 0.01, "eta_scale": 0.5, "batch": 20, "pinv_rel_tol": 1e-10,
-             "schedule": {"kind": "constant", "value": 0.1}},
+             "eta": 0.01, "batch": 20, "schedule": {"kind": "constant", "value": 0.1}},
             {"name": "and", "label": "geometric",
              "schedule": {"kind": "geometric", "start": 0.2, "ratio": 0.8}},
             {"name": "and", "label": "theory",
              "schedule": {"kind": "theory", "lambda": 1, "r": 2, "q": 1}},
-            {"name": "hals", "outer_iters": 3, "inner_iters": 1, "epsilon_floor": 1e-9,
-             "seed": 4},
+            {"name": "hals", "outer_iters": 3},
             {"name": "anls"},
             {"name": "mu"},
         ],
@@ -95,6 +93,28 @@ class TestConfigValidation:
         raw["solvers"][0]["seed"] = 5
         with pytest.raises(ConfigError, match=r"config\.solvers\[0\]\.seed: unknown key"):
             validate_config(raw)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("and", "pinv_rel_tol", 1e-12),
+        ("and", "eta_scale", 0.5),
+        ("hals", "inner_iters", 10),
+        ("hals", "epsilon_floor", 1e-12),
+        ("hals", "seed", 4),
+        ("init", "seed", 11),
+        ("init", "zero_diag", False),
+    ])
+    def test_constant_is_not_a_key(self, tmp_path, capsys, section, key, value):
+        # each of these is a constant, or a seed derived from dataset.seed;
+        # setting even its value is an unknown key
+        raw = tiny_config()
+        raw["solvers"].append({"name": "hals", "outer_iters": 3})
+        target = {"and": raw["solvers"][0], "hals": raw["solvers"][1], "init": raw["init"]}
+        target[section][key] = value
+        path = {"and": "config.solvers[0]", "hals": "config.solvers[1]",
+                "init": "config.init"}[section]
+        cfg_path = write_config(tmp_path, raw)
+        assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        assert f"{path}.{key}: unknown key" in capsys.readouterr().err
 
     def test_unknown_preset(self):
         raw = tiny_config()
@@ -203,9 +223,9 @@ class TestConfigValidation:
         ("generate",
          lambda raw: raw["solvers"][0].update(schedule={"kind": "geometric", "start": float("nan")}),
          "config.solvers[0].schedule.start"),
-        ("run", lambda raw: raw["solvers"][0].update(eta_scale=float("nan")),
-         "config.solvers[0].eta_scale"),
-    ], ids=["D-zero", "gamma-nan", "start-nan", "eta_scale-nan"])
+        ("run", lambda raw: raw["solvers"][0].update(eta=float("nan")),
+         "config.solvers[0].eta"),
+    ], ids=["D-zero", "gamma-nan", "start-nan", "eta-nan"])
     def test_zero_size_or_nonfinite_value_is_validation_error(self, tmp_path, capsys,
                                                              command, edit, key):
         # JSON as Python reads it accepts NaN and Infinity literals
@@ -240,9 +260,9 @@ class TestGenerate:
         out = tmp_path / "out"
         assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
+        # every seed is derived from dataset.seed, so the config records none
         assert list(manifest["seeds"]["solvers"]) == ["hals"]
-        assert "seed" not in manifest["config"]["solvers"][0]
-        assert "seed" in manifest["config"]["solvers"][1]
+        assert all("seed" not in entry for entry in manifest["config"]["solvers"])
 
     def test_rerun_bitwise_identical(self, tmp_path):
         cfg_path = write_config(tmp_path, tiny_config())
@@ -340,7 +360,7 @@ class TestRun:
 
     def test_two_solvers_same_schema(self, tmp_path):
         raw = tiny_config()
-        raw["solvers"].append({"name": "anls", "outer_iters": 3, "inner_iters": 2})
+        raw["solvers"].append({"name": "anls", "outer_iters": 3})
         rc, out = self.run_tiny(tmp_path, raw)
         assert rc == 0
         header_and = (out / "and_trace.csv").read_text().splitlines()[0]
@@ -365,6 +385,19 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["solvers"][0]["status"] == "refused"
         assert "negative" in summary["solvers"][0]["detail"]
+
+    def test_theory_schedule_without_truth_refused(self, tmp_path):
+        raw = tiny_config()
+        raw["solvers"] = [{"name": "and", "schedule": {"kind": "theory", "lambda": 1,
+                                                        "r": 2, "q": 1}}]
+        cfg_path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        (out / "A_star.mat").unlink()
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        status = json.loads((out / "summary.json").read_text())["solvers"][0]
+        assert status["status"] == "refused"
+        assert "ground truth" in status["detail"]
 
     def test_divergence_recorded_with_partial_trace(self, tmp_path):
         raw = tiny_config()
@@ -436,6 +469,23 @@ class TestEvalAndGcc:
         out = tmp_path / "r.json"
         assert main(["eval", str(pe), str(pa), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["total"] <= 1e-7
+
+    @pytest.mark.parametrize("scale", [1e160, 1e170])
+    def test_eval_huge_estimate_keeps_its_winners(self, tmp_path, scale):
+        rng = np.random.default_rng(2)
+        a = rng.random((12, 4))
+        est = (a @ (np.eye(4) + 0.1 * rng.standard_normal((4, 4))))[:, [2, 0, 3, 1]]
+        paths = {name: tmp_path / f"{name}.mat" for name in ("a", "est", "big")}
+        for name, m in (("a", a), ("est", est), ("big", scale * est)):
+            write_matrix(paths[name], m)
+        reports = {}
+        for name in ("est", "big"):
+            out = tmp_path / f"{name}.json"
+            assert main(["eval", str(paths[name]), str(paths["a"]), "--out", str(out)]) == 0
+            reports[name] = json.loads(out.read_text())
+        assert reports["est"]["matches"] == [1, 3, 0, 2]
+        assert reports["big"]["matches"] == reports["est"]["matches"]
+        assert reports["big"]["total"] == pytest.approx(reports["est"]["total"], rel=1e-12, abs=0)
 
     def test_eval_shape_mismatch_is_validation_error(self, tmp_path):
         pa, pb = tmp_path / "a.mat", tmp_path / "b.mat"

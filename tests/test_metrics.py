@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -106,6 +108,32 @@ class TestTotalError:
         scales = rng.uniform(0.1, 3.0, 4) * rng.choice([-1.0, 1.0], 4)
         got = total_correlation_error(a[:, perm] * scales, star).total
         assert got == pytest.approx(base, rel=1e-12, abs=1e-12)
+
+    # the squares of A^T a* and of ||A_j|| overflow a float64 at these scales
+    @pytest.mark.parametrize("scale", [1e160, 1e170])
+    def test_huge_estimate_keeps_its_winners(self, scale):
+        rng = np.random.default_rng(8)
+        star = rng.random((30, 6))
+        a = (star @ (np.eye(6) + 0.1 * rng.standard_normal((6, 6))))[:, [3, 1, 5, 0, 2, 4]]
+        ref = total_correlation_error(a, star)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = total_correlation_error(scale * a, star)
+            totals = Evaluator(star).evaluate(np.stack([a, scale * a]))[0]
+        assert ref.matches == [3, 1, 4, 0, 5, 2]
+        assert big.matches == ref.matches
+        assert big.total == pytest.approx(ref.total, rel=1e-12, abs=0)
+        assert totals[0] == ref.total
+        assert totals[1] == pytest.approx(ref.total, rel=1e-12, abs=0)
+
+    def test_zero_column_cutoff_is_absolute_in_a_huge_estimate(self):
+        # column 0 of `a` has a norm near 1e-15, under the 1e-12 cutoff; 1e170
+        # times it is a real column even though the estimate is rescaled
+        rng = np.random.default_rng(9)
+        star = rng.random((30, 4))
+        a = star * np.array([1e-15, 1.0, 1.0, 1.0])
+        assert total_correlation_error(a, star).matches[0] != 0
+        assert total_correlation_error(1e170 * a, star).matches == [0, 1, 2, 3]
 
     def test_one_replaced_column_vs_grid_oracle(self):
         rng = np.random.default_rng(6)

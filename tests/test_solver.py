@@ -197,12 +197,15 @@ class TestRun:
         alphas = [r.alpha for r in result.trace.rows]
         assert all(0 < a <= 0.25 for a in alphas)
 
-    def test_theory_schedule_without_truth_falls_back(self):
+    def test_theory_schedule_without_truth_refuses(self):
+        # the theory threshold reads the mixing norm, which needs a ground truth
         gt, ds, init = make_problem()
         cfg = AndConfig(stages=2, iters_per_stage=3,
                         schedule=ThresholdSchedule.theory(lam=1.0, r=1.0, q=1.0))
-        result = run(init.a0, ds.y, cfg)
-        assert result.trace.rows[0].alpha == pytest.approx(0.1)
+        rows = []
+        with pytest.raises(ValueError, match="ground truth"):
+            run(init.a0, ds.y, cfg, on_row=rows.append)
+        assert rows == []
 
 
 class TestTraceStreaming:

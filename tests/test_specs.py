@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from andnmf.baselines import BaselineConfig
 from andnmf.solver import AndConfig, ThresholdSchedule
 from andnmf.synth import InitSpec, NoiseSpec
 from andnmf.weights import WeightSpec
@@ -14,10 +13,8 @@ NAN = math.nan
 
 NAN_SPECS = {
     "eta": lambda: AndConfig(eta=NAN),
-    "eta_scale": lambda: AndConfig(eta_scale=NAN),
     "start": lambda: ThresholdSchedule.geometric(start=NAN),
     "c": lambda: ThresholdSchedule.constant(NAN),
-    "epsilon_floor": lambda: BaselineConfig("hals", epsilon_floor=NAN),
     "concentration": lambda: WeightSpec.dirichlet(4, NAN),
     "rho": lambda: WeightSpec.logistic_normal(4, rho=NAN),
     "gamma": lambda: NoiseSpec(gamma=NAN),

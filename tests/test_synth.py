@@ -115,13 +115,6 @@ def test_init_out_span_level_scales_linearly():
     assert rhos[2] == pytest.approx(4 * rhos[0], rel=1e-8)
 
 
-def test_init_zero_diag_flag():
-    gt = generate_ground_truth(40, 6, seed=23)
-    init = generate_initialization(gt, InitSpec(r_l=1.0, seed=24, zero_diag=True))
-    u = np.linalg.pinv(gt.a_star) @ (init.a0 - gt.a_star)
-    assert np.abs(np.diag(u)).max() <= 1e-10
-
-
 def test_ground_truth_from_matrix_rejects_zero_column():
     a = np.ones((4, 2))
     a[:, 1] = 0.0
