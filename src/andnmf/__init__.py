@@ -3,12 +3,7 @@
 __version__ = "0.1.0"
 
 from .baselines import BaselineConfig, anls_step, hals_step, mu_step, run_baseline
-from .linalg import (
-    least_squares_coefficients,
-    pseudo_inverse,
-    spectral_norm,
-    threshold_elementwise,
-)
+from .linalg import spectral_norm, threshold_elementwise
 from .metrics import (
     Decomposition,
     ErrorReport,
@@ -71,9 +66,7 @@ __all__ = [
     "generate_ground_truth",
     "generate_initialization",
     "hals_step",
-    "least_squares_coefficients",
     "mu_step",
-    "pseudo_inverse",
     "run",
     "run_baseline",
     "sample_weights",

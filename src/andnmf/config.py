@@ -279,6 +279,8 @@ def validate_config(raw: dict, seed_override: int | None = None) -> ExperimentCo
     ds = _fields(merged, _DATASET_KEYS, "config.dataset", {"preset", "weights"})
 
     seed = ds["seed"] if seed_override is None else seed_override
+    if seed < 0:
+        raise ConfigError(f"config.dataset.seed: must be >= 0, got {seed}")
     # child streams: 0 ground truth, 1 weights, 2 noise, 3 init, 4 + i solver i
     # (read by baselines only)
     solvers_raw = raw.get("solvers", [{"name": "and"}])

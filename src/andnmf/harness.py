@@ -29,7 +29,7 @@ from .baselines import run_baseline
 from .config import ExperimentConfig
 from .matio import TraceWriter, read_matrix, write_matrix
 from .solver import DivergenceError, run as run_and
-from .synth import GroundTruth, generate_dataset, generate_ground_truth, generate_initialization
+from .synth import generate_dataset, generate_ground_truth, generate_initialization
 from .weights import NoClosedFormError, decay_profile, gcc_closed_form, gcc_from_samples
 
 DECAY_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
@@ -76,6 +76,8 @@ def generate(cfg: ExperimentConfig, out_dir) -> dict:
 def _run_one(entry, y, a0, truth, eval_every, out):
     t0 = time.perf_counter()
     status = {"label": entry.label, "solver": entry.name, "status": "ok"}
+    # a failed run must not leave an earlier run's final matrix behind
+    (out / f"{entry.label}_A_final.mat").unlink(missing_ok=True)
     try:
         with TraceWriter(out / f"{entry.label}_trace.csv") as writer:
             if entry.name == "and":
@@ -107,7 +109,13 @@ def _run_one(entry, y, a0, truth, eval_every, out):
 
 
 def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
-    """Run every configured solver against the dataset files in `out_dir`."""
+    """Run every configured solver against the dataset files in `out_dir`.
+
+    A ground truth in `A_star.mat` is checked by each solver's evaluator, so
+    a rank-deficient one makes every solver `refused`.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     out = Path(out_dir)
     for fname in ("Y.mat", "A0.mat"):
         if not (out / fname).exists():
@@ -116,7 +124,7 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     a0 = read_matrix(out / "A0.mat")
     truth = None
     if (out / "A_star.mat").exists():
-        truth = GroundTruth.from_matrix(read_matrix(out / "A_star.mat"))
+        truth = read_matrix(out / "A_star.mat")
     eval_every = cfg.effective_eval_every()
 
     if jobs > 1 and len(cfg.solvers) > 1:

@@ -3,6 +3,10 @@
 Everything operates on plain 2-D float64 numpy arrays. Inputs are validated
 once at the boundary (finite entries, nonempty shape) and the operations are
 pure, so results can be shared freely across threads.
+
+`full_rank_svd` is the one place that decides whether a matrix has full
+rank; the stage pseudo-inverse, the evaluator's ground truth and the
+generated ground truth all go through it.
 """
 
 from __future__ import annotations
@@ -10,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+_RANK_TOL = 1e-12
 
 
 class SvdConvergenceError(RuntimeError):
@@ -54,39 +60,26 @@ def svd_factors(m) -> SvdFactors:
     return SvdFactors(u, s, vt)
 
 
-def _invert(f: SvdFactors, rel_tol: float) -> np.ndarray:
-    """Pseudo-inverse from thin SVD factors, zeroing s <= rel_tol * s_max."""
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
-    inv = np.zeros_like(f.s)
-    keep = f.s > rel_tol * f.s[0]
-    inv[keep] = 1.0 / f.s[keep]
-    return (f.vt.T * inv) @ f.u.T
+def full_rank_svd(m, name: str = "matrix") -> SvdFactors:
+    """Thin SVD of a matrix that must have full rank.
 
-
-def pseudo_inverse(m, rel_tol: float = 1e-12) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse via SVD.
-
-    Singular values below `rel_tol * s_max` are treated as exactly zero, so
-    rank-deficient inputs invert only on their row/column space.
-    """
-    return _invert(svd_factors(m), rel_tol)
-
-
-def full_rank_pseudo_inverse(m, rel_tol: float = 1e-12, name: str = "matrix") -> np.ndarray:
-    """Pseudo-inverse of a matrix that must keep full rank, from one SVD.
-
-    Raises ValueError when s_min <= rel_tol * s_max * max(shape); otherwise
-    every singular value is inverted.
+    The one full-rank rule of the package: raises ValueError when
+    s_min <= 1e-12 * s_max * max(shape).
     """
     m = as_matrix(m, name)
     f = svd_factors(m)
-    if f.s[-1] <= rel_tol * f.s[0] * max(m.shape):
+    if f.s[-1] <= _RANK_TOL * f.s[0] * max(m.shape):
         raise ValueError(
             f"{name} is rank deficient "
             f"(sigma_min={f.s[-1]:.3e}, sigma_max={f.s[0]:.3e})"
         )
-    return _invert(f, rel_tol)
+    return f
+
+
+def full_rank_pseudo_inverse(m, name: str = "matrix") -> np.ndarray:
+    """Pseudo-inverse of a full-rank matrix (`full_rank_svd`), from one SVD."""
+    f = full_rank_svd(m, name)
+    return (f.vt.T * (1.0 / f.s)) @ f.u.T
 
 
 def spectral_norm(m) -> float:
@@ -104,15 +97,3 @@ def threshold_elementwise(v, alpha: float) -> np.ndarray:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     v = as_matrix(v, "input")
     return np.where(v >= alpha, v, 0.0)
-
-
-def least_squares_coefficients(basis, target) -> np.ndarray:
-    """Coefficients C minimizing ||target - basis @ C||_F, via the pseudo-inverse."""
-    basis = as_matrix(basis, "basis")
-    target = as_matrix(target, "target")
-    if basis.shape[0] != target.shape[0]:
-        raise ValueError(
-            f"row mismatch: basis has {basis.shape[0]} rows, "
-            f"target has {target.shape[0]}"
-        )
-    return pseudo_inverse(basis) @ target

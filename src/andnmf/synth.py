@@ -4,7 +4,9 @@ The observation model is Y = A_star @ X + Zeta with X drawn from a
 `WeightSpec` and Zeta columns i.i.d. gamma * N(0, I/W), scaled so a noise
 column has norm about gamma. Initializations follow the in-span/out-of-span
 recipe A0 = A_star @ (I + U) + N with uniform entries in +-0.05 times the
-respective level.
+respective level. A ground truth is drawn once from its seed;
+`linalg.full_rank_svd` checks that it has full column rank and gives the
+condition number the manifest records.
 
 All randomness flows through numpy Generators created from explicit seeds
 (child streams split off with SeedSequence), so every artifact is bitwise
@@ -17,10 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, spectral_norm, svd_factors
+from .linalg import full_rank_svd, spectral_norm
 from .weights import WeightSpec, sample_weights
-
-_RANK_RETRIES = 8
 
 
 @dataclass
@@ -28,16 +28,6 @@ class GroundTruth:
     a_star: np.ndarray
     provenance: str
     cond: float
-
-    @classmethod
-    def from_matrix(cls, a, provenance="loaded-from-file"):
-        a = as_matrix(a, "a_star")
-        norms = np.linalg.norm(a, axis=0)
-        if norms.min() <= 1e-12:
-            raise ValueError("ground truth has a zero column")
-        f = svd_factors(a)
-        cond = float(f.s[0] / f.s[-1]) if f.s[-1] > 0 else np.inf
-        return cls(a_star=a, provenance=provenance, cond=cond)
 
 
 @dataclass(frozen=True)
@@ -86,25 +76,18 @@ class Initialization:
 
 def generate_ground_truth(w: int, d: int, kind: str = "nonneg", seed: int = 0) -> GroundTruth:
     """Random ground truth with entries Unif[0, 1) (nonneg) or Unif[-0.5, 0.5)
-    (signed). Requires w >= d; redraws with a derived seed in the measure-zero
-    event of a column-rank deficiency."""
+    (signed). Requires w >= d. A draw without full column rank (probability
+    zero) raises ValueError through `full_rank_svd`."""
     if kind not in ("nonneg", "signed"):
         raise ValueError(f"kind must be 'nonneg' or 'signed', got {kind!r}")
     if w < d:
         raise ValueError(f"need w >= d for a left inverse, got w={w} < d={d}")
-    for attempt in range(_RANK_RETRIES):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
-        a = rng.random((w, d))
-        if kind == "signed":
-            a = a - 0.5
-        s = svd_factors(a).s
-        if s[-1] > 1e-10 * s[0] * max(w, d):
-            return GroundTruth(
-                a_star=a,
-                provenance=f"random-uniform-{kind}",
-                cond=float(s[0] / s[-1]),
-            )
-    raise RuntimeError(f"could not draw a rank-{d} matrix in {_RANK_RETRIES} attempts")
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    a = rng.random((w, d))
+    if kind == "signed":
+        a = a - 0.5
+    s = full_rank_svd(a, "ground truth").s
+    return GroundTruth(a_star=a, provenance=f"random-uniform-{kind}", cond=float(s[0] / s[-1]))
 
 
 def generate_dataset(

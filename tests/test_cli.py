@@ -225,7 +225,8 @@ class TestConfigValidation:
          "config.solvers[0].schedule.start"),
         ("run", lambda raw: raw["solvers"][0].update(eta=float("nan")),
          "config.solvers[0].eta"),
-    ], ids=["D-zero", "gamma-nan", "start-nan", "eta-nan"])
+        ("generate", lambda raw: raw["dataset"].update(seed=-1), "config.dataset.seed"),
+    ], ids=["D-zero", "gamma-nan", "start-nan", "eta-nan", "seed-negative"])
     def test_zero_size_or_nonfinite_value_is_validation_error(self, tmp_path, capsys,
                                                              command, edit, key):
         # JSON as Python reads it accepts NaN and Infinity literals
@@ -237,6 +238,13 @@ class TestConfigValidation:
         path = write_config(tmp_path, raw, "bad.json")
         assert main([command, "--config", str(path), "--out", str(out)]) == 1
         assert key in capsys.readouterr().err
+
+
+    def test_negative_seed_override_names_its_key(self, tmp_path, capsys):
+        rc = main(["generate", "--preset", "DIR", "--seed", "-1", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "config.dataset.seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestGenerate:
@@ -376,6 +384,15 @@ class TestRun:
         assert main(["run", "--config", str(cfg_path), "--out", str(out), "--jobs", "2"]) == 0
         assert (out / "hals_trace.csv").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_validation_error(self, tmp_path, capsys, jobs):
+        cfg_path = write_config(tmp_path, tiny_config())
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert main(["run", "--config", str(cfg_path), "--out", str(out), "--jobs", jobs]) == 1
+        assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
     def test_mu_on_negative_data_documented_refusal(self, tmp_path):
         raw = tiny_config()
         raw["dataset"]["preset"] = "NEG"
@@ -398,6 +415,34 @@ class TestRun:
         status = json.loads((out / "summary.json").read_text())["solvers"][0]
         assert status["status"] == "refused"
         assert "ground truth" in status["detail"]
+
+    def test_refused_rerun_leaves_no_earlier_final_matrix(self, tmp_path):
+        raw = tiny_config()
+        raw["solvers"] = [{"name": "and", "stages": 2, "iters_per_stage": 3,
+                           "schedule": {"kind": "theory", "lambda": 1, "r": 2, "q": 1}}]
+        rc, out = self.run_tiny(tmp_path, raw)
+        assert rc == 0
+        assert (out / "and_A_final.mat").exists()
+        (out / "A_star.mat").unlink()
+        cfg_path = write_config(tmp_path, raw)
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert json.loads((out / "summary.json").read_text())["solvers"][0]["status"] == "refused"
+        assert not (out / "and_A_final.mat").exists()
+
+    @pytest.mark.parametrize("column", ["zero", "duplicate"])
+    def test_rank_deficient_ground_truth_refuses_every_solver(self, tmp_path, column):
+        raw = tiny_config()
+        raw["solvers"].append({"name": "hals", "outer_iters": 3})
+        cfg_path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        a_star = read_matrix(out / "A_star.mat")
+        a_star[:, -1] = 0.0 if column == "zero" else a_star[:, 0]
+        write_matrix(out / "A_star.mat", a_star)
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        statuses = json.loads((out / "summary.json").read_text())["solvers"]
+        assert [s["status"] for s in statuses] == ["refused", "refused"]
+        assert all("ground truth is rank deficient" in s["detail"] for s in statuses)
 
     def test_divergence_recorded_with_partial_trace(self, tmp_path):
         raw = tiny_config()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from andnmf import metrics, solver
-from andnmf.linalg import full_rank_pseudo_inverse, pseudo_inverse, spectral_norm
+from andnmf.linalg import full_rank_pseudo_inverse, spectral_norm
 from andnmf.solver import (
     EVAL_BATCH_BYTES,
     AndConfig,
@@ -77,7 +77,7 @@ class TestDecodeUpdate:
 
     def test_decode_exact_at_ground_truth(self):
         gt, ds, _ = make_problem()
-        z = decode(pseudo_inverse(gt.a_star), ds.y, 0.25)
+        z = decode(full_rank_pseudo_inverse(gt.a_star), ds.y, 0.25)
         assert z == pytest.approx(ds.x, abs=1e-9)
 
 

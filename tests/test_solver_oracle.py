@@ -146,7 +146,7 @@ def test_run_matches_reference_loop(d, extra_w, n, seed, weights, batch_kind, wi
     # an explicit step a little under the curvature-scaled one of the first decode
     eta = None
     if eta_kind == "explicit":
-        z0 = decode(full_rank_pseudo_inverse(a0, 1e-12, "a0"), y, 0.1)
+        z0 = decode(full_rank_pseudo_inverse(a0, "a0"), y, 0.1)
         eta = 0.4 / (spectral_norm(z0 @ z0.T) + 1.0)
     cfg = AndConfig(stages=stages, iters_per_stage=iters, eta=eta,
                     schedule=SCHEDULES[schedule], batch=batch)

@@ -4,7 +4,6 @@ import pytest
 from andnmf.linalg import spectral_norm
 from andnmf.metrics import Evaluator
 from andnmf.synth import (
-    GroundTruth,
     InitSpec,
     NoiseSpec,
     generate_dataset,
@@ -29,6 +28,14 @@ def test_ground_truth_full_rank():
     gt = generate_ground_truth(200, 20, seed=1)
     assert np.linalg.matrix_rank(gt.a_star) == 20
     assert gt.cond > 1.0
+
+
+def test_ground_truth_is_one_draw_from_its_seed():
+    gt = generate_ground_truth(30, 6, kind="signed", seed=11)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=11, spawn_key=(0,)))
+    assert np.array_equal(gt.a_star, rng.random((30, 6)) - 0.5)
+    s = np.linalg.svd(gt.a_star, compute_uv=False)
+    assert gt.cond == pytest.approx(s[0] / s[-1], rel=1e-12)
 
 
 def test_ground_truth_rejects_wide():
@@ -113,10 +120,3 @@ def test_init_out_span_level_scales_linearly():
     # spectral_norm is accurate to 1e-8 relative, which bounds the comparison
     assert rhos[1] == pytest.approx(2 * rhos[0], rel=1e-8)
     assert rhos[2] == pytest.approx(4 * rhos[0], rel=1e-8)
-
-
-def test_ground_truth_from_matrix_rejects_zero_column():
-    a = np.ones((4, 2))
-    a[:, 1] = 0.0
-    with pytest.raises(ValueError, match="zero column"):
-        GroundTruth.from_matrix(a)
