@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +69,8 @@ _SCHEDULE_KEYS = {
 _AND_KEYS = {"stages": int, "iters_per_stage": int, "eta": float, "batch": object}
 _BASELINE_KEYS = {"outer_iters": int}
 _INIT_KEYS = {"r_l": float, "r_n": float}
+# a label names the solver's output files, so it must be a plain file stem
+_LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 # JSON keys whose spec field has another name
 _FIELD = {"value": "c", "lambda": "lam"}
 
@@ -313,6 +316,10 @@ def validate_config(raw: dict, seed_override: int | None = None) -> ExperimentCo
         sobj = _section(sobj, path)
         name = _choice(sobj, "name", ("and", *ALGORITHMS), path)
         label = _typed(sobj.get("label", name), str, f"{path}.label")
+        if not _LABEL.fullmatch(label):
+            raise ConfigError(
+                f"{path}.label: must match {_LABEL.pattern} (it names the solver's "
+                f"output files), got {label!r}")
         if label in labels:
             raise ConfigError(f"{path}.label: duplicate label {label!r}; set explicit labels")
         labels.add(label)

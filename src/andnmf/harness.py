@@ -12,12 +12,23 @@ diverging run leaves its whole partial trace behind. A divergence or runtime
 error is recorded in summary.json rather than crashing the other solvers. The manifest carries the resolved config, its
 hash, every derived seed, and library versions: enough to reproduce each file
 bitwise on the same machine.
+
+`run(..., jobs=N)` runs up to N solvers in threads. Each of them calls BLAS,
+so while the pool runs, numpy's OpenBLAS is capped to share the CPUs among
+the workers (`_blas_threads`); `summary.json["blas_threads"]` records the
+count the solvers ran with. The cap changes the order of BLAS sums, so
+outputs at one `jobs` value are reproducible, and agree within rounding with
+those at another.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import ctypes
+import functools
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -33,6 +44,14 @@ from .synth import generate_dataset, generate_ground_truth, generate_initializat
 from .weights import NoClosedFormError, decay_profile, gcc_closed_form, gcc_from_samples
 
 DECAY_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
+
+# (set, get) thread-count entry points of OpenBLAS builds, newest first: the
+# scipy-openblas of numpy >= 2 wheels, 64-bit-integer builds, then plain ones
+_OPENBLAS_THREAD_FUNCS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
 
 
 def generate(cfg: ExperimentConfig, out_dir) -> dict:
@@ -71,6 +90,56 @@ def generate(cfg: ExperimentConfig, out_dir) -> dict:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest
+
+
+@functools.cache
+def _openblas():
+    """The (set, get) thread-count functions of the OpenBLAS loaded in this
+    process, or None when none is found (another OS, MKL, Accelerate)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
+                            if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)  # the copy already loaded, not a second one
+        except OSError:  # e.g. a file replaced on disk since it was loaded
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_FUNCS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return None
+
+
+@contextlib.contextmanager
+def _blas_threads(workers: int):
+    """Share the CPUs among `workers` threads that each call BLAS.
+
+    For the block, OpenBLAS runs `max(1, min(current, ncpu // workers))`
+    threads; the current count is restored after it, also when it raises.
+    One worker only reads the count. Yields the count the block runs with,
+    or None when no OpenBLAS is found, in which case nothing is capped.
+    """
+    found = _openblas()
+    if found is None:
+        yield None
+        return
+    set_threads, get_threads = found
+    before = get_threads()
+    capped = max(1, min(before, len(os.sched_getaffinity(0)) // workers))
+    if workers == 1 or capped == before:
+        yield before
+        return
+    set_threads(capped)
+    try:
+        yield capped
+    finally:
+        set_threads(before)
 
 
 def _run_one(entry, y, a0, truth, eval_every, out):
@@ -113,6 +182,11 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
 
     A ground truth in `A_star.mat` is checked by each solver's evaluator, so
     a rank-deficient one makes every solver `refused`.
+
+    With `jobs > 1` and more than one solver, `min(jobs, len(cfg.solvers))`
+    solvers run at a time in threads, with OpenBLAS capped as in
+    `_blas_threads` until the last one finishes. `summary.json` records that
+    count as `blas_threads` (None when unknown).
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -127,15 +201,18 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
         truth = read_matrix(out / "A_star.mat")
     eval_every = cfg.effective_eval_every()
 
-    if jobs > 1 and len(cfg.solvers) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            statuses = list(pool.map(
-                lambda e: _run_one(e, y, a0, truth, eval_every, out), cfg.solvers
-            ))
-    else:
-        statuses = [_run_one(e, y, a0, truth, eval_every, out) for e in cfg.solvers]
+    workers = min(jobs, len(cfg.solvers))
+    with _blas_threads(workers) as blas_threads:
+        if workers > 1:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+                statuses = list(pool.map(
+                    lambda e: _run_one(e, y, a0, truth, eval_every, out), cfg.solvers
+                ))
+        else:
+            statuses = [_run_one(e, y, a0, truth, eval_every, out) for e in cfg.solvers]
 
     summary = {
+        "blas_threads": blas_threads,
         "config_sha256": cfg.config_hash(),
         "solvers": statuses,
     }

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 from pathlib import Path
 
@@ -127,6 +128,22 @@ class TestConfigValidation:
         raw["solvers"] = [{"name": "and"}, {"name": "and"}]
         with pytest.raises(ConfigError, match="duplicate label"):
             validate_config(raw)
+
+    @pytest.mark.parametrize("label", ["../escaped", "sub/dir", ""],
+                             ids=["dotdot", "slash", "empty"])
+    def test_label_must_be_a_file_stem(self, tmp_path, capsys, label):
+        # a label names <out>/<label>_trace.csv and <label>_A_final.mat, so a
+        # path in it would write (and delete) files outside the output directory
+        out = tmp_path / "runs" / "out"
+        assert main(["generate", "--config", str(write_config(tmp_path, tiny_config())),
+                     "--out", str(out)]) == 0
+        raw = tiny_config()
+        raw["solvers"].append({"name": "hals", "label": label, "outer_iters": 3})
+        cfg_path = write_config(tmp_path, raw, "bad.json")
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "config.solvers[1].label" in capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == ["out"]
+        assert not list(out.glob("*_trace.csv")) and not (out / "summary.json").exists()
 
     def test_w_less_than_d(self):
         raw = tiny_config()
@@ -375,14 +392,45 @@ class TestRun:
         header_anls = (out / "anls_trace.csv").read_text().splitlines()[0]
         assert header_and == header_anls
 
-    def test_jobs_flag(self, tmp_path):
+    def test_jobs_two_is_reproducible_and_agrees_with_serial(self, tmp_path):
         raw = tiny_config()
-        raw["solvers"].append({"name": "hals", "outer_iters": 3})
+        raw["solvers"] += [{"name": "hals", "outer_iters": 4}, {"name": "anls", "outer_iters": 3}]
         cfg_path = write_config(tmp_path, raw)
         out = tmp_path / "out"
-        main(["generate", "--config", str(cfg_path), "--out", str(out)])
-        assert main(["run", "--config", str(cfg_path), "--out", str(out), "--jobs", "2"]) == 0
-        assert (out / "hals_trace.csv").exists()
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+        def run_jobs(jobs):
+            assert main(["run", "--config", str(cfg_path), "--out", str(out),
+                         "--jobs", str(jobs)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            labels = [s["label"] for s in summary["solvers"]]
+            traces = {lab: [(r.stage, r.iteration, r.alpha, r.total_error, r.log10_error,
+                             r.e_norm, r.n_norm) for r in read_trace(out / f"{lab}_trace.csv")]
+                      for lab in labels}
+            finals = {lab: read_matrix(out / f"{lab}_A_final.mat") for lab in labels}
+            return summary, traces, finals
+
+        summary, traces, finals = run_jobs(2)
+        _, traces_again, finals_again = run_jobs(2)
+        assert traces_again == traces
+        assert {k: a.tobytes() for k, a in finals_again.items()} == {
+            k: a.tobytes() for k, a in finals.items()}
+        serial, serial_traces, serial_finals = run_jobs(1)
+        assert ([(s["label"], s["status"], s["rows"]) for s in summary["solvers"]]
+                == [(s["label"], s["status"], s["rows"]) for s in serial["solvers"]])
+        for label, rows in traces.items():
+            ref = serial_traces[label]
+            assert [r[:3] for r in rows] == [r[:3] for r in ref]  # stage, iteration, alpha
+            np.testing.assert_allclose([r[3] for r in rows], [r[3] for r in ref], rtol=1e-8)
+            a = serial_finals[label]
+            assert np.max(np.abs(finals[label] - a)) <= 1e-8 * np.max(np.abs(a))
+
+        found = harness._openblas()
+        current = found[1]() if found else None
+        assert serial["blas_threads"] == current
+        assert summary["blas_threads"] == (
+            None if found is None
+            else max(1, min(current, len(os.sched_getaffinity(0)) // 2)))
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_validation_error(self, tmp_path, capsys, jobs):
@@ -491,6 +539,77 @@ class TestRun:
         assert summary["solvers"][0]["status"] == "ok"
         rows = read_trace(out / "and_trace.csv")
         assert [(r.stage, r.iteration) for r in rows] == [(0, 0), (0, 4), (1, 0), (1, 4)]
+
+
+class TestBlasThreads:
+    @pytest.fixture
+    def openblas(self):
+        """The loaded OpenBLAS's (set, get) pair, set to 2 threads for the test."""
+        found = harness._openblas()
+        if found is None:
+            pytest.skip("no OpenBLAS loaded in this process")
+        set_threads, get_threads = found
+        before = get_threads()
+        set_threads(2)
+        yield get_threads
+        set_threads(before)
+
+    @pytest.fixture
+    def ncpu(self, monkeypatch):
+        def use(n):
+            monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(n)))
+        return use
+
+    def test_caps_inside_and_restores_after(self, openblas, ncpu):
+        ncpu(2)
+        with harness._blas_threads(2) as count:
+            assert count == openblas() == 1
+        assert openblas() == 2
+
+    def test_restores_when_the_block_raises(self, openblas, ncpu):
+        ncpu(2)
+        with pytest.raises(ZeroDivisionError), harness._blas_threads(2):
+            assert openblas() == 1
+            1 / 0
+        assert openblas() == 2
+
+    def test_never_raises_the_count(self, openblas, ncpu):
+        ncpu(8)  # 8 // 2 workers = 4 > the 2 threads in use
+        with harness._blas_threads(2) as count:
+            assert count == openblas() == 2
+        assert openblas() == 2
+
+    # OpenBLAS set to 16 threads on 8 CPUs: a serial run leaves even that alone
+    @pytest.mark.parametrize("jobs, n_solvers, sets, during", [
+        (2, 3, [4, 16], 4),  # two workers share 8 CPUs
+        (1, 3, [], 16),      # serial: the count is only read
+        (2, 1, [], 16),      # one solver runs serially whatever --jobs says
+    ], ids=["pool", "jobs1", "one-solver"])
+    def test_run_caps_only_the_pool(self, tmp_path, monkeypatch, ncpu, jobs, n_solvers,
+                                    sets, during):
+        threads, calls, seen = [16], [], []
+
+        def set_threads(n):
+            calls.append(n)
+            threads[0] = n
+
+        monkeypatch.setattr(harness, "_openblas", lambda: (set_threads, lambda: threads[0]))
+        ncpu(8)
+        run_one = harness._run_one
+
+        def recording_run_one(*args):
+            seen.append(threads[0])  # the count this solver runs with
+            return run_one(*args)
+
+        monkeypatch.setattr(harness, "_run_one", recording_run_one)
+        raw = tiny_config()
+        raw["solvers"] += [{"name": "hals", "outer_iters": 2},
+                           {"name": "mu", "outer_iters": 2}][:n_solvers - 1]
+        cfg = validate_config(raw)
+        harness.generate(cfg, tmp_path)
+        summary = harness.run(cfg, tmp_path, jobs=jobs)
+        assert calls == sets and seen == [during] * n_solvers
+        assert summary["blas_threads"] == during and threads[0] == 16
 
 
 class TestEvalAndGcc:

@@ -13,10 +13,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("script, args, runs", [
     ("convergence_comparison.py", ["--stages", "1"], 3),
+    # the only script that runs solvers in the harness's thread pool
+    ("convergence_comparison.py", ["--stages", "1", "--jobs", "2"], 3),
     ("threshold_ablation.py", ["--stages", "1"], 2),
     ("noise_sweep.py", ["--stages", "1", "--gammas", "0.01"], 1),
     ("robustness_sweeps.py", ["--quick"], 10),
-], ids=["convergence_comparison", "threshold_ablation", "noise_sweep", "robustness_sweeps"])
+], ids=["convergence_comparison", "convergence_comparison_jobs2", "threshold_ablation",
+        "noise_sweep", "robustness_sweeps"])
 def test_script_writes_summaries_and_traces(tmp_path, script, args, runs):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
