@@ -16,7 +16,6 @@ from .solver import (
     ThresholdSchedule,
     decode,
     run,
-    simulate_update_recurrence,
     stage_threshold,
 )
 from .synth import (
@@ -70,7 +69,6 @@ __all__ = [
     "run",
     "run_baseline",
     "sample_weights",
-    "simulate_update_recurrence",
     "spectral_norm",
     "stage_threshold",
     "threshold_elementwise",

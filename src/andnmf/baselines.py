@@ -32,8 +32,9 @@ class BaselineConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if not self.outer_iters >= 0:
-            raise ValueError(f"outer_iters must be >= 0, got {self.outer_iters}")
+        if (isinstance(self.outer_iters, bool) or not isinstance(self.outer_iters, int)
+                or self.outer_iters < 0):
+            raise ValueError(f"outer_iters must be an int >= 0, got {self.outer_iters!r}")
 
 
 @dataclass

@@ -224,13 +224,9 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
 
 def evaluate(estimate_path, truth_path) -> dict:
     """Correlation-error report of an estimate file against a truth file."""
-    est = read_matrix(estimate_path)
-    truth = read_matrix(truth_path)
-    if est.shape[0] != truth.shape[0]:
-        raise ValueError(
-            f"row mismatch: estimate has {est.shape[0]}, truth has {truth.shape[0]}"
-        )
-    return metrics.total_correlation_error(est, truth).to_json_dict()
+    return metrics.total_correlation_error(
+        read_matrix(estimate_path), read_matrix(truth_path)
+    ).to_json_dict()
 
 
 def gcc_report(weights_path) -> dict:

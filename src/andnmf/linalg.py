@@ -93,7 +93,7 @@ def spectral_norm(m) -> float:
 
 def threshold_elementwise(v, alpha: float) -> np.ndarray:
     """Keep entries >= alpha (inclusive), zero all others including negatives."""
-    if alpha < 0:
+    if not alpha >= 0:  # negated so that NaN fails it
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     v = as_matrix(v, "input")
     return np.where(v >= alpha, v, 0.0)

@@ -108,7 +108,7 @@ def total_correlation_error(a, a_star) -> ErrorReport:
     a = as_matrix(a, "estimate")
     a_star = as_matrix(a_star, "a_star")
     if a.shape[0] != a_star.shape[0]:
-        raise ValueError(f"row mismatch: {a.shape[0]} != {a_star.shape[0]}")
+        raise ValueError(f"row mismatch: estimate has {a.shape[0]}, a_star has {a_star.shape[0]}")
     eps, js, sigmas = _correlation_errors(a[None], a_star)
     return ErrorReport(
         per_column=eps[0],

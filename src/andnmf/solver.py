@@ -21,11 +21,6 @@ and every iteration is
 
 which gives the same iterates up to rounding at O(W D^2) per iteration. The
 full batch is the case of a single window, decoded once per stage.
-
-`simulate_update_recurrence` is a numeric harness for the contraction that
-drives the analysis of this update: iterating M <- M (I - eta L) + eta Q L
-+ eta R with a PSD L and bounded disturbances R keeps
-||M_t - Q|| <= ||M_0 - Q|| (1 - eta lmin)^t + ||R||_bound / lmin.
 """
 
 from __future__ import annotations
@@ -56,10 +51,6 @@ class DivergenceError(RuntimeError):
         self.stage = stage
         self.iteration = iteration
         self.trace = trace
-
-
-class RecurrenceBoundError(AssertionError):
-    """The contraction bound failed at some step of the simulated recurrence."""
 
 
 @dataclass(frozen=True)
@@ -117,7 +108,7 @@ class ThresholdSchedule:
 
 
 def stage_threshold(schedule: ThresholdSchedule, j: int, e_norm_estimate=None) -> float:
-    if j < 0:
+    if not j >= 0:  # negated so that NaN fails it
         raise ValueError(f"stage index must be >= 0, got {j}")
     if schedule.kind == "constant":
         return schedule.c
@@ -147,8 +138,10 @@ class AndConfig:
 
     # every check is negated so that NaN fails it
     def __post_init__(self):
-        if not (self.stages >= 1 and self.iters_per_stage >= 1):
-            raise ValueError("stages and iters_per_stage must be >= 1")
+        for name in ("stages", "iters_per_stage"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be a positive int, got {value!r}")
         if self.eta is not None and not self.eta > 0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
         if self.batch != "full" and (
@@ -369,71 +362,3 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
                                 lambda: np.linalg.norm(_window(y, start, batch) - a_prev @ z))
         recorder.flush()
     return AndResult(a=a, trace=trace)
-
-
-@dataclass
-class RecurrenceResult:
-    deviations: np.ndarray  # ||M_t - Q||_2 for t = 0..steps
-    bounds: np.ndarray      # the contraction bound at each t
-    m_final: np.ndarray
-
-
-def simulate_update_recurrence(
-    sigma0, e0, lam, target, r_bound: float, eta: float, steps: int, seed: int = 0
-) -> RecurrenceResult:
-    """Iterate M <- M (I - eta L) + eta Q L + eta R_t and check the bound
-    ||M_t - Q|| <= ||M_0 - Q|| (1 - eta lmin(L))^t + r_bound / lmin(L)
-    at every step. Disturbances R_t are drawn from `seed` with spectral norm
-    exactly r_bound. Raises RecurrenceBoundError if the bound ever fails.
-    """
-    sigma0 = as_matrix(sigma0, "sigma0")
-    e0 = as_matrix(e0, "e0")
-    lam = as_matrix(lam, "lam")
-    target = as_matrix(target, "target")
-    d = sigma0.shape[0]
-    for name, m in (("sigma0", sigma0), ("e0", e0), ("lam", lam), ("target", target)):
-        if m.shape != (d, d):
-            raise ValueError(f"{name} must be {d}x{d}, got {m.shape}")
-    if np.any(sigma0 - np.diag(np.diag(sigma0)) != 0):
-        raise ValueError("sigma0 must be diagonal")
-    if np.any(np.diag(e0) != 0):
-        raise ValueError("e0 must have a zero diagonal")
-    if not np.allclose(lam, lam.T, atol=1e-10):
-        raise ValueError("lam must be symmetric")
-    eigs = np.linalg.eigvalsh((lam + lam.T) / 2.0)
-    if eigs[0] < -1e-10:
-        raise ValueError(f"lam must be PSD, got min eigenvalue {eigs[0]:.3e}")
-    lmin, lmax = max(eigs[0], 0.0), eigs[-1]
-    if eta <= 0 or eta * lmax >= 1:
-        raise ValueError(f"need 0 < eta * lmax(lam) < 1, got eta*lmax={eta * lmax:.3g}")
-    if r_bound < 0:
-        raise ValueError(f"r_bound must be >= 0, got {r_bound}")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-
-    rng = np.random.default_rng(seed)
-    m = sigma0 + e0
-    dev0 = spectral_norm(m - target)
-    tail = r_bound / lmin if lmin > 0 else (math.inf if r_bound > 0 else 0.0)
-    contraction = 1.0 - eta * lmin
-    identity = np.eye(d)
-    deviations = [dev0]
-    bounds = [dev0 + tail]
-    for t in range(1, steps + 1):
-        if r_bound > 0:
-            raw = rng.uniform(-1.0, 1.0, size=(d, d))
-            r = raw * (r_bound / spectral_norm(raw))
-        else:
-            r = np.zeros((d, d))
-        m = m @ (identity - eta * lam) + eta * target @ lam + eta * r
-        dev = spectral_norm(m - target)
-        bound = dev0 * contraction**t + tail
-        deviations.append(dev)
-        bounds.append(bound)
-        if dev > bound * (1.0 + 1e-9) + 1e-12:
-            raise RecurrenceBoundError(
-                f"bound violated at step {t}: deviation {dev:.6e} > bound {bound:.6e}"
-            )
-    return RecurrenceResult(
-        deviations=np.array(deviations), bounds=np.array(bounds), m_final=m
-    )

@@ -164,3 +164,6 @@ class TestRunBaseline:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             BaselineConfig("newton")
+        for bad in (-1, 2.5, 2.0, True, float("nan")):
+            with pytest.raises(ValueError):
+                BaselineConfig("hals", outer_iters=bad)

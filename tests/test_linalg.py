@@ -124,6 +124,8 @@ def test_threshold_boundary_inclusive():
 def test_threshold_rejects_negative_alpha():
     with pytest.raises(ValueError):
         threshold_elementwise(np.zeros((1, 1)), -0.1)
+    with pytest.raises(ValueError):
+        threshold_elementwise(np.zeros((1, 1)), float("nan"))
 
 
 @given(finite_arrays, st.floats(min_value=0, max_value=5))

@@ -14,7 +14,6 @@ from andnmf.solver import (
     ThresholdSchedule,
     decode,
     run,
-    simulate_update_recurrence,
     stage_threshold,
 )
 from andnmf.synth import InitSpec, NoiseSpec, generate_dataset, generate_ground_truth, generate_initialization
@@ -50,6 +49,11 @@ class TestStageThreshold:
 
     def test_constant(self):
         assert stage_threshold(ThresholdSchedule.constant(0.25), 17) == 0.25
+
+    def test_stage_index_must_be_nonnegative(self):
+        for j in (-1, float("nan")):
+            with pytest.raises(ValueError, match="stage index"):
+                stage_threshold(ThresholdSchedule.constant(0.25), j)
 
     def test_invalid_schedules(self):
         with pytest.raises(ValueError):
@@ -300,79 +304,6 @@ class TestTraceStreaming:
         assert [e[0] for e in log.events[last + 1:]] == ["row"] * (t % self.CAPACITY + 1)
 
 
-class TestUpdateRecurrence:
-    def test_geometric_decay_identity(self):
-        d = 6
-        rng = np.random.default_rng(0)
-        sigma0 = np.diag(1.0 + 0.1 * rng.standard_normal(d))
-        e0 = rng.uniform(-0.1, 0.1, (d, d))
-        np.fill_diagonal(e0, 0.0)
-        target = np.diag(rng.uniform(0.9, 1.1, d))
-        eta = 0.3
-        res = simulate_update_recurrence(sigma0, e0, np.eye(d), target, 0.0, eta, 40, seed=1)
-        expected = res.deviations[0] * (1 - eta) ** np.arange(41)
-        assert res.deviations == pytest.approx(expected, abs=1e-10)
-
-    def test_no_disturbance_converges(self):
-        d = 5
-        rng = np.random.default_rng(2)
-        q = rng.standard_normal((d, d))
-        lam = q @ q.T / d + 0.5 * np.eye(d)
-        lam /= 2 * spectral_norm(lam)
-        sigma0 = np.diag(rng.uniform(0.8, 1.2, d))
-        e0 = 0.1 * rng.standard_normal((d, d))
-        np.fill_diagonal(e0, 0.0)
-        res = simulate_update_recurrence(
-            sigma0, e0, lam, np.diag(rng.uniform(0.9, 1.1, d)), 0.0, 0.9, 600, seed=3
-        )
-        assert res.deviations[-1] <= 1e-6
-
-    @pytest.mark.parametrize("seed", range(50))
-    def test_bound_holds_random_instances(self, seed):
-        d = 10
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((d, d))
-        lam = g @ g.T / d
-        lam /= 2 * spectral_norm(lam)  # eta * lmax < 1 for eta below
-        sigma0 = np.diag(rng.uniform(0.7, 1.3, d))
-        e0 = rng.uniform(-0.2, 0.2, (d, d))
-        np.fill_diagonal(e0, 0.0)
-        target = rng.standard_normal((d, d))
-        r_bound = abs(rng.normal(0.0, 0.05))
-        res = simulate_update_recurrence(
-            sigma0, e0, lam, target, r_bound, eta=0.8, steps=60, seed=seed + 1
-        )
-        lmin = max(np.linalg.eigvalsh((lam + lam.T) / 2)[0], 0.0)
-        tail = r_bound / lmin if lmin > 0 else math.inf
-        bound = res.deviations[0] * (1 - 0.8 * lmin) ** np.arange(61) + tail
-        assert np.all(res.deviations <= bound * (1 + 1e-9) + 1e-12)
-
-    def test_preconditions(self):
-        d = 3
-        eye = np.eye(d)
-        off = np.zeros((d, d))
-        with pytest.raises(ValueError, match="diagonal"):
-            simulate_update_recurrence(np.ones((d, d)), off, eye, eye, 0.0, 0.1, 1)
-        with pytest.raises(ValueError, match="zero diagonal"):
-            simulate_update_recurrence(eye, eye, eye, eye, 0.0, 0.1, 1)
-        with pytest.raises(ValueError, match="PSD"):
-            simulate_update_recurrence(eye, off, -eye, eye, 0.0, 0.1, 1)
-        with pytest.raises(ValueError, match="eta"):
-            simulate_update_recurrence(eye, off, eye, eye, 0.0, 1.5, 1)
-
-    def test_disturbances_hit_bound_scale(self):
-        # disturbance norm is exactly r_bound, so deviations stay near the
-        # tail term r_bound / lmin once contracted
-        d = 4
-        res = simulate_update_recurrence(
-            np.eye(d), np.zeros((d, d)), 0.5 * np.eye(d), np.eye(d),
-            r_bound=0.01, eta=1.0, steps=200, seed=9,
-        )
-        tail = 0.01 / 0.5
-        assert res.deviations[-1] <= tail * (1 + 1e-9)
-        assert res.deviations[-1] >= tail / 50
-
-
 def test_run_rejects_bad_config():
     with pytest.raises(ValueError):
         AndConfig(stages=0)
@@ -380,3 +311,8 @@ def test_run_rejects_bad_config():
         AndConfig(eta=-1.0)
     with pytest.raises(ValueError):
         AndConfig(batch=0)
+    for bad in (2.5, 2.0, True, float("nan")):
+        with pytest.raises(ValueError):
+            AndConfig(stages=bad)
+        with pytest.raises(ValueError):
+            AndConfig(iters_per_stage=bad)
