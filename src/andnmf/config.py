@@ -106,12 +106,13 @@ def _solver_defaults(preset):
 
 @dataclass
 class DatasetConfig:
-    preset: str | None
     w: int
     d: int
     n: int
     kind: str
     seed: int
+    truth_seed: int  # child seed of the ground-truth draw
+    noise_seed: int  # child seed of the noise draw
     weights: WeightSpec
     noise: NoiseSpec
 
@@ -131,14 +132,13 @@ class ExperimentConfig:
     eval_every: int | None
     out_dir: str | None = None
     raw: dict = field(repr=False, default_factory=dict)
-    children: list[int] = field(repr=False, default_factory=list)
 
     def derived_seeds(self) -> dict:
         return {
             "dataset": self.dataset.seed,
-            "ground_truth": self.children[0],
+            "ground_truth": self.dataset.truth_seed,
             "weights": int(self.dataset.weights.seed),
-            "noise": self.children[2],
+            "noise": self.dataset.noise_seed,
             "init": self.init.seed,
             "solvers": {e.label: int(e.config.seed) for e in self.solvers
                         if e.name != "and"},
@@ -299,7 +299,8 @@ def validate_config(raw: dict, seed_override: int | None = None) -> ExperimentCo
     if ds["n"] < 1:
         raise ConfigError(f"config.dataset.n: must be >= 1, got {ds['n']}")
     dataset = DatasetConfig(
-        preset=preset, w=ds["W"], d=d, n=ds["n"], kind=ds["kind"], seed=seed,
+        w=ds["W"], d=d, n=ds["n"], kind=ds["kind"], seed=seed,
+        truth_seed=children[0], noise_seed=children[2],
         weights=_parse_weights(merged["weights"], d, children[1], "config.dataset.weights"),
         noise=_build(NoiseSpec, "config.dataset",
                      **({"gamma": ds["gamma"]} if "gamma" in ds else {})),
@@ -347,7 +348,7 @@ def validate_config(raw: dict, seed_override: int | None = None) -> ExperimentCo
     }
     return ExperimentConfig(
         dataset=dataset, init=init, solvers=entries, eval_every=eval_every,
-        out_dir=out_dir, raw=resolved, children=children,
+        out_dir=out_dir, raw=resolved,
     )
 
 

@@ -59,8 +59,8 @@ def generate(cfg: ExperimentConfig, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ds = cfg.dataset
-    gt = generate_ground_truth(ds.w, ds.d, ds.kind, seed=cfg.children[0])
-    data = generate_dataset(gt, ds.weights, ds.noise, ds.n, seed=cfg.children[2])
+    gt = generate_ground_truth(ds.w, ds.d, ds.kind, seed=ds.truth_seed)
+    data = generate_dataset(gt, ds.weights, ds.noise, ds.n, seed=ds.noise_seed)
     init = generate_initialization(gt, cfg.init)
 
     write_matrix(out / "A_star.mat", gt.a_star)

@@ -1,17 +1,19 @@
 """Dense matrix primitives shared by the solvers, metrics, and generators.
 
-Everything operates on plain 2-D float64 numpy arrays. Inputs are validated
-once at the boundary (finite entries, nonempty shape) and the operations are
-pure, so results can be shared freely across threads.
+Everything operates on plain 2-D float64 numpy arrays, or on (k, p, q)
+stacks of them. Inputs are validated once at the boundary (finite entries,
+nonempty shape) and the operations are pure, so results can be shared freely
+across threads.
 
 `full_rank_svd` is the one place that decides whether a matrix has full
 rank; the stage pseudo-inverse, the evaluator's ground truth and the
-generated ground truth all go through it.
+generated ground truth all go through it, and get numpy's (u, s, vt) tuple.
+`spectral_norms` is the one spectral-norm routine (`spectral_norm` is its
+one-matrix case): step sizes, initialization levels and the evaluator's
+||E||_2 and ||N||_2 all come from it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,56 +41,57 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-@dataclass
-class SvdFactors:
-    """Thin SVD M = u @ diag(s) @ vt with s sorted nonincreasing."""
-
-    u: np.ndarray
-    s: np.ndarray
-    vt: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ self.vt
-
-
-def svd_factors(m) -> SvdFactors:
+def svd_factors(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (u, s, vt) of `m`, with s sorted nonincreasing."""
     m = as_matrix(m)
     try:
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
+        return np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise SvdConvergenceError(f"SVD did not converge: {exc}") from exc
-    return SvdFactors(u, s, vt)
 
 
-def full_rank_svd(m, name: str = "matrix") -> SvdFactors:
-    """Thin SVD of a matrix that must have full rank.
+def full_rank_svd(m, name: str = "matrix") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (u, s, vt) of a matrix that must have full rank.
 
     The one full-rank rule of the package: raises ValueError when
     s_min <= 1e-12 * s_max * max(shape).
     """
     m = as_matrix(m, name)
-    f = svd_factors(m)
-    if f.s[-1] <= _RANK_TOL * f.s[0] * max(m.shape):
+    u, s, vt = svd_factors(m)
+    if s[-1] <= _RANK_TOL * s[0] * max(m.shape):
         raise ValueError(
             f"{name} is rank deficient "
-            f"(sigma_min={f.s[-1]:.3e}, sigma_max={f.s[0]:.3e})"
+            f"(sigma_min={s[-1]:.3e}, sigma_max={s[0]:.3e})"
         )
-    return f
+    return u, s, vt
 
 
 def full_rank_pseudo_inverse(m, name: str = "matrix") -> np.ndarray:
     """Pseudo-inverse of a full-rank matrix (`full_rank_svd`), from one SVD."""
-    f = full_rank_svd(m, name)
-    return (f.vt.T * (1.0 / f.s)) @ f.u.T
+    u, s, vt = full_rank_svd(m, name)
+    return (vt.T * (1.0 / s)) @ u.T
+
+
+def spectral_norms(stack) -> np.ndarray:
+    """Largest singular value of each matrix in a finite (k, p, q) stack.
+
+    Each matrix M is scaled by its largest |entry| and the norm is
+    scale * sqrt(lambda_max(U^T U)), U = M / scale: the Gram form neither
+    underflows nor overflows, a zero matrix gives 0.0, and the clamp keeps a
+    top eigenvalue that rounds negative from giving NaN.
+    """
+    scale = np.abs(stack).max(axis=(1, 2))
+    unit = stack / np.where(scale > 0, scale, 1.0)[:, None, None]
+    try:
+        top = np.linalg.eigvalsh(np.swapaxes(unit, 1, 2) @ unit)[:, -1]
+    except np.linalg.LinAlgError as exc:
+        raise SvdConvergenceError(f"eigenvalues did not converge: {exc}") from exc
+    return scale * np.sqrt(np.maximum(top, 0.0))
 
 
 def spectral_norm(m) -> float:
-    """Largest singular value of `m`, computed exactly from its singular values."""
-    m = as_matrix(m)
-    try:
-        return float(np.linalg.norm(m, 2))
-    except np.linalg.LinAlgError as exc:
-        raise SvdConvergenceError(f"SVD did not converge: {exc}") from exc
+    """Largest singular value of `m`: the one-matrix case of `spectral_norms`."""
+    return float(spectral_norms(as_matrix(m)[None])[0])
 
 
 def threshold_elementwise(v, alpha: float) -> np.ndarray:

@@ -11,9 +11,8 @@ nonzero column scalings of A. `Evaluator.decompose` splits an estimate into a
 diagonal scale, an off-diagonal in-span mixing part, and an out-of-span
 residual: A = A_star (Sigma + E) + N. `Evaluator.evaluate` gives the total
 error and the spectral norms of E and N for a whole stack of estimates in one
-vectorised pass; every single-estimate entry point is its k = 1 case. Those
-norms come from the Gram form sqrt(lambda_max(M^T M)) of each M scaled by its
-largest |entry|; `linalg.spectral_norm` stays the exact SVD for other callers.
+vectorised pass; every single-estimate entry point is its k = 1 case. Both
+norms come from `linalg.spectral_norms`.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SvdConvergenceError, as_matrix, full_rank_pseudo_inverse
+from .linalg import as_matrix, full_rank_pseudo_inverse, spectral_norms
 
 _ZERO_COL_TOL = 1e-24  # squared-norm cutoff below which a column is "zero"
 # Below 2^_HUGE_EXP an estimate's squared entries, and h^2 = <A_j, a*_i>^2
@@ -89,21 +88,6 @@ def _correlation_errors(stack, a_star):
     return eps, np.where(any_ok, js, -1), np.ldexp(sigmas, -e[:, None])
 
 
-def _top_singular_values(m) -> np.ndarray:
-    """Largest singular value of each matrix in a (k, p, q) stack, from the top
-    eigenvalue of its q x q Gram matrix. Each matrix is first scaled by its
-    largest |entry|, so the Gram form neither underflows nor overflows; a zero
-    matrix stays zero, and the clamp keeps its eigenvalue from rounding to a
-    negative whose square root is NaN."""
-    scale = np.abs(m).max(axis=(1, 2))
-    unit = m / np.where(scale > 0, scale, 1.0)[:, None, None]
-    try:
-        top = np.linalg.eigvalsh(np.swapaxes(unit, 1, 2) @ unit)[:, -1]
-    except np.linalg.LinAlgError as exc:
-        raise SvdConvergenceError(f"eigenvalues did not converge: {exc}") from exc
-    return scale * np.sqrt(np.maximum(top, 0.0))
-
-
 def total_correlation_error(a, a_star) -> ErrorReport:
     a = as_matrix(a, "estimate")
     a_star = as_matrix(a_star, "a_star")
@@ -125,13 +109,9 @@ class Evaluator:
     def __init__(self, a_star):
         self.a_star = as_matrix(a_star, "a_star")
         self.pinv = full_rank_pseudo_inverse(self.a_star, name="ground truth")
-        self.column_norm_total = float(np.linalg.norm(self.a_star, axis=0).sum())
 
     def error_report(self, a) -> ErrorReport:
         return total_correlation_error(a, self.a_star)
-
-    def total(self, a) -> float:
-        return self.error_report(a).total
 
     def _split(self, stack):
         """C = Pinv* A and its off-diagonal part, and N = A - A* C, per estimate."""
@@ -153,7 +133,7 @@ class Evaluator:
             raise ValueError("estimate contains a non-finite entry")
         _, off, residual = self._split(stack)
         eps = _correlation_errors(stack, self.a_star)[0]
-        return eps.sum(axis=1), _top_singular_values(off), _top_singular_values(residual)
+        return eps.sum(axis=1), spectral_norms(off), spectral_norms(residual)
 
     def decompose(self, a) -> Decomposition:
         a = as_matrix(a, "estimate")
@@ -166,6 +146,6 @@ class Evaluator:
             off_diag=off[0],
             residual=residual[0],
             sigma_min=float(sigma.min()),
-            off_diag_norm=float(_top_singular_values(off)[0]),
-            residual_norm=float(_top_singular_values(residual)[0]),
+            off_diag_norm=float(spectral_norms(off)[0]),
+            residual_norm=float(spectral_norms(residual)[0]),
         )

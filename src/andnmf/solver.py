@@ -127,6 +127,7 @@ class AndConfig:
     `eta=None` uses a curvature-scaled step recomputed at each stage start:
     0.5 / (||Z0 Z0^T||_2 + 1e-12) with Z0 the stage's decode of the full
     batch, or of its first window when `batch` is smaller than the dataset.
+    A Z0 of all zeros has no curvature, and `run` refuses it (ValueError).
     `batch` is "full" or a positive window size.
     """
 
@@ -175,13 +176,6 @@ class RunTrace:
         ends = {}
         for row in self.rows:
             ends[row.stage] = row.total_error
-        return np.array([ends[s] for s in sorted(ends)])
-
-    def stage_end_e_norms(self) -> np.ndarray:
-        ends = {}
-        for row in self.rows:
-            if row.e_norm is not None:
-                ends[row.stage] = row.e_norm
         return np.array([ends[s] for s in sorted(ends)])
 
 
@@ -349,7 +343,12 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
             z, g, bm = windows[start]
             if eta is None:
                 # curvature-scaled step, fixed for the rest of the stage
-                eta = _ETA_SCALE / (spectral_norm(g) + 1e-12)
+                curvature = spectral_norm(g)
+                if curvature == 0:
+                    raise ValueError(
+                        f"stage {j} decodes its first window to all zeros at "
+                        f"alpha={alpha:g}: no curvature to set the step from")
+                eta = _ETA_SCALE / (curvature + 1e-12)
             a_prev = a
             a = a + eta * (bm - a @ g)
             # negated so that a NaN entry counts as diverged too

@@ -86,7 +86,7 @@ def generate_ground_truth(w: int, d: int, kind: str = "nonneg", seed: int = 0) -
     a = rng.random((w, d))
     if kind == "signed":
         a = a - 0.5
-    s = full_rank_svd(a, "ground truth").s
+    s = full_rank_svd(a, "ground truth")[1]
     return GroundTruth(a_star=a, provenance=f"random-uniform-{kind}", cond=float(s[0] / s[-1]))
 
 
@@ -124,6 +124,6 @@ def generate_initialization(gt: GroundTruth, ispec: InitSpec) -> Initialization:
         a0=a0,
         u=u,
         n_mat=nmat,
-        ell=spectral_norm(offdiag) if ispec.r_l > 0 else 0.0,
-        rho=spectral_norm(nmat) if ispec.r_n > 0 else 0.0,
+        ell=spectral_norm(offdiag),
+        rho=spectral_norm(nmat),
     )

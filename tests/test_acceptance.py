@@ -101,10 +101,10 @@ def test_c1_dir_linear_rate(dir_problem):
     result = run(init.a0, ds.y, cfg, truth=gt, eval_every=50)
     elapsed = time.perf_counter() - t0
     evaluator = Evaluator(gt.a_star)
-    initial = evaluator.total(init.a0)
+    initial = evaluator.error_report(init.a0).total
     alpha_last = GEOMETRIC.start * GEOMETRIC.ratio ** (stages - 1)
     z = threshold_elementwise(evaluator.pinv @ ds.y, alpha_last)
-    floor = evaluator.total(np.linalg.lstsq(z.T, ds.y.T, rcond=None)[0].T)
+    floor = evaluator.error_report(np.linalg.lstsq(z.T, ds.y.T, rcond=None)[0].T).total
     ends = result.trace.stage_end_errors()
     log_ends = np.log10(ends)
     drop = np.log10(initial) - log_ends[-1]
@@ -128,7 +128,7 @@ def test_c2_ctm_recovery(ctm_problem):
     t0 = time.perf_counter()
     result = run(init.a0, ds.y, cfg, truth=gt, eval_every=50)
     elapsed = time.perf_counter() - t0
-    initial = Evaluator(gt.a_star).total(init.a0)
+    initial = Evaluator(gt.a_star).error_report(init.a0).total
     final = result.trace.stage_end_errors()[-1]
     ok = final <= 1e-3 * initial and elapsed <= 120
     report("C2 CTM recovery", ok,
@@ -140,7 +140,7 @@ def test_c3_negative_ground_truth():
     ds = generate_dataset(gt, WeightSpec.logistic_normal(D, seed=302, **CTM_WEIGHTS),
                           NoiseSpec(0.0), N, seed=303)
     init = generate_initialization(gt, InitSpec(r_l=1.0, seed=304))
-    initial = Evaluator(gt.a_star).total(init.a0)
+    initial = Evaluator(gt.a_star).error_report(init.a0).total
     t0 = time.perf_counter()
     and_result = run(init.a0, ds.y,
                      AndConfig(stages=110, iters_per_stage=50, schedule=GEOMETRIC),
@@ -231,7 +231,7 @@ class TestC7Robustness:
     def test_in_span_level_two(self, dir_problem):
         gt, ds, _ = dir_problem
         init2 = generate_initialization(gt, InitSpec(r_l=2.0, seed=701))
-        initial = Evaluator(gt.a_star).total(init2.a0)
+        initial = Evaluator(gt.a_star).error_report(init2.a0).total
         result = run(init2.a0, ds.y,
                      AndConfig(stages=65, iters_per_stage=50, schedule=GEOMETRIC),
                      truth=gt, eval_every=50)
@@ -272,13 +272,13 @@ class TestC7Robustness:
                               NoiseSpec(0.0), 4000, seed=seed + 2)
         init = generate_initialization(gt, InitSpec(r_l=1.0, seed=seed + 3))
         evaluator = Evaluator(gt.a_star)
-        initial = evaluator.total(init.a0)
+        initial = evaluator.error_report(init.a0).total
         sched = ThresholdSchedule.geometric(0.1, ratio)
         result = run(init.a0, ds.y,
                      AndConfig(stages=stages, iters_per_stage=50, schedule=sched),
                      truth=gt, eval_every=50)
         final = result.trace.stage_end_errors()[-1]
-        normalized = final / evaluator.column_norm_total
+        normalized = final / np.linalg.norm(gt.a_star, axis=0).sum()
         ok = final <= 0.1 * initial and normalized <= 0.01
         report(
             f"C7c sparsity alpha_total={alpha_total:g} converges", ok,
@@ -291,7 +291,6 @@ class TestC7Robustness:
         ds = generate_dataset(gt, WeightSpec.dirichlet(D, 80.0 / D, seed=731),
                               NoiseSpec(0.0), 4000, seed=732)
         init = generate_initialization(gt, InitSpec(r_l=1.0, seed=733))
-        evaluator = Evaluator(gt.a_star)
         sched = ThresholdSchedule.geometric(0.1, 1.0 / 1.03)
         result = run(init.a0, ds.y,
                      AndConfig(stages=210, iters_per_stage=50, schedule=sched),
@@ -299,7 +298,7 @@ class TestC7Robustness:
         ends = result.trace.stage_end_errors()
         last5 = ends[-5:]
         change = (last5.max() - last5.min()) / last5.min()
-        normalized = last5.mean() / evaluator.column_norm_total
+        normalized = last5.mean() / np.linalg.norm(gt.a_star, axis=0).sum()
         ok = change <= 0.10 and normalized <= 0.1
         report(
             "C7d sparsity alpha_total=80 plateaus", ok,

@@ -174,7 +174,10 @@ class TestConfigValidation:
         cfg_a = validate_config(tiny_config(), seed_override=99)
         cfg_b = validate_config(tiny_config())
         assert cfg_a.dataset.seed == 99
-        assert cfg_a.children != cfg_b.children
+        seeds_a, seeds_b = cfg_a.derived_seeds(), cfg_b.derived_seeds()
+        assert seeds_a["dataset"] == 99
+        for key in ("ground_truth", "weights", "noise", "init"):
+            assert seeds_a[key] != seeds_b[key]
 
     def test_preset_defaults(self):
         cfg = validate_config(preset_config("CTM"))
@@ -463,6 +466,19 @@ class TestRun:
         status = json.loads((out / "summary.json").read_text())["solvers"][0]
         assert status["status"] == "refused"
         assert "ground truth" in status["detail"]
+
+    def test_zero_curvature_stage_refused(self, tmp_path):
+        # a constant threshold above every decoded entry leaves no curvature to
+        # set the step from: a validation error (exit 1), not a silent no-op
+        raw = tiny_config()
+        raw["solvers"] = [{"name": "and", "stages": 2, "iters_per_stage": 3,
+                           "schedule": {"kind": "constant", "value": 1e9}}]
+        rc, out = self.run_tiny(tmp_path, raw)
+        assert rc == 1
+        status = json.loads((out / "summary.json").read_text())["solvers"][0]
+        assert status["status"] == "refused"
+        assert "stage 0" in status["detail"] and "alpha=1e+09" in status["detail"]
+        assert not (out / "and_A_final.mat").exists()
 
     def test_refused_rerun_leaves_no_earlier_final_matrix(self, tmp_path):
         raw = tiny_config()

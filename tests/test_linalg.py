@@ -6,6 +6,7 @@ from andnmf.linalg import (
     full_rank_pseudo_inverse,
     full_rank_svd,
     spectral_norm,
+    spectral_norms,
     svd_factors,
     threshold_elementwise,
 )
@@ -65,13 +66,26 @@ def test_spectral_norm_ones_start_degenerate():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_spectral_norm_matches_svd(seed):
-    # the norm is relative to the matrix: tiny matrices (round-off level
-    # residuals in the decomposition) must be as exact as unit-scale ones
+    # the old exact SVD is the oracle. The Gram form is relative to each
+    # matrix, so a round-off-level residual or a huge estimate must be as
+    # exact as a unit-scale one, and a zero matrix in a stack gives 0.0
     rng = np.random.default_rng(seed)
-    base = rng.standard_normal((15, 7))
-    for scale in (1.0, 1e-6, 1e-9, 1e-12):
-        m = base * scale
-        assert spectral_norm(m) == pytest.approx(svd_factors(m).s[0], rel=1e-12)
+    for k in (1, 6):
+        for shape in ((200, 20), (20, 20), (9, 4), (4, 9)):
+            base = rng.standard_normal((k,) + shape)
+            if k > 1:
+                base[k // 2] = 0.0
+            for scale in (1e-150, 1.0, 1e150):
+                stack = base * scale
+                oracle = np.linalg.svd(stack, compute_uv=False)[..., 0]
+                got = spectral_norms(stack)
+                assert got == pytest.approx(oracle, rel=1e-12, abs=0)
+                assert [spectral_norm(m) for m in stack] == list(got)
+
+
+def test_spectral_norm_rejects_nan():
+    with pytest.raises(ValueError, match="non-finite"):
+        spectral_norm(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 def test_full_rank_pinv_cutoff_scales_with_shape():
@@ -93,18 +107,18 @@ def test_full_rank_svd_names_rank_deficient_matrix(column):
 
 def test_full_rank_svd_returns_the_factors():
     m = np.random.default_rng(3).standard_normal((9, 4))
-    f = full_rank_svd(m)
-    assert np.array_equal(f.s, svd_factors(m).s)
-    assert np.linalg.norm(f.reconstruct() - m) <= 1e-9 * np.linalg.norm(m)
+    u, s, vt = full_rank_svd(m)
+    assert np.array_equal(s, svd_factors(m)[1])
+    assert np.linalg.norm((u * s) @ vt - m) <= 1e-9 * np.linalg.norm(m)
 
 
-def test_svd_reconstruction():
+def test_svd_factors_round_trip():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((12, 5))
-    f = svd_factors(m)
-    assert np.all(np.diff(f.s) <= 0)
-    assert np.all(f.s >= 0)
-    assert np.linalg.norm(f.reconstruct() - m) <= 1e-9 * np.linalg.norm(m)
+    u, s, vt = svd_factors(m)
+    assert np.all(np.diff(s) <= 0)
+    assert np.all(s >= 0)
+    assert np.linalg.norm((u * s) @ vt - m) <= 1e-9 * np.linalg.norm(m)
 
 
 def test_threshold_basic():

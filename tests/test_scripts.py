@@ -36,3 +36,15 @@ def test_script_writes_summaries_and_traces(tmp_path, script, args, runs):
         for solver in json.loads(path.read_text())["solvers"]:
             assert solver["status"] == "ok", (path, solver)
             assert (path.parent / f"{solver['label']}_trace.csv").is_file()
+
+
+def test_perfbench_tracer_instruments_the_package():
+    # perfbench's tracer wraps the package's layer entry points by name, so a
+    # renamed or deleted one breaks the traced benchmark runs
+    code = ("import sys; sys.path[:0] = sys.argv[1:3]; import tracing; "
+            "tracing.Tracer().instrument()")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "perfbench"), str(ROOT / "src")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

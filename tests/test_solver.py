@@ -103,7 +103,7 @@ class TestRun:
         assert errs[-1] <= 1e-6
         for prev, cur in zip(errs, errs[1:]):
             assert cur <= prev * 1.05  # monotone up to 5% jitter
-        e_norms = result.trace.stage_end_e_norms()
+        e_norms = [r.e_norm for r in result.trace.rows if r.iteration == 49]
         for prev, cur in zip(e_norms, e_norms[1:]):
             assert cur <= prev / 2 or prev <= 1e-8
         assert result.trace.pinv_count == cfg.stages
@@ -190,6 +190,31 @@ class TestRun:
         a0[:, 1] = a0[:, 0]
         with pytest.raises(ValueError, match="rank"):
             run(a0, ds.y, AndConfig(stages=1, iters_per_stage=1))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_zero_curvature_full_batch_refused(self, seed):
+        # a threshold above every decoded entry leaves G = 0: the curvature
+        # step would be 0.5 / 1e-12 and the run would end on A0 unchanged
+        gt, ds, init = make_problem(w=40, d=5, n=400, seed=seed)
+        cfg = AndConfig(stages=2, iters_per_stage=3, schedule=ThresholdSchedule.constant(1e9))
+        with pytest.raises(ValueError, match=r"stage 0 .* alpha=1e\+09"):
+            run(init.a0, ds.y, cfg, truth=gt)
+        # an explicit step is the caller's choice and is not checked
+        explicit = AndConfig(stages=2, iters_per_stage=3, eta=0.1,
+                             schedule=ThresholdSchedule.constant(1e9))
+        assert np.array_equal(run(init.a0, ds.y, explicit, truth=gt).a, init.a0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_zero_curvature_first_window_refused(self, seed):
+        # the step is set from the stage's first window; one that decodes to
+        # all zeros is refused, not run until another window diverges
+        gt, ds, init = make_problem(w=40, d=5, n=400, seed=seed)
+        y = ds.y.copy()
+        y[:, :40] *= 0.01
+        cfg = AndConfig(stages=2, iters_per_stage=5, batch=40,
+                        schedule=ThresholdSchedule.constant(0.1))
+        with pytest.raises(ValueError, match=r"stage 0 .* alpha=0\.1\b"):
+            run(init.a0, y, cfg, truth=gt)
 
     def test_theory_schedule_with_truth(self):
         gt, ds, init = make_problem(w=200, d=20, n=1000, s=3, seed=5)

@@ -73,8 +73,13 @@ def reference_run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1) -> And
                 y_batch = y[:, cols]
             z = decode(pinv, y_batch, alpha)
             if eta is None:
-                # curvature-scaled step, fixed for the rest of the stage
-                eta = 0.5 / (spectral_norm(z @ z.T) + 1e-12)
+                # curvature-scaled step, fixed for the rest of the stage; a
+                # first decode of all zeros has no curvature and is refused
+                curvature = spectral_norm(z @ z.T)
+                if curvature == 0:
+                    raise ValueError(f"stage {j} decodes its first window to all zeros "
+                                     f"at alpha={alpha:g}")
+                eta = 0.5 / (curvature + 1e-12)
             resid = y_batch - a @ z
             a = a + eta * (resid @ z.T)
             # negated so that a NaN entry counts as diverged too
@@ -101,10 +106,11 @@ def _problem(w, d, n, seed, weights="dirichlet"):
 
 
 def _outcome(fn, *args, **kwargs):
-    """(result, None) of a finished run or (None, DivergenceError)."""
+    """(result, None) of a finished run, or (None, the DivergenceError or the
+    ValueError of a refused stage)."""
     try:
         return fn(*args, **kwargs), None
-    except DivergenceError as exc:
+    except (DivergenceError, ValueError) as exc:
         return None, exc
 
 
@@ -158,7 +164,10 @@ def test_run_matches_reference_loop(d, extra_w, n, seed, weights, batch_kind, wi
 
     ref, ref_exc = _outcome(reference_run, a0, y, cfg, truth=truth, eval_every=eval_every)
     got, got_exc = _outcome(run, a0, y, cfg, truth=truth, eval_every=eval_every)
-    assert (ref_exc is None) == (got_exc is None)
+    assert type(got_exc) is type(ref_exc)
+    if isinstance(ref_exc, ValueError):
+        assert str(got_exc).startswith(str(ref_exc))
+        return
     if ref_exc is not None:
         assert (got_exc.stage, got_exc.iteration) == (ref_exc.stage, ref_exc.iteration)
         ref_rows, got_rows = ref_exc.trace.rows, got_exc.trace.rows
