@@ -15,10 +15,19 @@ bitwise on the same machine.
 
 `run(..., jobs=N)` runs up to N solvers in threads. Each of them calls BLAS,
 so while the pool runs, numpy's OpenBLAS is capped to share the CPUs among
-the workers (`_blas_threads`); `summary.json["blas_threads"]` records the
-count the solvers ran with. The cap changes the order of BLAS sums, so
-outputs at one `jobs` value are reproducible, and agree within rounding with
-those at another.
+the workers (`_blas_threads`). A serial run caps it at one thread around each
+`and` solver whose per-iteration product `A @ G` (`W·D²` multiply-adds) is
+below `2**20`: OpenBLAS 0.3.31 runs a product that small on one thread anyway
+(measured on a 2-core Xeon: 9.9e5 multiply-adds on one thread, 1.3e6 on
+two), and after each stage's threaded GEMMs its idle workers would spin
+through the stage's updates. The trade-off: such a problem with a very large
+`n` also runs its stage GEMMs (decode `P @ Y`, `Y Zᵀ`) on one thread; no
+preset or script has one (their largest `n` is 4000). Baselines, larger
+`and` solves and the pool keep their count. Each solver's entry in
+`summary.json` records the count it ran with. The count changes the order of
+BLAS sums, so outputs at one `jobs` value are reproducible, and agree within
+rounding with those at another; a small `and` solve runs on one thread
+whatever the host's count.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ import contextlib
 import ctypes
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -44,6 +54,9 @@ from .synth import generate_dataset, generate_ground_truth, generate_initializat
 from .weights import NoClosedFormError, decay_profile, gcc_closed_form, gcc_from_samples
 
 DECAY_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
+
+# a serial `and` solve with W·D² below this runs on one OpenBLAS thread
+ONE_THREAD_AND_WORK = 2**20
 
 # (set, get) thread-count entry points of OpenBLAS builds, newest first: the
 # scipy-openblas of numpy >= 2 wheels, 64-bit-integer builds, then plain ones
@@ -117,13 +130,14 @@ def _openblas():
 
 
 @contextlib.contextmanager
-def _blas_threads(workers: int):
-    """Share the CPUs among `workers` threads that each call BLAS.
+def _blas_threads(limit):
+    """Run the block with OpenBLAS at `max(1, min(current, limit))` threads.
 
-    For the block, OpenBLAS runs `max(1, min(current, ncpu // workers))`
-    threads; the current count is restored after it, also when it raises.
-    One worker only reads the count. Yields the count the block runs with,
-    or None when no OpenBLAS is found, in which case nothing is capped.
+    The current count is restored after the block, also when it raises; at
+    a limit of `math.inf`, or one at or above the count, it is only read.
+    Yields the count the block runs with, or None when no OpenBLAS is found,
+    in which case nothing is capped. The count is process-global: callers
+    in a thread pool share one block around the whole pool.
     """
     found = _openblas()
     if found is None:
@@ -131,8 +145,8 @@ def _blas_threads(workers: int):
         return
     set_threads, get_threads = found
     before = get_threads()
-    capped = max(1, min(before, len(os.sched_getaffinity(0)) // workers))
-    if workers == 1 or capped == before:
+    capped = max(1, min(before, limit))
+    if capped == before:
         yield before
         return
     set_threads(capped)
@@ -142,9 +156,19 @@ def _blas_threads(workers: int):
         set_threads(before)
 
 
-def _run_one(entry, y, a0, truth, eval_every, out):
+def _serial_thread_limit(entry, a0):
+    """The OpenBLAS thread limit for `entry` run alone: one for an `and`
+    solve whose `A @ G` is too small for OpenBLAS to thread, else none."""
+    w, d = a0.shape
+    if entry.name == "and" and w * d * d < ONE_THREAD_AND_WORK:
+        return 1
+    return math.inf
+
+
+def _run_one(entry, y, a0, truth, eval_every, out, blas_threads):
     t0 = time.perf_counter()
-    status = {"label": entry.label, "solver": entry.name, "status": "ok"}
+    status = {"label": entry.label, "solver": entry.name, "status": "ok",
+              "blas_threads": blas_threads}
     # a failed run must not leave an earlier run's final matrix behind
     (out / f"{entry.label}_A_final.mat").unlink(missing_ok=True)
     try:
@@ -184,9 +208,11 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     a rank-deficient one makes every solver `refused`.
 
     With `jobs > 1` and more than one solver, `min(jobs, len(cfg.solvers))`
-    solvers run at a time in threads, with OpenBLAS capped as in
-    `_blas_threads` until the last one finishes. `summary.json` records that
-    count as `blas_threads` (None when unknown).
+    solvers run at a time in threads, with OpenBLAS capped at
+    `ncpu // workers` threads (`_blas_threads`) until the last one finishes.
+    Otherwise they run one after another, a small `and` solve on one thread
+    (`_serial_thread_limit`). Each solver's status records the count it ran
+    with as `blas_threads` (None when no OpenBLAS is found).
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -202,20 +228,19 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     eval_every = cfg.effective_eval_every()
 
     workers = min(jobs, len(cfg.solvers))
-    with _blas_threads(workers) as blas_threads:
-        if workers > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                statuses = list(pool.map(
-                    lambda e: _run_one(e, y, a0, truth, eval_every, out), cfg.solvers
-                ))
-        else:
-            statuses = [_run_one(e, y, a0, truth, eval_every, out) for e in cfg.solvers]
+    if workers > 1:
+        with (_blas_threads(len(os.sched_getaffinity(0)) // workers) as count,
+              concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool):
+            statuses = list(pool.map(
+                lambda e: _run_one(e, y, a0, truth, eval_every, out, count), cfg.solvers
+            ))
+    else:
+        statuses = []
+        for entry in cfg.solvers:
+            with _blas_threads(_serial_thread_limit(entry, a0)) as count:
+                statuses.append(_run_one(entry, y, a0, truth, eval_every, out, count))
 
-    summary = {
-        "blas_threads": blas_threads,
-        "config_sha256": cfg.config_hash(),
-        "solvers": statuses,
-    }
+    summary = {"config_sha256": cfg.config_hash(), "solvers": statuses}
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -37,10 +37,9 @@ class MatrixFormatError(ValueError):
 def write_matrix(path, a) -> None:
     a = as_matrix(a, "matrix")
     rows, cols = a.shape
-    payload = np.asfortranarray(a).tobytes(order="F")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, rows, cols))
-        fh.write(payload)
+        fh.write(np.asfortranarray(a).T.data)  # column-major, without a second copy
 
 
 def read_matrix(path) -> np.ndarray:

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -430,10 +432,13 @@ class TestRun:
 
         found = harness._openblas()
         current = found[1]() if found else None
-        assert serial["blas_threads"] == current
-        assert summary["blas_threads"] == (
-            None if found is None
-            else max(1, min(current, len(os.sched_getaffinity(0)) // 2)))
+        # serially the small `and` solve runs on one thread, the baselines on
+        # the current count; the pool shares the CPUs between its two workers
+        assert [s["blas_threads"] for s in serial["solvers"]] == (
+            [None] * 3 if found is None else [1, current, current])
+        assert [s["blas_threads"] for s in summary["solvers"]] == (
+            [None] * 3 if found is None
+            else [max(1, min(current, len(os.sched_getaffinity(0)) // 2))] * 3)
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_validation_error(self, tmp_path, capsys, jobs):
@@ -567,42 +572,54 @@ class TestBlasThreads:
         set_threads, get_threads = found
         before = get_threads()
         set_threads(2)
-        yield get_threads
+        yield found
         set_threads(before)
 
-    @pytest.fixture
-    def ncpu(self, monkeypatch):
-        def use(n):
-            monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(n)))
-        return use
+    def test_caps_inside_and_restores_after(self, openblas):
+        _, get_threads = openblas
+        with harness._blas_threads(1) as count:
+            assert count == get_threads() == 1
+        assert get_threads() == 2
 
-    def test_caps_inside_and_restores_after(self, openblas, ncpu):
-        ncpu(2)
-        with harness._blas_threads(2) as count:
-            assert count == openblas() == 1
-        assert openblas() == 2
-
-    def test_restores_when_the_block_raises(self, openblas, ncpu):
-        ncpu(2)
-        with pytest.raises(ZeroDivisionError), harness._blas_threads(2):
-            assert openblas() == 1
+    def test_restores_when_the_block_raises(self, openblas):
+        _, get_threads = openblas
+        with pytest.raises(ZeroDivisionError), harness._blas_threads(1):
+            assert get_threads() == 1
             1 / 0
-        assert openblas() == 2
+        assert get_threads() == 2
 
-    def test_never_raises_the_count(self, openblas, ncpu):
-        ncpu(8)  # 8 // 2 workers = 4 > the 2 threads in use
-        with harness._blas_threads(2) as count:
-            assert count == openblas() == 2
-        assert openblas() == 2
+    def test_never_raises_the_count(self, openblas):
+        _, get_threads = openblas
+        for limit in (4, math.inf):
+            with harness._blas_threads(limit) as count:
+                assert count == get_threads() == 2
+            assert get_threads() == 2
 
-    # OpenBLAS set to 16 threads on 8 CPUs: a serial run leaves even that alone
-    @pytest.mark.parametrize("jobs, n_solvers, sets, during", [
-        (2, 3, [4, 16], 4),  # two workers share 8 CPUs
-        (1, 3, [], 16),      # serial: the count is only read
-        (2, 1, [], 16),      # one solver runs serially whatever --jobs says
-    ], ids=["pool", "jobs1", "one-solver"])
-    def test_run_caps_only_the_pool(self, tmp_path, monkeypatch, ncpu, jobs, n_solvers,
-                                    sets, during):
+    def test_small_and_run_does_not_depend_on_the_count(self, openblas, tmp_path):
+        # a DIR-size `and` solve runs on one thread at any host count, so its
+        # outputs are bitwise the same at 2 threads and at 1
+        set_threads, get_threads = openblas
+        raw = preset_config("DIR")
+        raw["solvers"] = [{"name": "and", "stages": 4}]
+        cfg_path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+        def run_at(threads):
+            set_threads(threads)
+            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+            assert get_threads() == threads
+            rows = [dataclasses.replace(r, seconds=0.0)
+                    for r in read_trace(out / "and_trace.csv")]
+            return rows, read_matrix(out / "and_A_final.mat").tobytes()
+
+        assert run_at(2) == run_at(1)
+
+    @pytest.fixture
+    def fake_openblas(self, monkeypatch):
+        """A fake OpenBLAS at 16 threads on 8 CPUs. Returns `(threads, calls,
+        seen)`: the current count, every count set, and the count each solver
+        started with."""
         threads, calls, seen = [16], [], []
 
         def set_threads(n):
@@ -610,22 +627,97 @@ class TestBlasThreads:
             threads[0] = n
 
         monkeypatch.setattr(harness, "_openblas", lambda: (set_threads, lambda: threads[0]))
-        ncpu(8)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)))
         run_one = harness._run_one
 
         def recording_run_one(*args):
-            seen.append(threads[0])  # the count this solver runs with
+            seen.append(threads[0])
             return run_one(*args)
 
         monkeypatch.setattr(harness, "_run_one", recording_run_one)
+        return threads, calls, seen
+
+    @staticmethod
+    def run_fake(tmp_path, solvers, jobs=1, w=200, d=20, n=80, a_star=None):
+        """Generate a DIR dataset of `w x d` and `n` columns, then run `solvers`."""
         raw = tiny_config()
-        raw["solvers"] += [{"name": "hals", "outer_iters": 2},
-                           {"name": "mu", "outer_iters": 2}][:n_solvers - 1]
+        raw["dataset"].update({"W": w, "D": d, "n": n})
+        raw["solvers"] = solvers
         cfg = validate_config(raw)
         harness.generate(cfg, tmp_path)
-        summary = harness.run(cfg, tmp_path, jobs=jobs)
-        assert calls == sets and seen == [during] * n_solvers
-        assert summary["blas_threads"] == during and threads[0] == 16
+        if a_star is not None:
+            write_matrix(tmp_path / "A_star.mat", a_star(read_matrix(tmp_path / "A_star.mat")))
+        return harness.run(cfg, tmp_path, jobs=jobs)
+
+    AND = {"name": "and", "stages": 2, "iters_per_stage": 3}
+    HALS = {"name": "hals", "outer_iters": 2}
+    MU = {"name": "mu", "outer_iters": 2}
+
+    # the pool caps the count at 8 CPUs // 2 workers for every solver; a
+    # serial run caps only its small `and` solve, at one thread
+    @pytest.mark.parametrize("jobs, solvers, sets, during", [
+        (2, [AND, HALS, MU], [4, 16], [4, 4, 4]),
+        (1, [AND, HALS, MU], [1, 16], [1, 16, 16]),
+        (2, [AND], [1, 16], [1]),  # one solver runs serially whatever --jobs says
+    ], ids=["pool", "jobs1", "one-solver"])
+    def test_run_sets_each_solvers_count(self, tmp_path, fake_openblas, jobs, solvers,
+                                         sets, during):
+        threads, calls, seen = fake_openblas
+        summary = self.run_fake(tmp_path, solvers, jobs=jobs)
+        assert [s["status"] for s in summary["solvers"]] == ["ok"] * len(solvers)
+        assert calls == sets and seen == during and threads[0] == 16
+        assert [s["blas_threads"] for s in summary["solvers"]] == during
+        assert "blas_threads" not in summary
+
+    @pytest.mark.parametrize("name", ["hals", "anls", "mu"])
+    def test_serial_baseline_keeps_the_count(self, tmp_path, fake_openblas, name):
+        threads, calls, seen = fake_openblas
+        summary = self.run_fake(tmp_path, [{"name": name, "outer_iters": 2}])
+        assert summary["solvers"][0]["status"] == "ok"
+        assert calls == [] and seen == [16] and threads[0] == 16
+        assert summary["solvers"][0]["blas_threads"] == 16
+
+    # W·D² = 1023·32² is just below 2**20, 1024·32² is 2**20
+    @pytest.mark.parametrize("w, sets, during", [(1023, [1, 16], 1), (1024, [], 16)],
+                             ids=["below", "at"])
+    def test_serial_and_cap_ends_at_the_threaded_size(self, tmp_path, fake_openblas,
+                                                      w, sets, during):
+        threads, calls, seen = fake_openblas
+        summary = self.run_fake(tmp_path, [{"name": "and", "stages": 1, "iters_per_stage": 2}],
+                                w=w, d=32, n=64)
+        assert summary["solvers"][0]["status"] == "ok"
+        assert calls == sets and seen == [during] and threads[0] == 16
+        assert summary["solvers"][0]["blas_threads"] == during
+
+    def test_refused_and_restores_the_count(self, tmp_path, fake_openblas):
+        threads, calls, seen = fake_openblas
+
+        def duplicate_column(a):
+            a[:, -1] = a[:, 0]
+            return a
+
+        summary = self.run_fake(tmp_path, [self.AND], a_star=duplicate_column)
+        assert summary["solvers"][0]["status"] == "refused"
+        assert calls == [1, 16] and seen == [1] and threads[0] == 16
+
+    def test_diverged_and_restores_the_count(self, tmp_path, fake_openblas):
+        threads, calls, seen = fake_openblas
+        summary = self.run_fake(
+            tmp_path, [{"name": "and", "stages": 1, "iters_per_stage": 500, "eta": 1e8}])
+        assert summary["solvers"][0]["status"] == "diverged"
+        assert calls == [1, 16] and seen == [1] and threads[0] == 16
+
+    def test_solver_that_raises_restores_the_count(self, tmp_path, fake_openblas,
+                                                   monkeypatch):
+        threads, calls, _ = fake_openblas
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness, "run_and", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            self.run_fake(tmp_path, [self.AND])
+        assert calls == [1, 16] and threads[0] == 16
 
 
 class TestEvalAndGcc:

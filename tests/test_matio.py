@@ -35,6 +35,19 @@ def test_binary_layout_is_column_major_le(tmp_path):
     assert values == (1.0, 2.0, 3.0, 4.0)  # column-major order
 
 
+@pytest.mark.parametrize("layout", ["c", "fortran", "strided", "transposed", "vector"])
+def test_binary_layout_does_not_depend_on_memory_order(tmp_path, layout):
+    base = np.arange(1.0, 25.0).reshape(4, 6)
+    m = {"c": base, "fortran": np.asfortranarray(base), "strided": base[::2, 1::2],
+         "transposed": base.T, "vector": base[1]}[layout]
+    expect = m.reshape(-1, 1) if m.ndim == 1 else m
+    path = tmp_path / "m.mat"
+    write_matrix(path, m)
+    buf = path.read_bytes()
+    assert struct.unpack_from("<II", buf, 4) == expect.shape
+    assert np.frombuffer(buf, "<f8", offset=12).tolist() == expect.ravel(order="F").tolist()
+
+
 def test_read_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.mat"
     path.write_bytes(b"XXXX" + b"\x00" * 16)
