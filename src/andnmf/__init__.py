@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .baselines import BaselineConfig, anls_step, hals_step, mu_step, run_baseline
+from .baselines import BaselineConfig, run_baseline
 from .linalg import spectral_norm, threshold_elementwise
 from .metrics import (
     Decomposition,
@@ -56,7 +56,6 @@ __all__ = [
     "NoiseSpec",
     "ThresholdSchedule",
     "WeightSpec",
-    "anls_step",
     "decay_profile",
     "decode",
     "gcc_closed_form",
@@ -64,8 +63,6 @@ __all__ = [
     "generate_dataset",
     "generate_ground_truth",
     "generate_initialization",
-    "hals_step",
-    "mu_step",
     "run",
     "run_baseline",
     "sample_weights",

@@ -5,6 +5,9 @@ multiplicative updates (ratio rules with a denominator floor), hierarchical
 ALS (cyclic exact single-column/row minimization, clipped at zero), and
 alternating NNLS approximated by projected gradient with step 1/L per block.
 All three are monotone per (half-)step up to the 1e-12 denominator floor.
+
+`run_baseline` checks Y and A0 once; the steps do arithmetic on checked arrays.
+After each step the solver's divergence rule checks A and X (see `solver`).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, spectral_norm
-from .solver import RunTrace, TraceRecorder
+from .solver import RunTrace, TraceRecorder, divergence_limit
 
 ALGORITHMS = ("mu", "hals", "anls")
 _EPS = 1e-12  # denominator floor of every update
@@ -44,20 +47,8 @@ class BaselineResult:
     trace: RunTrace
 
 
-def _check_shapes(a, x, y):
-    if a.shape[0] != y.shape[0] or x.shape[1] != y.shape[1] or a.shape[1] != x.shape[0]:
-        raise ValueError(f"shape mismatch: a {a.shape}, x {x.shape}, y {y.shape}")
-
-
 def mu_step(a, x, y):
-    """One multiplicative update of X then A; requires nonnegative inputs."""
-    a = as_matrix(a, "a")
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    _check_shapes(a, x, y)
-    for name, m in (("a", a), ("x", x), ("y", y)):
-        if np.any(m < 0):
-            raise ValueError(f"multiplicative updates require nonnegative {name}")
+    """One multiplicative update of X then A; takes arrays run_baseline checked."""
     x2 = x * (a.T @ y) / (a.T @ a @ x + _EPS)
     a2 = a * (y @ x2.T) / (a @ (x2 @ x2.T) + _EPS)
     return a2, x2
@@ -68,11 +59,10 @@ def hals_step(a, x, y):
 
     Each block solves its single-variable least squares exactly and clips at
     zero; a zero denominator (unused component) leaves the block unchanged.
+    Takes arrays that run_baseline checked, and copies them to update in place.
     """
-    a = as_matrix(a, "a").copy()
-    x = as_matrix(x, "x").copy()
-    y = as_matrix(y, "y")
-    _check_shapes(a, x, y)
+    a = a.copy()
+    x = x.copy()
     d = a.shape[1]
     xxt = x @ x.T
     yxt = y @ x.T
@@ -89,11 +79,7 @@ def hals_step(a, x, y):
 
 def anls_step(a, x, y, inner_iters: int = 10):
     """Approximate alternating NNLS: `inner_iters` projected-gradient steps on
-    X with step 1/||A^T A||_2, then the symmetric update of A."""
-    a = as_matrix(a, "a").copy()
-    x = as_matrix(x, "x").copy()
-    y = as_matrix(y, "y")
-    _check_shapes(a, x, y)
+    X with step 1/||A^T A||_2, then the same for A; takes arrays run_baseline checked."""
     if inner_iters == 0:
         return a, x
     ata = a.T @ a
@@ -116,6 +102,7 @@ def run_baseline(cfg: BaselineConfig, y, a0, truth=None, eval_every: int = 1, on
     X starts at seeded Unif[0, 1). Multiplicative updates require nonnegative
     data; Y with negative entries is rejected up front, and a0 is clipped at
     zero for MU since its iterations cannot leave the nonnegative orthant.
+    A NaN or an entry beyond `divergence_limit(y)` in A or X raises DivergenceError.
     """
     y = as_matrix(y, "y")
     a = as_matrix(a0, "a0").copy()
@@ -132,6 +119,7 @@ def run_baseline(cfg: BaselineConfig, y, a0, truth=None, eval_every: int = 1, on
     rng = np.random.default_rng(cfg.seed)
     x = rng.random((d, y.shape[1]))
     recorder = TraceRecorder(truth, on_row=on_row, eval_every=eval_every)
+    limit = divergence_limit(y)
 
     for it in range(cfg.outer_iters):
         if cfg.algorithm == "mu":
@@ -140,6 +128,7 @@ def run_baseline(cfg: BaselineConfig, y, a0, truth=None, eval_every: int = 1, on
             a, x = hals_step(a, x, y)
         else:
             a, x = anls_step(a, x, y)
+        recorder.check_divergence(limit, 0, it, 0.0, a, x)
         if recorder.due(it, cfg.outer_iters):
             recorder.record(0, it, 0.0, a, lambda: np.linalg.norm(y - a @ x))
             recorder.flush()  # a baseline's rows stream one by one

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -43,30 +43,30 @@ def write_matrix(path, a) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    buf = Path(path).read_bytes()
-    if len(buf) < _HEADER.size:
-        raise MatrixFormatError(
-            f"{path}: truncated header, need {_HEADER.size} bytes, got {len(buf)} (offset 0)"
-        )
-    magic, rows, cols = _HEADER.unpack_from(buf)
-    if magic != MAGIC:
-        raise MatrixFormatError(f"{path}: bad magic {magic!r} at offset 0, expected {MAGIC!r}")
-    if rows < 1 or cols < 1:
-        raise MatrixFormatError(f"{path}: invalid shape {rows}x{cols} at offset 4")
-    expect = rows * cols * 8
-    got = len(buf) - _HEADER.size
-    if got != expect:
-        raise MatrixFormatError(
-            f"{path}: payload at offset {_HEADER.size} has {got} bytes, expected {expect}"
-        )
-    flat = np.frombuffer(buf, dtype="<f8", offset=_HEADER.size)
-    m = np.array(flat.reshape((rows, cols), order="F"))
-    if not np.all(np.isfinite(m)):
-        bad = int(np.flatnonzero(~np.isfinite(m.ravel(order="F")))[0])
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise MatrixFormatError(
+                f"{path}: truncated header, need {_HEADER.size} bytes, got {len(header)} (offset 0)"
+            )
+        magic, rows, cols = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise MatrixFormatError(f"{path}: bad magic {magic!r} at offset 0, expected {MAGIC!r}")
+        if rows < 1 or cols < 1:
+            raise MatrixFormatError(f"{path}: invalid shape {rows}x{cols} at offset 4")
+        expect = rows * cols * 8
+        got = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if got != expect:
+            raise MatrixFormatError(
+                f"{path}: payload at offset {_HEADER.size} has {got} bytes, expected {expect}"
+            )
+        flat = np.fromfile(fh, dtype="<f8", count=rows * cols)
+    if not np.all(np.isfinite(flat)):
+        bad = int(np.flatnonzero(~np.isfinite(flat))[0])
         raise MatrixFormatError(
             f"{path}: non-finite value at offset {_HEADER.size + 8 * bad}"
         )
-    return m
+    return flat.reshape((rows, cols), order="F")
 
 
 def _fmt(x) -> str:

@@ -21,6 +21,11 @@ and every iteration is
 
 which gives the same iterates up to rounding at O(W D^2) per iteration. The
 full batch is the case of a single window, decoded once per stage.
+
+`run` checks its inputs once at entry; the loop and `decode` do arithmetic.
+`TraceRecorder.check_divergence` guards this loop and the baselines': an entry
+that is NaN or beyond DIVERGENCE_LIMIT * max(1, max|Y|) in magnitude diverges,
+a limit that scales with Y and A0 as the iterates do.
 """
 
 from __future__ import annotations
@@ -41,16 +46,21 @@ _ETA_SCALE = 0.5
 
 
 class DivergenceError(RuntimeError):
-    """A working-matrix entry exceeded the divergence limit."""
+    """An iterate entry was NaN or exceeded the run's divergence limit."""
 
-    def __init__(self, stage, iteration, trace):
+    def __init__(self, stage, iteration, trace, limit):
         super().__init__(
             f"solver diverged at stage {stage}, iteration {iteration} "
-            f"(|entry| > {DIVERGENCE_LIMIT:g})"
+            f"(NaN or |entry| > {limit:g})"
         )
         self.stage = stage
         self.iteration = iteration
         self.trace = trace
+
+
+def divergence_limit(y) -> float:
+    """DIVERGENCE_LIMIT * max(1, max|Y|) of checked data y, without an |Y| copy."""
+    return DIVERGENCE_LIMIT * float(max(1.0, y.max(), -y.min()))
 
 
 @dataclass(frozen=True)
@@ -243,11 +253,15 @@ class TraceRecorder:
         for (stage, iteration, alpha, seconds), err, e, n in zip(pending, totals, e_norms, n_norms):
             self._emit(stage, iteration, seconds, alpha, float(err), float(e), float(n))
 
-    def record_divergence(self, stage, iteration, alpha):
-        """Emit the rows still stacked, then the row of a diverged estimate
-        without evaluating it."""
+    def check_divergence(self, limit, stage, iteration, alpha, *iterates):
+        """Raise DivergenceError if an iterate has a NaN or |entry| > `limit`, after
+        emitting the stacked rows and an unevaluated row with total_error = inf."""
+        # no |m| copy; a NaN maximum fails the comparison, so NaN counts as diverged
+        if all(m.max() <= limit and -m.min() <= limit for m in iterates):
+            return
         self.flush()
         self._emit(stage, iteration, time.perf_counter() - self._t0, alpha, math.inf, None, None)
+        raise DivergenceError(stage, iteration, self.trace, limit)
 
     def _emit(self, stage, iteration, seconds, alpha, err, e_norm, n_norm):
         row = TraceRow(
@@ -273,10 +287,6 @@ class AndResult:
 
 def decode(pinv, y, alpha: float) -> np.ndarray:
     """Z = phi_alpha(pinv @ y), columnwise; output entries are >= alpha or 0."""
-    pinv = as_matrix(pinv, "pinv")
-    y = as_matrix(y, "y")
-    if pinv.shape[1] != y.shape[0]:
-        raise ValueError(f"shape mismatch: pinv is {pinv.shape}, y is {y.shape}")
     return threshold_elementwise(pinv @ y, alpha)
 
 
@@ -300,9 +310,9 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
     Rows are recorded every `eval_every` iterations plus the last iteration of
     each stage, and stream to `on_row` in order: with a ground truth, once per
     evaluated stack of iterates (see TraceRecorder), and every row of a stage
-    before the next stage starts. An iterate with an entry
-    beyond DIVERGENCE_LIMIT in magnitude (or a NaN) is not evaluated: its row
-    records total_error = inf, and DivergenceError carries the partial trace.
+    before the next stage starts. An iterate with a NaN entry, or one beyond
+    `divergence_limit(y)` in magnitude, is not evaluated: its row records
+    total_error = inf, and DivergenceError carries the partial trace.
 
     The theory-driven schedule needs the current mixing norm, which is only
     observable against a ground truth; without one the run is refused with
@@ -315,6 +325,7 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
         raise ValueError(f"a0 has {a.shape[0]} rows but y has {w}")
     recorder = TraceRecorder(truth, on_row, eval_every)
     evaluator, trace = recorder.evaluator, recorder.trace
+    limit = divergence_limit(y)
 
     schedule = cfg.schedule
     if schedule.kind == "theory" and evaluator is None:
@@ -351,10 +362,7 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
                 eta = _ETA_SCALE / (curvature + 1e-12)
             a_prev = a
             a = a + eta * (bm - a @ g)
-            # negated so that a NaN entry counts as diverged too
-            if not np.abs(a).max() <= DIVERGENCE_LIMIT:
-                recorder.record_divergence(j, t, alpha)
-                raise DivergenceError(j, t, trace)
+            recorder.check_divergence(limit, j, t, alpha, a)
             if recorder.due(t, cfg.iters_per_stage):
                 # the residual of the state entering this iteration, not of `a`
                 recorder.record(j, t, alpha, a,

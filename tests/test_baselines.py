@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from andnmf.baselines import BaselineConfig, anls_step, hals_step, mu_step, run_baseline
+from andnmf.solver import DivergenceError
 from andnmf.synth import InitSpec, NoiseSpec, generate_dataset, generate_ground_truth, generate_initialization
 from andnmf.weights import WeightSpec
 
@@ -27,10 +30,6 @@ class TestMU:
     def test_scalar_arithmetic(self):
         a2, x2 = mu_step(np.array([[2.0]]), np.array([[1.0]]), np.array([[4.0]]))
         assert x2[0, 0] == pytest.approx(2.0, rel=1e-9)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            mu_step(np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]]))
 
     @pytest.mark.parametrize("seed", range(100))
     def test_objective_monotone(self, seed):
@@ -117,6 +116,30 @@ class TestRunBaseline:
         assert np.any(ds.y < 0)
         with pytest.raises(ValueError, match="negative"):
             run_baseline(BaselineConfig("mu", outer_iters=3), ds.y, init.a0, truth=gt)
+
+    @pytest.mark.parametrize("with_truth", [True, False])
+    @pytest.mark.parametrize("algorithm", ["hals", "mu"])
+    def test_overflow_is_divergence(self, algorithm, with_truth):
+        # at 1e160 the first step's A^T A overflows and leaves NaN in X: the
+        # run ends as diverged, as the staged solver's would, not refused
+        gt, ds, init = self.make_problem()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as exc:
+                run_baseline(BaselineConfig(algorithm, outer_iters=3), ds.y * 1e160,
+                             init.a0 * 1e160, truth=gt if with_truth else None)
+        assert (exc.value.stage, exc.value.iteration) == (0, 0)
+        last = exc.value.trace.rows[-1]
+        assert last.total_error == math.inf
+        assert last.e_norm is None and last.n_norm is None
+
+    def test_anls_overflow_is_refused(self):
+        # known: ANLS squares A inside spectral_norm(A^T A), whose input check
+        # refuses the overflowed Gram matrix before the divergence rule runs
+        gt, ds, init = self.make_problem()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                run_baseline(BaselineConfig("anls", outer_iters=3), ds.y * 1e160,
+                             init.a0 * 1e160, truth=gt)
 
     def test_zero_eval_every_rejected(self):
         gt, ds, init = self.make_problem()

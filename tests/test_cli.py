@@ -534,6 +534,30 @@ class TestRun:
         assert last.total_error == float("inf")
         assert last.e_norm is None and last.n_norm is None
 
+    @pytest.mark.parametrize("with_truth", [True, False])
+    @pytest.mark.parametrize("algorithm", ["hals", "mu", "anls"])
+    def test_baseline_overflow_status(self, tmp_path, algorithm, with_truth):
+        raw = tiny_config()
+        raw["solvers"] = [{"name": algorithm, "outer_iters": 3}]
+        cfg_path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        for name in ("Y.mat", "A0.mat"):
+            write_matrix(out / name, read_matrix(out / name) * 1e160)
+        if not with_truth:
+            (out / "A_star.mat").unlink()
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        status = json.loads((out / "summary.json").read_text())["solvers"][0]
+        if algorithm == "anls":
+            # known: the input check of spectral_norm(A^T A) refuses the
+            # overflowed Gram matrix before the divergence rule runs
+            assert (rc, status["status"]) == (1, "refused")
+        else:
+            assert (rc, status["status"]) == (2, "diverged")
+            assert read_trace(out / f"{algorithm}_trace.csv")[-1].total_error == math.inf
+        assert not (out / f"{algorithm}_A_final.mat").exists()
+
     def test_solver_runtime_error_recorded(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
             raise SvdConvergenceError("SVD did not converge")

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,21 @@ def test_read_rejects_nonfinite_payload(tmp_path):
     path.write_bytes(struct.pack("<4sII", MAGIC, 2, 1) + payload)
     with pytest.raises(MatrixFormatError, match="offset 20"):
         read_matrix(path)
+
+
+def test_read_peak_memory_is_about_the_payload(tmp_path):
+    # the payload is read straight into the result, with no whole-file bytes
+    # object or second array beside it
+    m = np.random.default_rng(1).random((500, 400))
+    path = tmp_path / "m.mat"
+    write_matrix(path, m)
+    tracemalloc.start()
+    try:
+        read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * m.nbytes
 
 
 def test_trace_round_trip(tmp_path):

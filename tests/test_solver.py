@@ -161,6 +161,21 @@ class TestRun:
         assert exc.value.stage == 0
         assert exc.value.trace.rows  # partial trace retained
 
+    @pytest.mark.parametrize("scale", [1e6, 1e13])
+    def test_scaling_the_problem_scales_the_run(self, scale):
+        # Z = phi_alpha(P Y) is unchanged when Y and A scale together, so the
+        # divergence limit scales with max|Y|; a fixed 1e12 bound stopped the
+        # 1e13 run at its first iteration
+        gt = generate_ground_truth(200, 20, seed=3)
+        ds = generate_dataset(gt, WeightSpec.dirichlet(20, 0.25, seed=4), NoiseSpec(0.0),
+                              2000, seed=5)
+        init = generate_initialization(gt, InitSpec(r_l=1.0, seed=6))
+        cfg = AndConfig(stages=4, iters_per_stage=50)
+        base = run(init.a0, ds.y, cfg, truth=gt, eval_every=50)
+        scaled = run(init.a0 * scale, ds.y * scale, cfg, truth=gt.a_star * scale, eval_every=50)
+        assert scaled.trace.rows[-1].total_error / scale == \
+            pytest.approx(base.trace.rows[-1].total_error, rel=1e-12, abs=0)
+
     def test_overflow_to_nan_is_divergence_and_not_evaluated(self):
         # eta = 1e308 overflows the first update to inf/NaN entries, which a
         # bare `max > limit` test lets through; metrics on such a matrix fail

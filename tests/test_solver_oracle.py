@@ -45,6 +45,7 @@ def reference_run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1) -> And
     w, n = y.shape
     if a.shape[0] != w:
         raise ValueError(f"a0 has {a.shape[0]} rows but y has {w}")
+    limit = DIVERGENCE_LIMIT * max(1.0, np.abs(y).max())
     a_star = None if truth is None else as_matrix(truth.a_star, "a_star")
     pinv_star = None if truth is None else full_rank_pseudo_inverse(a_star)
     trace = RunTrace()
@@ -83,9 +84,9 @@ def reference_run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1) -> And
             resid = y_batch - a @ z
             a = a + eta * (resid @ z.T)
             # negated so that a NaN entry counts as diverged too
-            if not np.abs(a).max() <= DIVERGENCE_LIMIT:
+            if not np.abs(a).max() <= limit:
                 row(j, t, alpha, math.inf)
-                raise DivergenceError(j, t, trace)
+                raise DivergenceError(j, t, trace, limit)
             if t % eval_every == 0 or t == cfg.iters_per_stage - 1:
                 if truth is None:
                     row(j, t, alpha, float(np.linalg.norm(resid)))
