@@ -64,7 +64,6 @@ _WEIGHT_KEYS = {
 _SCHEDULE_KEYS = {
     "constant": {"value": float},
     "geometric": {"start": float, "ratio": float},
-    "theory": {"lambda": float, "r": float, "q": float},
 }
 _AND_KEYS = {"stages": int, "iters_per_stage": int, "eta": float, "batch": object}
 _BASELINE_KEYS = {"outer_iters": int}
@@ -72,7 +71,7 @@ _INIT_KEYS = {"r_l": float, "r_n": float}
 # a label names the solver's output files, so it must be a plain file stem
 _LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 # JSON keys whose spec field has another name
-_FIELD = {"value": "c", "lambda": "lam"}
+_FIELD = {"value": "c"}
 
 
 def _dataset_defaults(preset, d):

@@ -22,7 +22,7 @@ below `2**20`: OpenBLAS 0.3.31 runs a product that small on one thread anyway
 two), and after each stage's threaded GEMMs its idle workers would spin
 through the stage's updates. The trade-off: such a problem with a very large
 `n` also runs its stage GEMMs (decode `P @ Y`, `Y Zᵀ`) on one thread; no
-preset or script has one (their largest `n` is 4000). Baselines, larger
+preset or experiment has one (their largest `n` is 4000). Baselines, larger
 `and` solves and the pool keep their count. Each solver's entry in
 `summary.json` records the count it ran with. The count changes the order of
 BLAS sums, so outputs at one `jobs` value are reproducible, and agree within

@@ -40,7 +40,6 @@ from . import metrics
 from .linalg import as_matrix, full_rank_pseudo_inverse, spectral_norm, threshold_elementwise
 
 DIVERGENCE_LIMIT = 1e12
-_THEORY_ALPHA_FLOOR = 1e-12
 # numerator of the curvature-scaled step eta = _ETA_SCALE / (||G||_2 + 1e-12)
 _ETA_SCALE = 0.5
 
@@ -69,19 +68,14 @@ class ThresholdSchedule:
 
     constant:  alpha_j = c
     geometric: alpha_j = start * ratio^j
-    theory:    alpha_j = (lam * ||E||_2 / r)^(2 / (q + 1)), clamped to
-               (0, 1/4]; requires an estimate of the current mixing norm.
 
-    A kind's parameters without a default (c; lam, r and q) are required.
+    The constant kind's c has no default and is required.
     """
 
     kind: str
     c: float | None = None
     start: float = 0.1
     ratio: float = 1.0 / 1.1
-    lam: float | None = None
-    r: float | None = None
-    q: float | None = None
 
     @classmethod
     def constant(cls, c):
@@ -90,10 +84,6 @@ class ThresholdSchedule:
     @classmethod
     def geometric(cls, start=0.1, ratio=1.0 / 1.1):
         return cls(kind="geometric", start=start, ratio=ratio)
-
-    @classmethod
-    def theory(cls, lam, r, q):
-        return cls(kind="theory", lam=lam, r=r, q=q)
 
     # every check is negated so that NaN fails it
     def __post_init__(self):
@@ -105,29 +95,17 @@ class ThresholdSchedule:
                 raise ValueError(f"geometric start must be > 0, got {self.start}")
             if not 0 < self.ratio <= 1:
                 raise ValueError(f"geometric ratio must be in (0, 1], got {self.ratio}")
-        elif self.kind == "theory":
-            if None in (self.lam, self.r, self.q) or not (
-                self.lam > 0 and self.r >= 1 and self.q >= 1
-            ):
-                raise ValueError(
-                    f"theory schedule needs lam > 0, r >= 1, q >= 1; "
-                    f"got lam={self.lam}, r={self.r}, q={self.q}"
-                )
         else:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
 
 
-def stage_threshold(schedule: ThresholdSchedule, j: int, e_norm_estimate=None) -> float:
+def stage_threshold(schedule: ThresholdSchedule, j: int) -> float:
+    """The threshold alpha_j of stage j >= 0; it reads only the schedule."""
     if not j >= 0:  # negated so that NaN fails it
         raise ValueError(f"stage index must be >= 0, got {j}")
     if schedule.kind == "constant":
         return schedule.c
-    if schedule.kind == "geometric":
-        return schedule.start * schedule.ratio**j
-    if e_norm_estimate is None:
-        raise ValueError("theory schedule requires an e_norm_estimate")
-    raw = (schedule.lam * e_norm_estimate / schedule.r) ** (2.0 / (schedule.q + 1.0))
-    return float(min(max(raw, _THEORY_ALPHA_FLOOR), 0.25))
+    return schedule.start * schedule.ratio**j
 
 
 @dataclass(frozen=True)
@@ -314,9 +292,8 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
     `divergence_limit(y)` in magnitude, is not evaluated: its row records
     total_error = inf, and DivergenceError carries the partial trace.
 
-    The theory-driven schedule needs the current mixing norm, which is only
-    observable against a ground truth; without one the run is refused with
-    ValueError before its first stage.
+    The stage thresholds come from `cfg.schedule` alone, so a run with a
+    ground truth and one without take the same steps.
     """
     a = as_matrix(a0, "a0").copy()
     y = as_matrix(y, "y")
@@ -324,23 +301,14 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
     if a.shape[0] != w:
         raise ValueError(f"a0 has {a.shape[0]} rows but y has {w}")
     recorder = TraceRecorder(truth, on_row, eval_every)
-    evaluator, trace = recorder.evaluator, recorder.trace
+    trace = recorder.trace
     limit = divergence_limit(y)
-
-    schedule = cfg.schedule
-    if schedule.kind == "theory" and evaluator is None:
-        raise ValueError("a theory schedule needs a ground truth to estimate the mixing norm")
-
     batch = n if cfg.batch == "full" else min(cfg.batch, n)
 
     for j in range(cfg.stages):
         pinv = full_rank_pseudo_inverse(a, name="working matrix")
         trace.pinv_count += 1
-        if schedule.kind == "theory":
-            e_est = evaluator.decompose(a).off_diag_norm
-            alpha = stage_threshold(schedule, j, e_est)
-        else:
-            alpha = stage_threshold(schedule, j)
+        alpha = stage_threshold(cfg.schedule, j)
         eta = cfg.eta
         # pinv and alpha change between stages, so a window's Gram form is
         # valid for this stage only

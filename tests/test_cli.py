@@ -41,8 +41,6 @@ def every_kind_config(weights):
              "eta": 0.01, "batch": 20, "schedule": {"kind": "constant", "value": 0.1}},
             {"name": "and", "label": "geometric",
              "schedule": {"kind": "geometric", "start": 0.2, "ratio": 0.8}},
-            {"name": "and", "label": "theory",
-             "schedule": {"kind": "theory", "lambda": 1, "r": 2, "q": 1}},
             {"name": "hals", "outer_iters": 3},
             {"name": "anls"},
             {"name": "mu"},
@@ -248,7 +246,11 @@ class TestConfigValidation:
         ("run", lambda raw: raw["solvers"][0].update(eta=float("nan")),
          "config.solvers[0].eta"),
         ("generate", lambda raw: raw["dataset"].update(seed=-1), "config.dataset.seed"),
-    ], ids=["D-zero", "gamma-nan", "start-nan", "eta-nan", "seed-negative"])
+        ("generate",
+         lambda raw: raw["solvers"][0].update(
+             schedule={"kind": "theory", "lambda": 1.0, "r": 2.0, "q": 1.0}),
+         "config.solvers[0].schedule.kind: unknown kind 'theory'"),
+    ], ids=["D-zero", "gamma-nan", "start-nan", "eta-nan", "seed-negative", "theory-kind"])
     def test_zero_size_or_nonfinite_value_is_validation_error(self, tmp_path, capsys,
                                                              command, edit, key):
         # JSON as Python reads it accepts NaN and Infinity literals
@@ -459,19 +461,6 @@ class TestRun:
         assert summary["solvers"][0]["status"] == "refused"
         assert "negative" in summary["solvers"][0]["detail"]
 
-    def test_theory_schedule_without_truth_refused(self, tmp_path):
-        raw = tiny_config()
-        raw["solvers"] = [{"name": "and", "schedule": {"kind": "theory", "lambda": 1,
-                                                        "r": 2, "q": 1}}]
-        cfg_path = write_config(tmp_path, raw)
-        out = tmp_path / "out"
-        assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
-        (out / "A_star.mat").unlink()
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
-        status = json.loads((out / "summary.json").read_text())["solvers"][0]
-        assert status["status"] == "refused"
-        assert "ground truth" in status["detail"]
-
     def test_zero_curvature_stage_refused(self, tmp_path):
         # a constant threshold above every decoded entry leaves no curvature to
         # set the step from: a validation error (exit 1), not a silent no-op
@@ -488,11 +477,12 @@ class TestRun:
     def test_refused_rerun_leaves_no_earlier_final_matrix(self, tmp_path):
         raw = tiny_config()
         raw["solvers"] = [{"name": "and", "stages": 2, "iters_per_stage": 3,
-                           "schedule": {"kind": "theory", "lambda": 1, "r": 2, "q": 1}}]
+                           "schedule": {"kind": "constant", "value": 0.1}}]
         rc, out = self.run_tiny(tmp_path, raw)
         assert rc == 0
         assert (out / "and_A_final.mat").exists()
-        (out / "A_star.mat").unlink()
+        # a threshold above every decoded entry: the zero-curvature refusal
+        raw["solvers"][0]["schedule"]["value"] = 1e9
         cfg_path = write_config(tmp_path, raw)
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert json.loads((out / "summary.json").read_text())["solvers"][0]["status"] == "refused"

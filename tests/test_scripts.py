@@ -1,5 +1,6 @@
-"""Smoke runs of the experiment scripts in `scripts/` at their smallest size."""
+"""Smoke runs of `scripts/experiments.py`, one experiment at a time under --quick."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,33 +10,39 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "experiments.py"
+_spec = importlib.util.spec_from_file_location("experiments", SCRIPT)
+experiments = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(experiments)
 
 
-@pytest.mark.parametrize("script, args, runs", [
-    ("convergence_comparison.py", ["--stages", "1"], 3),
-    # the only script that runs solvers in the harness's thread pool
-    ("convergence_comparison.py", ["--stages", "1", "--jobs", "2"], 3),
-    ("threshold_ablation.py", ["--stages", "1"], 2),
-    ("noise_sweep.py", ["--stages", "1", "--gammas", "0.01"], 1),
-    ("robustness_sweeps.py", ["--quick"], 10),
-], ids=["convergence_comparison", "convergence_comparison_jobs2", "threshold_ablation",
-        "noise_sweep", "robustness_sweeps"])
-def test_script_writes_summaries_and_traces(tmp_path, script, args, runs):
+@pytest.mark.parametrize("experiment, args", [
+    *((name, []) for name in experiments.EXPERIMENTS),
+    # the only script path through the harness's thread pool
+    ("comparison", ["--jobs", "2"]),
+], ids=[*experiments.EXPERIMENTS, "comparison_jobs2"])
+def test_script_writes_summaries_and_traces(tmp_path, experiment, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--out", str(tmp_path), *args],
+        [sys.executable, str(SCRIPT), experiment, "--quick",
+         "--out", str(tmp_path), *args],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    summaries = sorted(tmp_path.rglob("summary.json"))
-    assert len(summaries) == runs
-    for path in summaries:
-        for solver in json.loads(path.read_text())["solvers"]:
-            assert solver["status"] == "ok", (path, solver)
-            assert (path.parent / f"{solver['label']}_trace.csv").is_file()
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    expected = [(point, solver.get("label", solver["name"]))
+                for point, raw in experiments.EXPERIMENTS[experiment](0).items()
+                for solver in raw["solvers"]]
+    assert [(line["point"], line["label"]) for line in lines] == expected
+    for line in lines:
+        assert line["experiment"] == experiment
+        assert line["status"] == "ok", line
+        point = tmp_path / experiment / line["point"]
+        assert (point / "summary.json").is_file()
+        assert (point / f"{line['label']}_trace.csv").is_file()
 
 
 def test_perfbench_tracer_instruments_the_package():

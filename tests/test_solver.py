@@ -35,18 +35,6 @@ class TestStageThreshold:
         assert stage_threshold(sched, 0) == pytest.approx(0.1)
         assert stage_threshold(sched, 3) == pytest.approx(0.1 / 1.1**3)
 
-    def test_theory_instance(self):
-        sched = ThresholdSchedule.theory(lam=1.0, r=1.0, q=1.0)
-        assert stage_threshold(sched, 0, e_norm_estimate=0.25) == pytest.approx(0.25)
-
-    def test_theory_clamped_to_quarter(self):
-        sched = ThresholdSchedule.theory(lam=1.0, r=1.0, q=1.0)
-        assert stage_threshold(sched, 0, e_norm_estimate=5.0) == 0.25
-
-    def test_theory_requires_estimate(self):
-        with pytest.raises(ValueError, match="e_norm_estimate"):
-            stage_threshold(ThresholdSchedule.theory(1.0, 1.0, 1.0), 0)
-
     def test_constant(self):
         assert stage_threshold(ThresholdSchedule.constant(0.25), 17) == 0.25
 
@@ -60,8 +48,6 @@ class TestStageThreshold:
             ThresholdSchedule.geometric(start=0.0)
         with pytest.raises(ValueError):
             ThresholdSchedule.geometric(ratio=1.5)
-        with pytest.raises(ValueError):
-            ThresholdSchedule.theory(lam=0.0, r=1.0, q=1.0)
 
 
 class TestDecodeUpdate:
@@ -230,26 +216,6 @@ class TestRun:
                         schedule=ThresholdSchedule.constant(0.1))
         with pytest.raises(ValueError, match=r"stage 0 .* alpha=0\.1\b"):
             run(init.a0, y, cfg, truth=gt)
-
-    def test_theory_schedule_with_truth(self):
-        gt, ds, init = make_problem(w=200, d=20, n=1000, s=3, seed=5)
-        cfg = AndConfig(stages=6, iters_per_stage=50,
-                        schedule=ThresholdSchedule.theory(lam=2 / 3, r=3.0, q=2.0))
-        result = run(init.a0, ds.y, cfg, truth=gt, eval_every=50)
-        errs = result.trace.stage_end_errors()
-        assert errs[-1] < errs[0]
-        alphas = [r.alpha for r in result.trace.rows]
-        assert all(0 < a <= 0.25 for a in alphas)
-
-    def test_theory_schedule_without_truth_refuses(self):
-        # the theory threshold reads the mixing norm, which needs a ground truth
-        gt, ds, init = make_problem()
-        cfg = AndConfig(stages=2, iters_per_stage=3,
-                        schedule=ThresholdSchedule.theory(lam=1.0, r=1.0, q=1.0))
-        rows = []
-        with pytest.raises(ValueError, match="ground truth"):
-            run(init.a0, ds.y, cfg, on_row=rows.append)
-        assert rows == []
 
 
 class TestTraceStreaming:

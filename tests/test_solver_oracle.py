@@ -54,17 +54,12 @@ def reference_run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1) -> And
         log10 = math.log10(err) if err > 0 else -math.inf
         trace.append(TraceRow(j, t, 0.0, alpha, err, log10, e_norm, n_norm))
 
-    schedule = cfg.schedule
     batch = n if cfg.batch == "full" else min(cfg.batch, n)
 
     for j in range(cfg.stages):
         pinv = full_rank_pseudo_inverse(a, name="working matrix")
         trace.pinv_count += 1
-        if schedule.kind == "theory":
-            e_est = per_row_oracle.row_values(a, a_star, pinv_star)[1]
-            alpha = stage_threshold(schedule, j, e_est)
-        else:
-            alpha = stage_threshold(schedule, j)
+        alpha = stage_threshold(cfg.schedule, j)
         eta = cfg.eta
         for t in range(cfg.iters_per_stage):
             if batch == n:
@@ -124,7 +119,6 @@ def _close(got, ref, floor):
 SCHEDULES = {
     "constant": ThresholdSchedule.constant(0.2),
     "geometric": ThresholdSchedule.geometric(),
-    "theory": ThresholdSchedule.theory(lam=2 / 3, r=3.0, q=2.0),
 }
 
 
@@ -158,11 +152,6 @@ def test_run_matches_reference_loop(d, extra_w, n, seed, weights, batch_kind, wi
     cfg = AndConfig(stages=stages, iters_per_stage=iters, eta=eta,
                     schedule=SCHEDULES[schedule], batch=batch)
     truth = gt if with_truth else None
-    if schedule == "theory" and truth is None:
-        with pytest.raises(ValueError, match="ground truth"):
-            run(a0, y, cfg, eval_every=eval_every)
-        return
-
     ref, ref_exc = _outcome(reference_run, a0, y, cfg, truth=truth, eval_every=eval_every)
     got, got_exc = _outcome(run, a0, y, cfg, truth=truth, eval_every=eval_every)
     assert type(got_exc) is type(ref_exc)
@@ -180,10 +169,7 @@ def test_run_matches_reference_loop(d, extra_w, n, seed, weights, batch_kind, wi
     assert [(r.stage, r.iteration) for r in got_rows] == \
            [(r.stage, r.iteration) for r in ref_rows]
     for g, r in zip(got_rows, ref_rows):
-        if schedule == "theory" and with_truth:
-            assert g.alpha == pytest.approx(r.alpha, rel=REL_TOL, abs=0)
-        else:
-            assert g.alpha == r.alpha
+        assert g.alpha == r.alpha
         assert _close(g.total_error, r.total_error, floor)
         assert (g.e_norm is None) == (r.e_norm is None)
         assert (g.n_norm is None) == (r.n_norm is None)

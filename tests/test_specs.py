@@ -35,8 +35,7 @@ def test_and_config_rejects_bool_batch():
 
 @pytest.mark.parametrize("kwargs", [
     {"kind": "constant"},
-    {"kind": "theory", "lam": 1.0, "r": 1.0},
-], ids=["constant-without-c", "theory-without-q"])
+], ids=["constant-without-c"])
 def test_schedule_parameters_without_default_are_required(kwargs):
     with pytest.raises(ValueError):
         ThresholdSchedule(**kwargs)
