@@ -77,6 +77,14 @@ def hals_step(a, x, y):
     return a, x
 
 
+def _pg_step(gram):
+    """Projected-gradient step 1/||gram||_2; NaN when the Gram matrix
+    overflowed, so the NaN iterate reaches the divergence rule."""
+    if not np.isfinite(gram).all():
+        return np.nan
+    return 1.0 / (spectral_norm(gram) + _EPS)
+
+
 def anls_step(a, x, y, inner_iters: int = 10):
     """Approximate alternating NNLS: `inner_iters` projected-gradient steps on
     X with step 1/||A^T A||_2, then the same for A; takes arrays run_baseline checked."""
@@ -84,12 +92,12 @@ def anls_step(a, x, y, inner_iters: int = 10):
         return a, x
     ata = a.T @ a
     aty = a.T @ y
-    step = 1.0 / (spectral_norm(ata) + _EPS)
+    step = _pg_step(ata)
     for _ in range(inner_iters):
         x = np.maximum(0.0, x - step * (ata @ x - aty))
     xxt = x @ x.T
     yxt = y @ x.T
-    step = 1.0 / (spectral_norm(xxt) + _EPS)
+    step = _pg_step(xxt)
     for _ in range(inner_iters):
         a = np.maximum(0.0, a - step * (a @ xxt - yxt))
     return a, x

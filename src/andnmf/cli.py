@@ -15,7 +15,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+
+# OpenBLAS reads this once, when numpy loads it. Its default keeps each idle
+# worker thread busy-waiting for 2**28 cycles after start-up and after every
+# threaded call; 4 (the minimum, 2**4 cycles) lets them sleep at once. A value
+# the user set wins. It must run before the imports below load numpy.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from .config import ConfigError, load_config, preset_config, validate_config
 from .harness import evaluate, gcc_report, generate, run

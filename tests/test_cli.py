@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -539,13 +541,8 @@ class TestRun:
         with np.errstate(over="ignore", invalid="ignore"):
             rc = main(["run", "--config", str(cfg_path), "--out", str(out)])
         status = json.loads((out / "summary.json").read_text())["solvers"][0]
-        if algorithm == "anls":
-            # known: the input check of spectral_norm(A^T A) refuses the
-            # overflowed Gram matrix before the divergence rule runs
-            assert (rc, status["status"]) == (1, "refused")
-        else:
-            assert (rc, status["status"]) == (2, "diverged")
-            assert read_trace(out / f"{algorithm}_trace.csv")[-1].total_error == math.inf
+        assert (rc, status["status"]) == (2, "diverged")
+        assert read_trace(out / f"{algorithm}_trace.csv")[-1].total_error == math.inf
         assert not (out / f"{algorithm}_A_final.mat").exists()
 
     def test_solver_runtime_error_recorded(self, tmp_path, monkeypatch):
@@ -732,6 +729,72 @@ class TestBlasThreads:
         with pytest.raises(KeyboardInterrupt):
             self.run_fake(tmp_path, [self.AND])
         assert calls == [1, 16] and threads[0] == 16
+
+
+def fresh_python(code, **env_overrides):
+    """Run `code` in a fresh interpreter that imports the package from src/;
+    an override of None removes the variable. Returns the JSON it prints."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
+    )
+    for name, value in env_overrides.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestLazyImport:
+    # records OPENBLAS_THREAD_TIMEOUT as it is when numpy is first imported
+    HOOK = """
+import json, os, sys
+seen = []
+class Hook:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+        return None
+sys.meta_path.insert(0, Hook())
+"""
+
+    def test_import_loads_no_numpy(self):
+        code = ("import json, sys; import andnmf; "
+                "print(json.dumps('numpy' in sys.modules))")
+        assert fresh_python(code) is False
+
+    def test_public_names_resolve_to_their_submodules(self):
+        code = """
+import importlib, json, andnmf
+same = [importlib.import_module("andnmf." + andnmf._SUBMODULE[name]).__dict__[name]
+        is getattr(andnmf, name) for name in andnmf.__all__]
+try:
+    andnmf.no_such_name
+    unknown = "no error"
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps([all(same), sorted(andnmf.__all__) == sorted(andnmf._SUBMODULE),
+                  set(andnmf.__all__) <= set(dir(andnmf)), unknown]))
+"""
+        assert fresh_python(code) == [
+            True, True, True, "module 'andnmf' has no attribute 'no_such_name'"]
+
+    def test_cli_sets_thread_timeout_before_numpy_loads(self):
+        code = self.HOOK + "import andnmf.cli; print(json.dumps(seen))"
+        assert fresh_python(code, OPENBLAS_THREAD_TIMEOUT=None) == ["4"]
+
+    def test_user_thread_timeout_is_kept(self):
+        code = self.HOOK + "import andnmf.cli; print(json.dumps(seen))"
+        assert fresh_python(code, OPENBLAS_THREAD_TIMEOUT="28") == ["28"]
+
+    def test_library_import_leaves_the_environment_alone(self):
+        code = (self.HOOK + "import andnmf, andnmf.harness; andnmf.run; "
+                "print(json.dumps([seen, os.environ.get('OPENBLAS_THREAD_TIMEOUT')]))")
+        assert fresh_python(code, OPENBLAS_THREAD_TIMEOUT=None) == [[None], None]
 
 
 class TestEvalAndGcc:
