@@ -6,7 +6,7 @@ Each experiment is a set of named points, each point a raw config (README,
   comparison  the staged solver against HALS, ANLS and MU (MU refuses the
               signed NEG data) on DIR, CTM and NEG, and on CTM data at
               correlations rho = 0, 0.9 and 0.99 (CTM itself is rho = 0.5)
-  thresholds  decreasing against constant thresholds on DIR and CTM
+  thresholds  decreasing against held (ratio 1) thresholds on DIR and CTM
   noise       the NOISE preset at gamma = 0.01, 0.02 and 0.04
   init        in-span init noise r_l, then out-of-span init noise r_n
   sparsity    Dirichlet total mass alpha_total = 5, 20 and 80
@@ -72,10 +72,9 @@ def comparison(seed):
 
 def thresholds(seed):
     arms = [
-        _and(70, label="decreasing", schedule={"kind": "geometric", "start": 0.1,
-                                               "ratio": 1 / 1.1}),
-        _and(70, label="constant_0.1", schedule={"kind": "constant", "value": 0.1}),
-        _and(70, label="constant_0.03", schedule={"kind": "constant", "value": 0.03}),
+        _and(70, label="decreasing", schedule={"start": 0.1, "ratio": 1 / 1.1}),
+        _and(70, label="constant_0.1", schedule={"start": 0.1, "ratio": 1.0}),
+        _and(70, label="constant_0.03", schedule={"start": 0.03, "ratio": 1.0}),
     ]
     return {preset: _point({"preset": preset, "seed": seed}, arms) for preset in ("DIR", "CTM")}
 
@@ -103,7 +102,7 @@ def sparsity(seed):
         f"alpha_total_{alpha_total:g}": _point(
             {"preset": "DIR", "seed": seed, "n": 4000,
              "weights": {"family": "dirichlet", "concentration": alpha_total / 20}},
-            [_and(stages, schedule={"kind": "geometric", "start": 0.1, "ratio": ratio})])
+            [_and(stages, schedule={"start": 0.1, "ratio": ratio})])
         for alpha_total, stages, ratio in ((5.0, 110, 1 / 1.1), (20.0, 200, 1 / 1.05),
                                            (80.0, 210, 1 / 1.03))
     }

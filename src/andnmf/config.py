@@ -2,10 +2,10 @@
 
 Configs are plain JSON with exhaustive validation: unknown keys anywhere are
 errors, so typos in experiment definitions fail loudly, and so are the keys
-of another weight family or schedule kind. A key set to `null` counts as
-absent. A dataset `preset` fills in family defaults (weight distribution,
-ground-truth kind, noise level and solver tweaks); explicit keys always win
-over preset defaults.
+of another weight family. A key set to `null` counts as absent. A dataset
+`preset` fills in family defaults (weight distribution, ground-truth kind,
+noise level and solver tweaks); explicit keys always win over preset
+defaults.
 
 Each section is one table of JSON key -> type. The parser hands the keys a
 config sets to the section's spec (`WeightSpec`, `ThresholdSchedule`,
@@ -59,19 +59,13 @@ _WEIGHT_KEYS = {
     "sparse_binary": {"s": int},
     "dirichlet": {"concentration": float},
     "logistic_normal": {"rho": float, "cov_scale": float},
-    "sparse_uniform": {"s": int, "low": float, "high": float},
 }
-_SCHEDULE_KEYS = {
-    "constant": {"value": float},
-    "geometric": {"start": float, "ratio": float},
-}
-_AND_KEYS = {"stages": int, "iters_per_stage": int, "eta": float, "batch": object}
+_SCHEDULE_KEYS = {"start": float, "ratio": float}
+_AND_KEYS = {"stages": int, "iters_per_stage": int, "batch": object}
 _BASELINE_KEYS = {"outer_iters": int}
 _INIT_KEYS = {"r_l": float, "r_n": float}
 # a label names the solver's output files, so it must be a plain file stem
 _LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
-# JSON keys whose spec field has another name
-_FIELD = {"value": "c"}
 
 
 def _dataset_defaults(preset, d):
@@ -99,7 +93,7 @@ def _solver_defaults(preset):
     if preset == "NOISE":
         return {"iters_per_stage": 100}
     if preset == "BINARY":
-        return {"stages": 16, "schedule": {"kind": "constant", "value": 0.25}}
+        return {"stages": 16, "schedule": {"start": 0.25, "ratio": 1.0}}
     return {}
 
 
@@ -189,13 +183,13 @@ def _fields(obj, table, path, extra=()):
     """Spec keyword arguments from the keys of `table` that `obj` sets; a key
     outside `table` and `extra` is an error."""
     _require_keys(obj, table.keys() | set(extra), path)
-    return {_FIELD.get(k, k): _typed(obj[k], kind, f"{path}.{k}")
+    return {k: _typed(obj[k], kind, f"{path}.{k}")
             for k, kind in table.items() if k in obj}
 
 
 def _resolved(spec, table) -> dict:
     """Every key of `table`, valued from the built spec."""
-    return {k: getattr(spec, _FIELD.get(k, k)) for k in table}
+    return {k: getattr(spec, k) for k in table}
 
 
 def _build(cls, path, **kwargs):
@@ -228,18 +222,13 @@ def _parse_weights(obj, d, seed, path):
                   **_fields(obj, _WEIGHT_KEYS[family], path, {"family"}))
 
 
-def _parse_schedule(obj, path):
-    obj = _section(obj, path)
-    kind = _choice(obj, "kind", _SCHEDULE_KEYS, path)
-    return _build(ThresholdSchedule, path, kind=kind,
-                  **_fields(obj, _SCHEDULE_KEYS[kind], path, {"kind"}))
-
-
 def _parse_and_solver(obj, defaults, path):
     merged = {**defaults, **obj}
     kwargs = _fields(merged, _AND_KEYS, path, {"name", "label", "schedule"})
     if "schedule" in merged:
-        kwargs["schedule"] = _parse_schedule(merged["schedule"], f"{path}.schedule")
+        spath = f"{path}.schedule"
+        kwargs["schedule"] = _build(ThresholdSchedule, spath, **_fields(
+            _section(merged["schedule"], spath), _SCHEDULE_KEYS, spath))
     return _build(AndConfig, path, **kwargs)
 
 
@@ -252,9 +241,8 @@ def _solver_dict(entry: SolverEntry) -> dict:
     c = entry.config
     out = {"name": entry.name, "label": entry.label}
     if entry.name == "and":
-        kind = c.schedule.kind
-        schedule = {"kind": kind, **_resolved(c.schedule, _SCHEDULE_KEYS[kind])}
-        return {**out, **_resolved(c, _AND_KEYS), "schedule": schedule}
+        return {**out, **_resolved(c, _AND_KEYS),
+                "schedule": _resolved(c.schedule, _SCHEDULE_KEYS)}
     return {**out, **_resolved(c, _BASELINE_KEYS)}
 
 

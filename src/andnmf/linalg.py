@@ -6,7 +6,7 @@ nonempty shape) and the operations are pure, so results can be shared freely
 across threads.
 
 `full_rank_svd` is the one place that decides whether a matrix has full
-rank; the stage pseudo-inverse, the evaluator's ground truth and the
+column rank; the stage pseudo-inverse, the evaluator's ground truth and the
 generated ground truth all go through it, and get numpy's (u, s, vt) tuple.
 `spectral_norms` is the one spectral-norm routine (`spectral_norm` is its
 one-matrix case): step sizes, initialization levels and the evaluator's
@@ -51,12 +51,15 @@ def svd_factors(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def full_rank_svd(m, name: str = "matrix") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD (u, s, vt) of a matrix that must have full rank.
+    """Thin SVD (u, s, vt) of a matrix that must have full column rank.
 
-    The one full-rank rule of the package: raises ValueError when
-    s_min <= 1e-12 * s_max * max(shape).
+    The one full-rank rule of the package: raises ValueError when the matrix
+    has more columns than rows, or when s_min <= 1e-12 * s_max * max(shape).
     """
     m = as_matrix(m, name)
+    if m.shape[1] > m.shape[0]:
+        raise ValueError(f"{name} has more columns than rows {m.shape}: "
+                         f"not of full column rank")
     u, s, vt = svd_factors(m)
     if s[-1] <= _RANK_TOL * s[0] * max(m.shape):
         raise ValueError(
@@ -67,7 +70,7 @@ def full_rank_svd(m, name: str = "matrix") -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def full_rank_pseudo_inverse(m, name: str = "matrix") -> np.ndarray:
-    """Pseudo-inverse of a full-rank matrix (`full_rank_svd`), from one SVD."""
+    """Pseudo-inverse of a full-column-rank matrix (`full_rank_svd`), from one SVD."""
     u, s, vt = full_rank_svd(m, name)
     return (vt.T * (1.0 / s)) @ u.T
 

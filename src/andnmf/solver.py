@@ -2,7 +2,9 @@
 
 One run is `stages` blocks of `iters_per_stage` gradient iterations. Within a
 stage the decoding matrix is the pseudo-inverse of the stage-start working
-matrix (computed once per stage) and the threshold is fixed by the schedule:
+matrix (computed once per stage), the threshold is alpha_j = start * ratio^j,
+and the step eta = 0.5 / (||Z0 Z0^T||_2 + 1e-12) comes from the stage's first
+decode Z0:
 
     decode   Z = phi_alpha(Pinv @ Y)
     update   A <- A + eta * (Y - A @ Z) @ Z.T
@@ -64,47 +66,26 @@ def divergence_limit(y) -> float:
 
 @dataclass(frozen=True)
 class ThresholdSchedule:
-    """Stage threshold policy, checked when built.
+    """Stage threshold policy alpha_j = start * ratio^j, checked when built.
 
-    constant:  alpha_j = c
-    geometric: alpha_j = start * ratio^j
-
-    The constant kind's c has no default and is required.
+    ratio = 1 holds the threshold at `start` for every stage.
     """
 
-    kind: str
-    c: float | None = None
     start: float = 0.1
     ratio: float = 1.0 / 1.1
 
-    @classmethod
-    def constant(cls, c):
-        return cls(kind="constant", c=c)
-
-    @classmethod
-    def geometric(cls, start=0.1, ratio=1.0 / 1.1):
-        return cls(kind="geometric", start=start, ratio=ratio)
-
     # every check is negated so that NaN fails it
     def __post_init__(self):
-        if self.kind == "constant":
-            if self.c is None or not self.c >= 0:
-                raise ValueError(f"constant threshold c must be >= 0, got {self.c}")
-        elif self.kind == "geometric":
-            if not self.start > 0:
-                raise ValueError(f"geometric start must be > 0, got {self.start}")
-            if not 0 < self.ratio <= 1:
-                raise ValueError(f"geometric ratio must be in (0, 1], got {self.ratio}")
-        else:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        if not self.start >= 0:
+            raise ValueError(f"schedule start must be >= 0, got {self.start}")
+        if not 0 < self.ratio <= 1:
+            raise ValueError(f"schedule ratio must be in (0, 1], got {self.ratio}")
 
 
 def stage_threshold(schedule: ThresholdSchedule, j: int) -> float:
     """The threshold alpha_j of stage j >= 0; it reads only the schedule."""
     if not j >= 0:  # negated so that NaN fails it
         raise ValueError(f"stage index must be >= 0, got {j}")
-    if schedule.kind == "constant":
-        return schedule.c
     return schedule.start * schedule.ratio**j
 
 
@@ -112,7 +93,7 @@ def stage_threshold(schedule: ThresholdSchedule, j: int) -> float:
 class AndConfig:
     """Solver hyperparameters, checked when built.
 
-    `eta=None` uses a curvature-scaled step recomputed at each stage start:
+    Each stage's step is curvature-scaled, set at the stage start:
     0.5 / (||Z0 Z0^T||_2 + 1e-12) with Z0 the stage's decode of the full
     batch, or of its first window when `batch` is smaller than the dataset.
     A Z0 of all zeros has no curvature, and `run` refuses it (ValueError).
@@ -121,8 +102,7 @@ class AndConfig:
 
     stages: int = 30
     iters_per_stage: int = 50
-    eta: float | None = None
-    schedule: ThresholdSchedule = field(default_factory=ThresholdSchedule.geometric)
+    schedule: ThresholdSchedule = field(default_factory=ThresholdSchedule)
     batch: object = "full"
 
     # every check is negated so that NaN fails it
@@ -131,8 +111,6 @@ class AndConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be a positive int, got {value!r}")
-        if self.eta is not None and not self.eta > 0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
         if self.batch != "full" and (
             isinstance(self.batch, bool) or not isinstance(self.batch, int) or self.batch < 1
         ):
@@ -309,7 +287,6 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
         pinv = full_rank_pseudo_inverse(a, name="working matrix")
         trace.pinv_count += 1
         alpha = stage_threshold(cfg.schedule, j)
-        eta = cfg.eta
         # pinv and alpha change between stages, so a window's Gram form is
         # valid for this stage only
         windows = {}
@@ -320,8 +297,8 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
                 z = decode(pinv, y_w, alpha)
                 windows[start] = (z, z @ z.T, y_w @ z.T)
             z, g, bm = windows[start]
-            if eta is None:
-                # curvature-scaled step, fixed for the rest of the stage
+            if t == 0:
+                # curvature-scaled step of the first window, fixed for the stage
                 curvature = spectral_norm(g)
                 if curvature == 0:
                     raise ValueError(

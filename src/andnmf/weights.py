@@ -1,6 +1,6 @@
 """Weight-vector distributions and their correlation diagnostics.
 
-A `WeightSpec` describes one of four column distributions on the nonnegative
+A `WeightSpec` describes one of three column distributions on the nonnegative
 orthant (all bounded by [0, 1] entrywise). `gcc_closed_form` returns the
 known (r, k, m, lambda) correlation bounds for the families that have them;
 `gcc_from_samples` fits the tightest bounds satisfied by an empirical second
@@ -17,7 +17,7 @@ import numpy as np
 
 from .linalg import as_matrix
 
-FAMILIES = ("sparse_binary", "dirichlet", "logistic_normal", "sparse_uniform")
+FAMILIES = ("sparse_binary", "dirichlet", "logistic_normal")
 
 
 class NoClosedFormError(ValueError):
@@ -33,7 +33,6 @@ class WeightSpec:
       sparse_binary    s ones on a uniformly random support
       dirichlet        symmetric Dirichlet with per-coordinate `concentration`
       logistic_normal  softmax of N(0, cov_scale * rho^|i-j|) (Toeplitz)
-      sparse_uniform   s-sparse support, values Unif[low, high)
     """
 
     family: str
@@ -43,8 +42,6 @@ class WeightSpec:
     concentration: float | None = None
     rho: float = 0.5
     cov_scale: float = 1.0
-    low: float = 0.0
-    high: float = 1.0
 
     @classmethod
     def sparse_binary(cls, dim, s, seed=0):
@@ -58,22 +55,15 @@ class WeightSpec:
     def logistic_normal(cls, dim, rho=0.5, cov_scale=1.0, seed=0):
         return cls(family="logistic_normal", dim=dim, rho=rho, cov_scale=cov_scale, seed=seed)
 
-    @classmethod
-    def sparse_uniform(cls, dim, s, low=0.0, high=1.0, seed=0):
-        return cls(family="sparse_uniform", dim=dim, s=s, low=low, high=high, seed=seed)
-
     # every check is negated so that NaN fails it
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown weight family {self.family!r}")
         if not self.dim >= 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.family in ("sparse_binary", "sparse_uniform"):
+        if self.family == "sparse_binary":
             if self.s is None or not 1 <= self.s <= self.dim:
                 raise ValueError(f"need 1 <= s <= dim, got s={self.s}, dim={self.dim}")
-        if self.family == "sparse_uniform":
-            if not 0.0 <= self.low < self.high <= 1.0:
-                raise ValueError(f"need 0 <= low < high <= 1, got [{self.low}, {self.high})")
         if self.family == "dirichlet":
             if self.concentration is None or not self.concentration > 0:
                 raise ValueError(f"concentration must be > 0, got {self.concentration}")
@@ -90,12 +80,6 @@ class WeightSpec:
         return self.cov_scale * self.rho ** np.abs(idx[:, None] - idx[None, :])
 
 
-def _sparse_support(rng, dim, s, n):
-    # indices of the s smallest of dim iid uniforms = uniform random s-subset
-    u = rng.random((n, dim))
-    return np.argpartition(u, s - 1, axis=1)[:, :s]
-
-
 def sample_weights(spec: WeightSpec, n: int) -> np.ndarray:
     """Draw n i.i.d. weight columns; returns a (dim, n) array.
 
@@ -107,15 +91,10 @@ def sample_weights(spec: WeightSpec, n: int) -> np.ndarray:
     rng = np.random.default_rng(spec.seed)
     d = spec.dim
     if spec.family == "sparse_binary":
-        idx = _sparse_support(rng, d, spec.s, n)
+        # indices of the s smallest of d iid uniforms = uniform random s-subset
+        idx = np.argpartition(rng.random((n, d)), spec.s - 1, axis=1)[:, :spec.s]
         x = np.zeros((d, n))
         x[idx.ravel(), np.repeat(np.arange(n), spec.s)] = 1.0
-        return x
-    if spec.family == "sparse_uniform":
-        idx = _sparse_support(rng, d, spec.s, n)
-        vals = rng.uniform(spec.low, spec.high, size=(n, spec.s))
-        x = np.zeros((d, n))
-        x[idx.ravel(), np.repeat(np.arange(n), spec.s)] = vals.ravel()
         return x
     if spec.family == "dirichlet":
         return rng.dirichlet(np.full(d, spec.concentration), size=n).T

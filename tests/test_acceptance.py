@@ -27,7 +27,7 @@ from andnmf.weights import WeightSpec, gcc_from_samples, sample_weights
 pytestmark = pytest.mark.acceptance
 
 W, D, N = 200, 20, 2000
-GEOMETRIC = ThresholdSchedule.geometric(0.1, 1.0 / 1.1)
+GEOMETRIC = ThresholdSchedule(0.1, 1.0 / 1.1)
 CTM_WEIGHTS = dict(rho=0.5, cov_scale=25.0)
 
 
@@ -168,7 +168,7 @@ def test_c4_threshold_ablation(dir_problem):
               truth=gt, eval_every=50)
     const = run(init.a0, ds.y,
                 AndConfig(stages=stages, iters_per_stage=50,
-                          schedule=ThresholdSchedule.constant(0.1)),
+                          schedule=ThresholdSchedule(0.1, 1.0)),
                 truth=gt, eval_every=50)
     geo_final = geo.trace.stage_end_errors()[-1]
     const_final = const.trace.stage_end_errors()[-1]
@@ -188,7 +188,7 @@ def test_c5_binary_recovery():
                           NoiseSpec(0.0), N, seed=503)
     init = generate_initialization(gt, InitSpec(r_l=1.0, seed=504))
     cfg = AndConfig(stages=16, iters_per_stage=50,
-                    schedule=ThresholdSchedule.constant(0.25))
+                    schedule=ThresholdSchedule(0.25, 1.0))
     result = run(init.a0, ds.y, cfg, truth=gt, eval_every=50)
     dec = Evaluator(gt.a_star).decompose(result.a)
     rel = spectral_norm(result.a - gt.a_star @ np.diag(dec.sigma)) / spectral_norm(gt.a_star)
@@ -273,7 +273,7 @@ class TestC7Robustness:
         init = generate_initialization(gt, InitSpec(r_l=1.0, seed=seed + 3))
         evaluator = Evaluator(gt.a_star)
         initial = evaluator.error_report(init.a0).total
-        sched = ThresholdSchedule.geometric(0.1, ratio)
+        sched = ThresholdSchedule(0.1, ratio)
         result = run(init.a0, ds.y,
                      AndConfig(stages=stages, iters_per_stage=50, schedule=sched),
                      truth=gt, eval_every=50)
@@ -291,7 +291,7 @@ class TestC7Robustness:
         ds = generate_dataset(gt, WeightSpec.dirichlet(D, 80.0 / D, seed=731),
                               NoiseSpec(0.0), 4000, seed=732)
         init = generate_initialization(gt, InitSpec(r_l=1.0, seed=733))
-        sched = ThresholdSchedule.geometric(0.1, 1.0 / 1.03)
+        sched = ThresholdSchedule(0.1, 1.0 / 1.03)
         result = run(init.a0, ds.y,
                      AndConfig(stages=210, iters_per_stage=50, schedule=sched),
                      truth=gt, eval_every=50)
@@ -410,7 +410,7 @@ class TestC8InvariantSuites:
             rates.append(eta * lam_min)
             for t in checks:
                 cfg = AndConfig(stages=1, iters_per_stage=t,
-                                schedule=ThresholdSchedule.constant(alpha))
+                                schedule=ThresholdSchedule(alpha, 1.0))
                 a_t = run(a_j, ds.y, cfg, truth=gt, eval_every=t).a
                 bound = (1.0 - eta * lam_min) ** t * d0
                 worst = max(worst, np.linalg.norm(a_t - f) / bound)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from andnmf import harness
+from andnmf import harness, solver
 from andnmf.cli import main
 from andnmf.config import PRESET_NAMES, ConfigError, preset_config, validate_config
 from andnmf.linalg import SvdConvergenceError
@@ -33,16 +33,15 @@ def tiny_config(**overrides):
 
 
 def every_kind_config(weights):
-    """A config that sets every key, with one `and` solver per schedule kind."""
+    """A config that sets every key, with a held and an annealed `and` schedule."""
     return {
         "dataset": {"W": 40, "D": 5, "n": 80, "kind": "signed", "gamma": 0.02, "seed": 7,
                     "weights": weights},
         "init": {"r_l": 0.5, "r_n": 1},
         "solvers": [
-            {"name": "and", "label": "constant", "stages": 2, "iters_per_stage": 3,
-             "eta": 0.01, "batch": 20, "schedule": {"kind": "constant", "value": 0.1}},
-            {"name": "and", "label": "geometric",
-             "schedule": {"kind": "geometric", "start": 0.2, "ratio": 0.8}},
+            {"name": "and", "label": "held", "stages": 2, "iters_per_stage": 3,
+             "batch": 20, "schedule": {"start": 0.1, "ratio": 1.0}},
+            {"name": "and", "label": "annealed", "schedule": {"start": 0.2, "ratio": 0.8}},
             {"name": "hals", "outer_iters": 3},
             {"name": "anls"},
             {"name": "mu"},
@@ -56,7 +55,6 @@ WEIGHTS = {
     "sparse_binary": {"family": "sparse_binary", "s": 2},
     "dirichlet": {"family": "dirichlet", "concentration": 0.4},
     "logistic_normal": {"family": "logistic_normal", "rho": 0.3, "cov_scale": 4},
-    "sparse_uniform": {"family": "sparse_uniform", "s": 2, "low": 0.2, "high": 0.9},
 }
 
 
@@ -100,6 +98,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize("section, key, value", [
         ("and", "pinv_rel_tol", 1e-12),
         ("and", "eta_scale", 0.5),
+        ("and", "eta", 0.5),
+        ("schedule", "kind", "geometric"),
+        ("schedule", "value", 0.1),
         ("hals", "inner_iters", 10),
         ("hals", "epsilon_floor", 1e-12),
         ("hals", "seed", 4),
@@ -107,14 +108,15 @@ class TestConfigValidation:
         ("init", "zero_diag", False),
     ])
     def test_constant_is_not_a_key(self, tmp_path, capsys, section, key, value):
-        # each of these is a constant, or a seed derived from dataset.seed;
-        # setting even its value is an unknown key
+        # each of these is a constant, a seed derived from dataset.seed, or a
+        # removed setting; setting even its value is an unknown key
         raw = tiny_config()
         raw["solvers"].append({"name": "hals", "outer_iters": 3})
-        target = {"and": raw["solvers"][0], "hals": raw["solvers"][1], "init": raw["init"]}
+        target = {"and": raw["solvers"][0], "hals": raw["solvers"][1], "init": raw["init"],
+                  "schedule": raw["solvers"][0].setdefault("schedule", {})}
         target[section][key] = value
         path = {"and": "config.solvers[0]", "hals": "config.solvers[1]",
-                "init": "config.init"}[section]
+                "init": "config.init", "schedule": "config.solvers[0].schedule"}[section]
         cfg_path = write_config(tmp_path, raw)
         assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
         assert f"{path}.{key}: unknown key" in capsys.readouterr().err
@@ -191,7 +193,8 @@ class TestConfigValidation:
         assert cfg.dataset.noise.gamma == 0.01
         assert cfg.solvers[0].config.iters_per_stage == 100
         cfg = validate_config(preset_config("BINARY"))
-        assert cfg.solvers[0].config.schedule.kind == "constant"
+        schedule = cfg.solvers[0].config.schedule
+        assert (schedule.start, schedule.ratio) == (0.25, 1.0)
         cfg = validate_config(preset_config("paper-scale"))
         assert (cfg.dataset.w, cfg.dataset.d, cfg.dataset.n) == (1000, 100, 5000)
 
@@ -211,18 +214,15 @@ class TestConfigValidation:
     def test_null_means_absent(self):
         raw = tiny_config(eval_every=None, out_dir=None)
         raw["dataset"]["weights"] = None
-        raw["solvers"][0].update(label=None, eta=None, schedule=None)
+        raw["solvers"][0].update(label=None, schedule=None)
         assert validate_config(raw).raw == validate_config(tiny_config()).raw
 
     @pytest.mark.parametrize("section, value, key", [
         ("weights", {"family": "dirichlet", "concentration": 0.4, "rho": 0.5},
          "config.dataset.weights.rho"),
         ("weights", {"family": "logistic_normal", "s": 2}, "config.dataset.weights.s"),
-        ("schedule", {"kind": "constant", "value": 0.1, "start": 0.1},
-         "config.solvers[0].schedule.start"),
-        ("schedule", {"kind": "geometric", "lambda": 1.0}, "config.solvers[0].schedule.lambda"),
-    ], ids=["rho-on-dirichlet", "s-on-logistic_normal", "start-on-constant",
-            "lambda-on-geometric"])
+        ("schedule", {"start": 0.2, "lambda": 1.0}, "config.solvers[0].schedule.lambda"),
+    ], ids=["rho-on-dirichlet", "s-on-logistic_normal", "lambda-on-geometric"])
     def test_other_family_or_kind_key_is_error(self, section, value, key):
         raw = tiny_config()
         if section == "weights":
@@ -243,16 +243,23 @@ class TestConfigValidation:
         ("generate", lambda raw: raw["dataset"].update(gamma=float("nan")),
          "config.dataset.gamma"),
         ("generate",
-         lambda raw: raw["solvers"][0].update(schedule={"kind": "geometric", "start": float("nan")}),
+         lambda raw: raw["solvers"][0].update(schedule={"start": float("nan")}),
          "config.solvers[0].schedule.start"),
+        ("run", lambda raw: raw["solvers"][0].update(schedule={"ratio": float("nan")}),
+         "config.solvers[0].schedule.ratio"),
+        # a removed key is unknown, whatever its value
         ("run", lambda raw: raw["solvers"][0].update(eta=float("nan")),
-         "config.solvers[0].eta"),
+         "config.solvers[0].eta: unknown key"),
         ("generate", lambda raw: raw["dataset"].update(seed=-1), "config.dataset.seed"),
         ("generate",
          lambda raw: raw["solvers"][0].update(
              schedule={"kind": "theory", "lambda": 1.0, "r": 2.0, "q": 1.0}),
-         "config.solvers[0].schedule.kind: unknown kind 'theory'"),
-    ], ids=["D-zero", "gamma-nan", "start-nan", "eta-nan", "seed-negative", "theory-kind"])
+         "config.solvers[0].schedule.kind: unknown key"),
+        ("generate",
+         lambda raw: raw["dataset"].update(weights={"family": "sparse_uniform", "s": 2}),
+         "config.dataset.weights.family: unknown family 'sparse_uniform'"),
+    ], ids=["D-zero", "gamma-nan", "start-nan", "ratio-nan", "eta-nan", "seed-negative",
+            "theory-kind", "sparse_uniform-family"])
     def test_zero_size_or_nonfinite_value_is_validation_error(self, tmp_path, capsys,
                                                              command, edit, key):
         # JSON as Python reads it accepts NaN and Infinity literals
@@ -464,11 +471,11 @@ class TestRun:
         assert "negative" in summary["solvers"][0]["detail"]
 
     def test_zero_curvature_stage_refused(self, tmp_path):
-        # a constant threshold above every decoded entry leaves no curvature to
+        # a held threshold above every decoded entry leaves no curvature to
         # set the step from: a validation error (exit 1), not a silent no-op
         raw = tiny_config()
         raw["solvers"] = [{"name": "and", "stages": 2, "iters_per_stage": 3,
-                           "schedule": {"kind": "constant", "value": 1e9}}]
+                           "schedule": {"start": 1e9, "ratio": 1.0}}]
         rc, out = self.run_tiny(tmp_path, raw)
         assert rc == 1
         status = json.loads((out / "summary.json").read_text())["solvers"][0]
@@ -479,12 +486,12 @@ class TestRun:
     def test_refused_rerun_leaves_no_earlier_final_matrix(self, tmp_path):
         raw = tiny_config()
         raw["solvers"] = [{"name": "and", "stages": 2, "iters_per_stage": 3,
-                           "schedule": {"kind": "constant", "value": 0.1}}]
+                           "schedule": {"start": 0.1, "ratio": 1.0}}]
         rc, out = self.run_tiny(tmp_path, raw)
         assert rc == 0
         assert (out / "and_A_final.mat").exists()
         # a threshold above every decoded entry: the zero-curvature refusal
-        raw["solvers"][0]["schedule"]["value"] = 1e9
+        raw["solvers"][0]["schedule"]["start"] = 1e9
         cfg_path = write_config(tmp_path, raw)
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert json.loads((out / "summary.json").read_text())["solvers"][0]["status"] == "refused"
@@ -505,18 +512,35 @@ class TestRun:
         assert [s["status"] for s in statuses] == ["refused", "refused"]
         assert all("ground truth is rank deficient" in s["detail"] for s in statuses)
 
-    def test_divergence_recorded_with_partial_trace(self, tmp_path):
+    def test_wide_a0_without_truth_refused(self, tmp_path):
+        # a start with more columns than rows has no full column rank, so no
+        # stage pseudo-inverse P satisfies P A = I
+        cfg_path = write_config(tmp_path, tiny_config())
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        (out / "A_star.mat").unlink()
+        write_matrix(out / "A0.mat", np.random.default_rng(0).random((40, 50)))
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        status = json.loads((out / "summary.json").read_text())["solvers"][0]
+        assert status["status"] == "refused"
+        assert "working matrix has more columns than rows" in status["detail"]
+        assert not (out / "and_A_final.mat").exists()
+
+    def test_divergence_recorded_with_partial_trace(self, tmp_path, monkeypatch):
+        # 3x the stable step on the top curvature mode: |1 - 3| = 2 per step
+        monkeypatch.setattr(solver, "_ETA_SCALE", 3.0)
         raw = tiny_config()
-        raw["solvers"] = [{"name": "and", "stages": 1, "iters_per_stage": 500, "eta": 1e8}]
+        raw["solvers"] = [{"name": "and", "stages": 1, "iters_per_stage": 500}]
         rc, out = self.run_tiny(tmp_path, raw)
         assert rc == 2
         summary = json.loads((out / "summary.json").read_text())
         assert summary["solvers"][0]["status"] == "diverged"
         assert read_trace(out / "and_trace.csv")  # partial rows retained
 
-    def test_overflow_divergence_row_is_not_evaluated(self, tmp_path):
+    def test_overflow_divergence_row_is_not_evaluated(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(solver, "_ETA_SCALE", math.inf)
         raw = tiny_config()
-        raw["solvers"] = [{"name": "and", "stages": 1, "iters_per_stage": 5, "eta": 1e308}]
+        raw["solvers"] = [{"name": "and", "stages": 1, "iters_per_stage": 5}]
         with np.errstate(over="ignore", invalid="ignore"):
             rc, out = self.run_tiny(tmp_path, raw)
         assert rc == 2
@@ -711,10 +735,10 @@ class TestBlasThreads:
         assert summary["solvers"][0]["status"] == "refused"
         assert calls == [1, 16] and seen == [1] and threads[0] == 16
 
-    def test_diverged_and_restores_the_count(self, tmp_path, fake_openblas):
+    def test_diverged_and_restores_the_count(self, tmp_path, fake_openblas, monkeypatch):
         threads, calls, seen = fake_openblas
-        summary = self.run_fake(
-            tmp_path, [{"name": "and", "stages": 1, "iters_per_stage": 500, "eta": 1e8}])
+        monkeypatch.setattr(solver, "_ETA_SCALE", 3.0)
+        summary = self.run_fake(tmp_path, [{"name": "and", "stages": 1, "iters_per_stage": 500}])
         assert summary["solvers"][0]["status"] == "diverged"
         assert calls == [1, 16] and seen == [1] and threads[0] == 16
 

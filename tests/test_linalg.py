@@ -105,6 +105,17 @@ def test_full_rank_svd_names_rank_deficient_matrix(column):
         full_rank_svd(m, "ground truth")
 
 
+def test_full_rank_svd_refuses_a_wide_matrix():
+    # its singular values are well conditioned, but a 2 x 3 matrix has no
+    # full column rank: no P gives P M = I
+    m = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match=r"working matrix has more columns than rows \(2, 3\)"):
+        full_rank_svd(m, "working matrix")
+    with pytest.raises(ValueError, match="more columns than rows"):
+        full_rank_pseudo_inverse(m)
+    full_rank_svd(m.T)
+
+
 def test_full_rank_svd_returns_the_factors():
     m = np.random.default_rng(3).standard_normal((9, 4))
     u, s, vt = full_rank_svd(m)

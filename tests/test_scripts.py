@@ -1,4 +1,5 @@
-"""Smoke runs of `scripts/experiments.py`, one experiment at a time under --quick."""
+"""Smoke runs of `scripts/experiments.py`, one experiment at a time under --quick,
+and checks that the benchmark in `perfbench/` still fits the package."""
 
 import importlib.util
 import json
@@ -9,11 +10,22 @@ from pathlib import Path
 
 import pytest
 
+from andnmf.config import validate_config
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "experiments.py"
-_spec = importlib.util.spec_from_file_location("experiments", SCRIPT)
-experiments = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(experiments)
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # the dataclasses of workloads.py look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+experiments = _load("experiments", SCRIPT)
+workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
 
 
 @pytest.mark.parametrize("experiment, args", [
@@ -55,3 +67,13 @@ def test_perfbench_tracer_instruments_the_package():
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+@pytest.mark.parametrize("smoke", [False, True], ids=["full", "smoke"])
+def test_perfbench_workload_configs_validate(name, smoke):
+    # a config schema change would otherwise show only when the benchmark runs
+    workload = workloads.WORKLOADS[name]
+    make = workload.smoke_config if smoke else workload.config
+    for seed in (0, workloads.REFERENCE_SEEDS - 1):
+        validate_config(make(seed))

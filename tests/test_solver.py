@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from andnmf import metrics, solver
-from andnmf.linalg import full_rank_pseudo_inverse, spectral_norm
+from andnmf.linalg import full_rank_pseudo_inverse
 from andnmf.solver import (
     EVAL_BATCH_BYTES,
     AndConfig,
@@ -31,23 +31,24 @@ def make_problem(w=60, d=6, n=400, s=2, r_l=1.0, seed=0):
 
 class TestStageThreshold:
     def test_geometric_first_stage(self):
-        sched = ThresholdSchedule.geometric(0.1, 1 / 1.1)
+        sched = ThresholdSchedule(0.1, 1 / 1.1)
         assert stage_threshold(sched, 0) == pytest.approx(0.1)
         assert stage_threshold(sched, 3) == pytest.approx(0.1 / 1.1**3)
 
     def test_constant(self):
-        assert stage_threshold(ThresholdSchedule.constant(0.25), 17) == 0.25
+        assert stage_threshold(ThresholdSchedule(0.25, 1.0), 17) == 0.25
 
     def test_stage_index_must_be_nonnegative(self):
         for j in (-1, float("nan")):
             with pytest.raises(ValueError, match="stage index"):
-                stage_threshold(ThresholdSchedule.constant(0.25), j)
+                stage_threshold(ThresholdSchedule(0.25, 1.0), j)
 
     def test_invalid_schedules(self):
-        with pytest.raises(ValueError):
-            ThresholdSchedule.geometric(start=0.0)
-        with pytest.raises(ValueError):
-            ThresholdSchedule.geometric(ratio=1.5)
+        for kwargs in ({"start": -0.1}, {"ratio": 0.0}, {"ratio": 1.5}):
+            with pytest.raises(ValueError):
+                ThresholdSchedule(**kwargs)
+        # a zero threshold keeps every nonnegative decoded entry
+        assert stage_threshold(ThresholdSchedule(0.0, 1.0), 3) == 0.0
 
 
 class TestDecodeUpdate:
@@ -75,7 +76,7 @@ class TestRun:
     def test_ground_truth_is_fixed_point_binary(self):
         gt, ds, _ = make_problem()
         cfg = AndConfig(stages=3, iters_per_stage=10,
-                        schedule=ThresholdSchedule.constant(0.25))
+                        schedule=ThresholdSchedule(0.25, 1.0))
         result = run(gt.a_star, ds.y, cfg, truth=gt)
         errs = [r.total_error for r in result.trace.rows]
         assert max(errs) <= 1e-10
@@ -83,7 +84,7 @@ class TestRun:
     def test_binary_recovery_and_stagewise_mixing_contraction(self):
         gt, ds, init = make_problem(w=200, d=20, n=2000, s=3, seed=7)
         cfg = AndConfig(stages=12, iters_per_stage=50,
-                        schedule=ThresholdSchedule.constant(0.25))
+                        schedule=ThresholdSchedule(0.25, 1.0))
         result = run(init.a0, ds.y, cfg, truth=gt, eval_every=50)
         errs = result.trace.stage_end_errors()
         assert errs[-1] <= 1e-6
@@ -107,7 +108,7 @@ class TestRun:
 
     def test_minibatch_one_runs(self):
         gt, ds, init = make_problem()
-        cfg = AndConfig(stages=1, iters_per_stage=20, batch=1, eta=1e-3)
+        cfg = AndConfig(stages=1, iters_per_stage=20, batch=1)
         result = run(init.a0, ds.y, cfg, truth=gt)
         assert result.a.shape == init.a0.shape
 
@@ -117,7 +118,7 @@ class TestRun:
         gt, ds, _ = make_problem(w=80, d=8, n=200, s=2, seed=11)
         scales = np.array([0.5, 1.0, 2.0, 1.0, 0.5, 2.0, 1.0, 0.5])
         a = gt.a_star * scales
-        cfg = AndConfig(stages=1, iters_per_stage=1, schedule=ThresholdSchedule.constant(0.25))
+        cfg = AndConfig(stages=1, iters_per_stage=1, schedule=ThresholdSchedule(0.25, 1.0))
         updated = run(a, ds.y, cfg).a
         assert np.abs(updated - a).max() <= 1e-10
 
@@ -139,9 +140,11 @@ class TestRun:
         for its in by_stage.values():
             assert its == sorted(set(its))
 
-    def test_divergence_guard(self):
+    def test_divergence_guard(self, monkeypatch):
         gt, ds, init = make_problem()
-        cfg = AndConfig(stages=1, iters_per_stage=500, eta=1e6)
+        # 3x the stable step on the top curvature mode: |1 - 3| = 2 per step
+        monkeypatch.setattr(solver, "_ETA_SCALE", 3.0)
+        cfg = AndConfig(stages=1, iters_per_stage=500)
         with pytest.raises(DivergenceError) as exc:
             run(init.a0, ds.y, cfg, truth=gt)
         assert exc.value.stage == 0
@@ -162,14 +165,15 @@ class TestRun:
         assert scaled.trace.rows[-1].total_error / scale == \
             pytest.approx(base.trace.rows[-1].total_error, rel=1e-12, abs=0)
 
-    def test_overflow_to_nan_is_divergence_and_not_evaluated(self):
-        # eta = 1e308 overflows the first update to inf/NaN entries, which a
-        # bare `max > limit` test lets through; metrics on such a matrix fail
+    def test_overflow_to_nan_is_divergence_and_not_evaluated(self, monkeypatch):
+        # an infinite step turns the first update into inf/NaN entries, which
+        # a bare `max > limit` test lets through; metrics on such a matrix fail
         gt = generate_ground_truth(40, 5, seed=20)
         ds = generate_dataset(gt, WeightSpec.dirichlet(5, 1.0, seed=21), NoiseSpec(0.0),
                               200, seed=22)
         init = generate_initialization(gt, InitSpec(r_l=1.0, seed=23))
-        cfg = AndConfig(stages=1, iters_per_stage=5, eta=1e308)
+        monkeypatch.setattr(solver, "_ETA_SCALE", math.inf)
+        cfg = AndConfig(stages=1, iters_per_stage=5)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as exc:
                 run(init.a0, ds.y, cfg, truth=gt)
@@ -197,13 +201,9 @@ class TestRun:
         # a threshold above every decoded entry leaves G = 0: the curvature
         # step would be 0.5 / 1e-12 and the run would end on A0 unchanged
         gt, ds, init = make_problem(w=40, d=5, n=400, seed=seed)
-        cfg = AndConfig(stages=2, iters_per_stage=3, schedule=ThresholdSchedule.constant(1e9))
+        cfg = AndConfig(stages=2, iters_per_stage=3, schedule=ThresholdSchedule(1e9, 1.0))
         with pytest.raises(ValueError, match=r"stage 0 .* alpha=1e\+09"):
             run(init.a0, ds.y, cfg, truth=gt)
-        # an explicit step is the caller's choice and is not checked
-        explicit = AndConfig(stages=2, iters_per_stage=3, eta=0.1,
-                             schedule=ThresholdSchedule.constant(1e9))
-        assert np.array_equal(run(init.a0, ds.y, explicit, truth=gt).a, init.a0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_zero_curvature_first_window_refused(self, seed):
@@ -213,7 +213,7 @@ class TestRun:
         y = ds.y.copy()
         y[:, :40] *= 0.01
         cfg = AndConfig(stages=2, iters_per_stage=5, batch=40,
-                        schedule=ThresholdSchedule.constant(0.1))
+                        schedule=ThresholdSchedule(0.1, 1.0))
         with pytest.raises(ValueError, match=r"stage 0 .* alpha=0\.1\b"):
             run(init.a0, y, cfg, truth=gt)
 
@@ -286,12 +286,11 @@ class TestTraceStreaming:
         assert 1 < self.CAPACITY < 50
         assert batches == [self.CAPACITY] * (50 // self.CAPACITY) + [50 % self.CAPACITY]
 
-    def test_divergence_mid_stage_writes_every_earlier_row_first(self, log):
+    def test_divergence_mid_stage_writes_every_earlier_row_first(self, log, monkeypatch):
         gt, ds, init = self.problem()
-        z0 = decode(full_rank_pseudo_inverse(init.a0), ds.y, 0.25)
         # a step 3x the stable one on the top curvature mode: |1 - 3| = 2 per step
-        cfg = AndConfig(stages=1, iters_per_stage=200, eta=3.0 / spectral_norm(z0 @ z0.T),
-                        schedule=ThresholdSchedule.constant(0.25))
+        monkeypatch.setattr(solver, "_ETA_SCALE", 3.0)
+        cfg = AndConfig(stages=1, iters_per_stage=200, schedule=ThresholdSchedule(0.25, 1.0))
         with pytest.raises(DivergenceError) as exc:
             run(init.a0, ds.y, cfg, truth=gt, on_row=log.on_row)
         t = exc.value.iteration
@@ -313,8 +312,6 @@ class TestTraceStreaming:
 def test_run_rejects_bad_config():
     with pytest.raises(ValueError):
         AndConfig(stages=0)
-    with pytest.raises(ValueError):
-        AndConfig(eta=-1.0)
     with pytest.raises(ValueError):
         AndConfig(batch=0)
     for bad in (2.5, 2.0, True, float("nan")):

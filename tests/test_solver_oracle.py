@@ -60,7 +60,6 @@ def reference_run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1) -> And
         pinv = full_rank_pseudo_inverse(a, name="working matrix")
         trace.pinv_count += 1
         alpha = stage_threshold(cfg.schedule, j)
-        eta = cfg.eta
         for t in range(cfg.iters_per_stage):
             if batch == n:
                 y_batch = y
@@ -68,7 +67,7 @@ def reference_run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1) -> And
                 cols = (t * batch + np.arange(batch)) % n
                 y_batch = y[:, cols]
             z = decode(pinv, y_batch, alpha)
-            if eta is None:
+            if t == 0:
                 # curvature-scaled step, fixed for the rest of the stage; a
                 # first decode of all zeros has no curvature and is refused
                 curvature = spectral_norm(z @ z.T)
@@ -117,8 +116,8 @@ def _close(got, ref, floor):
 
 
 SCHEDULES = {
-    "constant": ThresholdSchedule.constant(0.2),
-    "geometric": ThresholdSchedule.geometric(),
+    "held": ThresholdSchedule(0.2, 1.0),
+    "default": ThresholdSchedule(),
 }
 
 
@@ -133,24 +132,17 @@ SCHEDULES = {
     batch_kind=st.sampled_from(["full", "n", "mini"]),
     window=st.integers(1, 47),
     schedule=st.sampled_from(sorted(SCHEDULES)),
-    eta_kind=st.sampled_from(["curvature", "explicit"]),
     with_truth=st.booleans(),
     stages=st.integers(1, 4),
     iters=st.integers(1, 8),
     eval_every=st.integers(1, 4),
 )
 def test_run_matches_reference_loop(d, extra_w, n, seed, weights, batch_kind, window,
-                                    schedule, eta_kind, with_truth, stages, iters,
-                                    eval_every):
+                                    schedule, with_truth, stages, iters, eval_every):
     gt, y, a0 = _problem(d + 2 + extra_w, d, n, seed, weights)
     batch = {"full": "full", "n": n, "mini": min(window, n - 1)}[batch_kind]
-    # an explicit step a little under the curvature-scaled one of the first decode
-    eta = None
-    if eta_kind == "explicit":
-        z0 = decode(full_rank_pseudo_inverse(a0, "a0"), y, 0.1)
-        eta = 0.4 / (spectral_norm(z0 @ z0.T) + 1.0)
-    cfg = AndConfig(stages=stages, iters_per_stage=iters, eta=eta,
-                    schedule=SCHEDULES[schedule], batch=batch)
+    cfg = AndConfig(stages=stages, iters_per_stage=iters, schedule=SCHEDULES[schedule],
+                    batch=batch)
     truth = gt if with_truth else None
     ref, ref_exc = _outcome(reference_run, a0, y, cfg, truth=truth, eval_every=eval_every)
     got, got_exc = _outcome(run, a0, y, cfg, truth=truth, eval_every=eval_every)

@@ -12,13 +12,14 @@ NAN = math.nan
 
 
 NAN_SPECS = {
-    "eta": lambda: AndConfig(eta=NAN),
-    "start": lambda: ThresholdSchedule.geometric(start=NAN),
-    "c": lambda: ThresholdSchedule.constant(NAN),
+    "start": lambda: ThresholdSchedule(start=NAN),
+    "ratio": lambda: ThresholdSchedule(ratio=NAN),
     "concentration": lambda: WeightSpec.dirichlet(4, NAN),
     "rho": lambda: WeightSpec.logistic_normal(4, rho=NAN),
+    "cov_scale": lambda: WeightSpec.logistic_normal(4, cov_scale=NAN),
     "gamma": lambda: NoiseSpec(gamma=NAN),
     "r_l": lambda: InitSpec(r_l=NAN),
+    "r_n": lambda: InitSpec(r_n=NAN),
 }
 
 
@@ -31,11 +32,3 @@ def test_constructor_rejects_nan(name):
 def test_and_config_rejects_bool_batch():
     with pytest.raises(ValueError, match="batch"):
         AndConfig(batch=True)
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"kind": "constant"},
-], ids=["constant-without-c"])
-def test_schedule_parameters_without_default_are_required(kwargs):
-    with pytest.raises(ValueError):
-        ThresholdSchedule(**kwargs)
