@@ -14,6 +14,8 @@ NAN = math.nan
 NAN_SPECS = {
     "start": lambda: ThresholdSchedule(start=NAN),
     "ratio": lambda: ThresholdSchedule(ratio=NAN),
+    # a threshold c held for every stage is start=c at ratio 1
+    "c": lambda: ThresholdSchedule(start=NAN, ratio=1.0),
     "concentration": lambda: WeightSpec.dirichlet(4, NAN),
     "rho": lambda: WeightSpec.logistic_normal(4, rho=NAN),
     "cov_scale": lambda: WeightSpec.logistic_normal(4, cov_scale=NAN),
