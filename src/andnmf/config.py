@@ -350,11 +350,8 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     return validate_config(raw, seed_override)
 
 
-def preset_config(preset: str, overrides: dict | None = None) -> dict:
+def preset_config(preset: str) -> dict:
     """A raw config dict for a named preset, ready for validate_config."""
     if preset not in PRESET_NAMES:
         raise ConfigError(f"unknown preset {preset!r} (known: {PRESET_NAMES})")
-    raw = {"dataset": {"preset": preset}, "solvers": [{"name": "and"}]}
-    if overrides:
-        raw.update(overrides)
-    return raw
+    return {"dataset": {"preset": preset}, "solvers": [{"name": "and"}]}

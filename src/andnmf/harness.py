@@ -217,6 +217,8 @@ def _run_one(entry, y, a0, truth, eval_every, out, blas_threads):
 def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     """Run every configured solver against the dataset files in `out_dir`.
 
+    Before any solver runs, `Y.mat` must be `W x n` and `A0.mat` (and
+    `A_star.mat`, if present) `W x D` by the config, else `ValueError`.
     A ground truth in `A_star.mat` is checked by each solver's evaluator, so
     a rank-deficient one makes every solver `refused`.
 
@@ -238,6 +240,13 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     truth = None
     if (out / "A_star.mat").exists():
         truth = read_matrix(out / "A_star.mat")
+    ds = cfg.dataset
+    for fname, m, dims, shape in (("Y.mat", y, "W x n", (ds.w, ds.n)),
+                                  ("A0.mat", a0, "W x D", (ds.w, ds.d)),
+                                  ("A_star.mat", truth, "W x D", (ds.w, ds.d))):
+        if m is not None and m.shape != shape:
+            raise ValueError(f"{out / fname} is {m.shape[0]}x{m.shape[1]}, "
+                             f"but the config's {dims} is {shape[0]}x{shape[1]}")
     eval_every = cfg.effective_eval_every()
 
     workers = min(jobs, len(cfg.solvers))

@@ -134,9 +134,6 @@ class RunTrace:
     rows: list[TraceRow] = field(default_factory=list)
     pinv_count: int = 0
 
-    def append(self, row: TraceRow):
-        self.rows.append(row)
-
     def stage_end_errors(self) -> np.ndarray:
         """Last recorded error of each stage, in stage order."""
         ends = {}
@@ -230,7 +227,7 @@ class TraceRecorder:
             e_norm=e_norm,
             n_norm=n_norm,
         )
-        self.trace.append(row)
+        self.trace.rows.append(row)
         if self._on_row is not None:
             self._on_row(row)
 

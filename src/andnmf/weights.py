@@ -1,11 +1,13 @@
 """Weight-vector distributions and their correlation diagnostics.
 
 A `WeightSpec` describes one of three column distributions on the nonnegative
-orthant (all bounded by [0, 1] entrywise). `gcc_closed_form` returns the
-known (r, k, m, lambda) correlation bounds for the families that have them;
-`gcc_from_samples` fits the tightest bounds satisfied by an empirical second
-moment, and `decay_profile` measures how much conditional mass the nonzero
-coordinates put near zero.
+orthant (all bounded by [0, 1] entrywise). It has one constructor, which
+takes the family's own fields by keyword, e.g.
+`WeightSpec("dirichlet", 20, concentration=0.25, seed=1)`. `gcc_closed_form`
+returns the known (r, k, m, lambda) correlation bounds for the families that
+have them; `gcc_from_samples` fits the tightest bounds satisfied by an
+empirical second moment, and `decay_profile` measures how much conditional
+mass the nonzero coordinates put near zero.
 """
 
 from __future__ import annotations
@@ -42,18 +44,6 @@ class WeightSpec:
     concentration: float | None = None
     rho: float = 0.5
     cov_scale: float = 1.0
-
-    @classmethod
-    def sparse_binary(cls, dim, s, seed=0):
-        return cls(family="sparse_binary", dim=dim, s=s, seed=seed)
-
-    @classmethod
-    def dirichlet(cls, dim, concentration, seed=0):
-        return cls(family="dirichlet", dim=dim, concentration=concentration, seed=seed)
-
-    @classmethod
-    def logistic_normal(cls, dim, rho=0.5, cov_scale=1.0, seed=0):
-        return cls(family="logistic_normal", dim=dim, rho=rho, cov_scale=cov_scale, seed=seed)
 
     # every check is negated so that NaN fails it
     def __post_init__(self):

@@ -49,7 +49,7 @@ def fit_line(ys):
 @pytest.fixture(scope="session")
 def dir_problem():
     gt = generate_ground_truth(W, D, kind="nonneg", seed=101)
-    ds = generate_dataset(gt, WeightSpec.dirichlet(D, 0.05 * (100 / D), seed=102),
+    ds = generate_dataset(gt, WeightSpec("dirichlet", D, concentration=0.05 * (100 / D), seed=102),
                           NoiseSpec(0.0), N, seed=103)
     init = generate_initialization(gt, InitSpec(r_l=1.0, seed=104))
     return gt, ds, init
@@ -58,7 +58,7 @@ def dir_problem():
 @pytest.fixture(scope="session")
 def ctm_problem():
     gt = generate_ground_truth(W, D, kind="nonneg", seed=201)
-    ds = generate_dataset(gt, WeightSpec.logistic_normal(D, seed=202, **CTM_WEIGHTS),
+    ds = generate_dataset(gt, WeightSpec("logistic_normal", D, seed=202, **CTM_WEIGHTS),
                           NoiseSpec(0.0), N, seed=203)
     init = generate_initialization(gt, InitSpec(r_l=1.0, seed=204))
     return gt, ds, init
@@ -137,7 +137,7 @@ def test_c2_ctm_recovery(ctm_problem):
 
 def test_c3_negative_ground_truth():
     gt = generate_ground_truth(W, D, kind="signed", seed=301)
-    ds = generate_dataset(gt, WeightSpec.logistic_normal(D, seed=302, **CTM_WEIGHTS),
+    ds = generate_dataset(gt, WeightSpec("logistic_normal", D, seed=302, **CTM_WEIGHTS),
                           NoiseSpec(0.0), N, seed=303)
     init = generate_initialization(gt, InitSpec(r_l=1.0, seed=304))
     initial = Evaluator(gt.a_star).error_report(init.a0).total
@@ -184,7 +184,7 @@ def test_c4_threshold_ablation(dir_problem):
 
 def test_c5_binary_recovery():
     gt = generate_ground_truth(W, D, kind="nonneg", seed=501)
-    ds = generate_dataset(gt, WeightSpec.sparse_binary(D, 3, seed=502),
+    ds = generate_dataset(gt, WeightSpec("sparse_binary", D, s=3, seed=502),
                           NoiseSpec(0.0), N, seed=503)
     init = generate_initialization(gt, InitSpec(r_l=1.0, seed=504))
     cfg = AndConfig(stages=16, iters_per_stage=50,
@@ -202,7 +202,7 @@ def test_c6_noise_plateau():
     """Common random numbers across gamma levels: same weights and unit noise,
     scaled per level, so plateau monotonicity is not washed out by draws."""
     gt = generate_ground_truth(W, D, kind="nonneg", seed=601)
-    x = sample_weights(WeightSpec.logistic_normal(D, seed=602, **CTM_WEIGHTS), N)
+    x = sample_weights(WeightSpec("logistic_normal", D, seed=602, **CTM_WEIGHTS), N)
     unit = np.random.default_rng(603).standard_normal((W, N)) / np.sqrt(W)
     init = generate_initialization(gt, InitSpec(r_l=1.0, seed=604))
     plateaus, changes = {}, {}
@@ -268,8 +268,8 @@ class TestC7Robustness:
         mass) of at most 0.01. n and the annealing rate are not pinned;
         n=4000 keeps the finite-sample floor below the target."""
         gt = generate_ground_truth(W, D, kind="nonneg", seed=seed)
-        ds = generate_dataset(gt, WeightSpec.dirichlet(D, alpha_total / D, seed=seed + 1),
-                              NoiseSpec(0.0), 4000, seed=seed + 2)
+        weights = WeightSpec("dirichlet", D, concentration=alpha_total / D, seed=seed + 1)
+        ds = generate_dataset(gt, weights, NoiseSpec(0.0), 4000, seed=seed + 2)
         init = generate_initialization(gt, InitSpec(r_l=1.0, seed=seed + 3))
         evaluator = Evaluator(gt.a_star)
         initial = evaluator.error_report(init.a0).total
@@ -288,7 +288,7 @@ class TestC7Robustness:
 
     def test_sparsity_dense_plateaus(self):
         gt = generate_ground_truth(W, D, kind="nonneg", seed=730)
-        ds = generate_dataset(gt, WeightSpec.dirichlet(D, 80.0 / D, seed=731),
+        ds = generate_dataset(gt, WeightSpec("dirichlet", D, concentration=80.0 / D, seed=731),
                               NoiseSpec(0.0), 4000, seed=732)
         init = generate_initialization(gt, InitSpec(r_l=1.0, seed=733))
         sched = ThresholdSchedule(0.1, 1.0 / 1.03)
@@ -442,7 +442,7 @@ class TestC8InvariantSuites:
 
     def test_gcc_empirical_three_standard_errors(self):
         d, s, n = 4, 2, 50000
-        x = sample_weights(WeightSpec.sparse_binary(d, s, seed=83), n)
+        x = sample_weights(WeightSpec("sparse_binary", d, s=s, seed=83), n)
         est = gcc_from_samples(x)
         delta = np.zeros((d, d))
         for sup in itertools.combinations(range(d), s):

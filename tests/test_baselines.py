@@ -100,7 +100,8 @@ class TestRunBaseline:
     def make_problem(self, kind="nonneg", gamma=0.0, seed=0):
         gt = generate_ground_truth(40, 5, kind=kind, seed=seed)
         ds = generate_dataset(
-            gt, WeightSpec.dirichlet(5, 1.0, seed=seed + 1), NoiseSpec(gamma), 150, seed + 2
+            gt, WeightSpec("dirichlet", 5, concentration=1.0, seed=seed + 1), NoiseSpec(gamma),
+            150, seed + 2
         )
         init = generate_initialization(gt, InitSpec(r_l=1.0, seed=seed + 3))
         return gt, ds, init
@@ -164,7 +165,7 @@ class TestRunBaseline:
         from andnmf.solver import AndConfig, run
 
         gt = generate_ground_truth(100, 10, seed=41)
-        ds = generate_dataset(gt, WeightSpec.dirichlet(10, 0.5, seed=42),
+        ds = generate_dataset(gt, WeightSpec("dirichlet", 10, concentration=0.5, seed=42),
                               NoiseSpec(0.0), 800, seed=43)
         init = generate_initialization(gt, InitSpec(r_l=1.0, seed=44))
         staged = run(init.a0, ds.y, AndConfig(stages=60, iters_per_stage=50),

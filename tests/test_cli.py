@@ -65,6 +65,13 @@ def readme_config():
     return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
 
 
+def readme_example():
+    """The Python code of README's "Minimal example"."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text[text.index("Minimal example:"):]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
 def write_config(tmp_path, raw, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
@@ -512,19 +519,40 @@ class TestRun:
         assert [s["status"] for s in statuses] == ["refused", "refused"]
         assert all("ground truth is rank deficient" in s["detail"] for s in statuses)
 
-    def test_wide_a0_without_truth_refused(self, tmp_path):
-        # a start with more columns than rows has no full column rank, so no
-        # stage pseudo-inverse P satisfies P A = I
-        cfg_path = write_config(tmp_path, tiny_config())
+    def run_with_dataset_file(self, tmp_path, capsys, fname, shape, keep_truth):
+        """Generate the tiny 40 x 5, n = 80 dataset, overwrite `fname` with a
+        random matrix of `shape`, and run `and` and `hals` on it; the run's
+        exit code and stderr."""
+        raw = tiny_config()
+        raw["solvers"].append({"name": "hals", "outer_iters": 3})
+        cfg_path = write_config(tmp_path, raw)
         out = tmp_path / "out"
         assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
-        (out / "A_star.mat").unlink()
-        write_matrix(out / "A0.mat", np.random.default_rng(0).random((40, 50)))
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
-        status = json.loads((out / "summary.json").read_text())["solvers"][0]
-        assert status["status"] == "refused"
-        assert "working matrix has more columns than rows" in status["detail"]
-        assert not (out / "and_A_final.mat").exists()
+        if not keep_truth:
+            (out / "A_star.mat").unlink()
+        write_matrix(out / fname, np.random.default_rng(0).random(shape))
+        rc = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert not (out / "summary.json").exists()
+        assert not list(out.glob("*_A_final.mat"))
+        return rc, capsys.readouterr().err
+
+    def test_wide_a0_without_truth_refused(self, tmp_path, capsys):
+        # refused by the file check before any solver runs; a direct solver
+        # call refuses it too (test_solver's test_wide_a0_without_truth_rejected)
+        rc, err = self.run_with_dataset_file(tmp_path, capsys, "A0.mat", (40, 50), False)
+        assert rc == 1
+        assert "A0.mat is 40x50, but the config's W x D is 40x5" in err
+
+    @pytest.mark.parametrize("fname, shape, keep_truth", [
+        ("A0.mat", (40, 3), False),  # without the check, a rank-3 run exited 0
+        ("A_star.mat", (40, 4), True),
+        ("Y.mat", (40, 60), True),
+    ])
+    def test_dataset_file_of_another_shape_than_config_refused(
+            self, tmp_path, capsys, fname, shape, keep_truth):
+        rc, err = self.run_with_dataset_file(tmp_path, capsys, fname, shape, keep_truth)
+        assert rc == 1
+        assert f"{fname} is {shape[0]}x{shape[1]}" in err
 
     def test_divergence_recorded_with_partial_trace(self, tmp_path, monkeypatch):
         # 3x the stable step on the top curvature mode: |1 - 3| = 2 per step
@@ -791,22 +819,6 @@ sys.meta_path.insert(0, Hook())
                 "print(json.dumps('numpy' in sys.modules))")
         assert fresh_python(code) is False
 
-    def test_public_names_resolve_to_their_submodules(self):
-        code = """
-import importlib, json, andnmf
-same = [importlib.import_module("andnmf." + andnmf._SUBMODULE[name]).__dict__[name]
-        is getattr(andnmf, name) for name in andnmf.__all__]
-try:
-    andnmf.no_such_name
-    unknown = "no error"
-except AttributeError as exc:
-    unknown = str(exc)
-print(json.dumps([all(same), sorted(andnmf.__all__) == sorted(andnmf._SUBMODULE),
-                  set(andnmf.__all__) <= set(dir(andnmf)), unknown]))
-"""
-        assert fresh_python(code) == [
-            True, True, True, "module 'andnmf' has no attribute 'no_such_name'"]
-
     def test_cli_sets_thread_timeout_before_numpy_loads(self):
         code = self.HOOK + "import andnmf.cli; print(json.dumps(seen))"
         assert fresh_python(code, OPENBLAS_THREAD_TIMEOUT=None) == ["4"]
@@ -816,9 +828,14 @@ print(json.dumps([all(same), sorted(andnmf.__all__) == sorted(andnmf._SUBMODULE)
         assert fresh_python(code, OPENBLAS_THREAD_TIMEOUT="28") == ["28"]
 
     def test_library_import_leaves_the_environment_alone(self):
-        code = (self.HOOK + "import andnmf, andnmf.harness; andnmf.run; "
+        code = (self.HOOK + "import andnmf, andnmf.harness; andnmf.solver.run; "
                 "print(json.dumps([seen, os.environ.get('OPENBLAS_THREAD_TIMEOUT')]))")
         assert fresh_python(code, OPENBLAS_THREAD_TIMEOUT=None) == [[None], None]
+
+
+def test_readme_minimal_example_prints_a_finite_error():
+    error = fresh_python(readme_example())
+    assert isinstance(error, float) and math.isfinite(error)
 
 
 class TestEvalAndGcc:
@@ -875,7 +892,7 @@ class TestEvalAndGcc:
         assert "offset" in capsys.readouterr().err
 
     def test_gcc_dirichlet_simplex_r(self, tmp_path):
-        x = sample_weights(WeightSpec.dirichlet(5, 0.4, seed=2), 400)
+        x = sample_weights(WeightSpec("dirichlet", 5, concentration=0.4, seed=2), 400)
         p = tmp_path / "w.mat"
         write_matrix(p, x)
         out = tmp_path / "g.json"
@@ -884,7 +901,7 @@ class TestEvalAndGcc:
         assert report["params"]["r"] <= 1.0 + 1e-9
 
     def test_gcc_binary_exact_r(self, tmp_path):
-        x = sample_weights(WeightSpec.sparse_binary(6, 3, seed=3), 500)
+        x = sample_weights(WeightSpec("sparse_binary", 6, s=3, seed=3), 500)
         p = tmp_path / "w.mat"
         write_matrix(p, x)
         out = tmp_path / "g.json"
@@ -894,7 +911,7 @@ class TestEvalAndGcc:
         assert report["decay"]["q_hat"] == "inf"
 
     def test_gcc_enumeration_m_estimate(self, tmp_path):
-        x = sample_weights(WeightSpec.sparse_binary(4, 2, seed=4), 100000)
+        x = sample_weights(WeightSpec("sparse_binary", 4, s=2, seed=4), 100000)
         p = tmp_path / "w.mat"
         write_matrix(p, x)
         out = tmp_path / "g.json"

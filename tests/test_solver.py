@@ -23,7 +23,7 @@ from andnmf.weights import WeightSpec
 def make_problem(w=60, d=6, n=400, s=2, r_l=1.0, seed=0):
     gt = generate_ground_truth(w, d, seed=seed)
     ds = generate_dataset(
-        gt, WeightSpec.sparse_binary(d, s, seed=seed + 1), NoiseSpec(0.0), n, seed=seed + 2
+        gt, WeightSpec("sparse_binary", d, s=s, seed=seed + 1), NoiseSpec(0.0), n, seed=seed + 2
     )
     init = generate_initialization(gt, InitSpec(r_l=r_l, seed=seed + 3))
     return gt, ds, init
@@ -156,8 +156,8 @@ class TestRun:
         # divergence limit scales with max|Y|; a fixed 1e12 bound stopped the
         # 1e13 run at its first iteration
         gt = generate_ground_truth(200, 20, seed=3)
-        ds = generate_dataset(gt, WeightSpec.dirichlet(20, 0.25, seed=4), NoiseSpec(0.0),
-                              2000, seed=5)
+        ds = generate_dataset(gt, WeightSpec("dirichlet", 20, concentration=0.25, seed=4),
+                              NoiseSpec(0.0), 2000, seed=5)
         init = generate_initialization(gt, InitSpec(r_l=1.0, seed=6))
         cfg = AndConfig(stages=4, iters_per_stage=50)
         base = run(init.a0, ds.y, cfg, truth=gt, eval_every=50)
@@ -169,8 +169,8 @@ class TestRun:
         # an infinite step turns the first update into inf/NaN entries, which
         # a bare `max > limit` test lets through; metrics on such a matrix fail
         gt = generate_ground_truth(40, 5, seed=20)
-        ds = generate_dataset(gt, WeightSpec.dirichlet(5, 1.0, seed=21), NoiseSpec(0.0),
-                              200, seed=22)
+        ds = generate_dataset(gt, WeightSpec("dirichlet", 5, concentration=1.0, seed=21),
+                              NoiseSpec(0.0), 200, seed=22)
         init = generate_initialization(gt, InitSpec(r_l=1.0, seed=23))
         monkeypatch.setattr(solver, "_ETA_SCALE", math.inf)
         cfg = AndConfig(stages=1, iters_per_stage=5)
@@ -194,6 +194,14 @@ class TestRun:
         a0 = gt.a_star.copy()
         a0[:, 1] = a0[:, 0]
         with pytest.raises(ValueError, match="rank"):
+            run(a0, ds.y, AndConfig(stages=1, iters_per_stage=1))
+
+    def test_wide_a0_without_truth_rejected(self):
+        # a start with more columns than rows has no full column rank, so no
+        # stage pseudo-inverse P satisfies P A = I
+        _, ds, _ = make_problem()
+        a0 = np.random.default_rng(0).random((60, 70))
+        with pytest.raises(ValueError, match="working matrix has more columns than rows"):
             run(a0, ds.y, AndConfig(stages=1, iters_per_stage=1))
 
     @pytest.mark.parametrize("seed", range(4))

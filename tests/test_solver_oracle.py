@@ -52,7 +52,7 @@ def reference_run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1) -> And
 
     def row(j, t, alpha, err, e_norm=None, n_norm=None):
         log10 = math.log10(err) if err > 0 else -math.inf
-        trace.append(TraceRow(j, t, 0.0, alpha, err, log10, e_norm, n_norm))
+        trace.rows.append(TraceRow(j, t, 0.0, alpha, err, log10, e_norm, n_norm))
 
     batch = n if cfg.batch == "full" else min(cfg.batch, n)
 
@@ -92,9 +92,9 @@ def reference_run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1) -> And
 def _problem(w, d, n, seed, weights="dirichlet"):
     gt = generate_ground_truth(w, d, seed=seed)
     if weights == "dirichlet":
-        wspec = WeightSpec.dirichlet(d, 1.0, seed=seed + 1)
+        wspec = WeightSpec("dirichlet", d, concentration=1.0, seed=seed + 1)
     else:
-        wspec = WeightSpec.sparse_binary(d, min(2, d), seed=seed + 1)
+        wspec = WeightSpec("sparse_binary", d, s=min(2, d), seed=seed + 1)
     ds = generate_dataset(gt, wspec, NoiseSpec(0.0), n, seed=seed + 2)
     init = generate_initialization(gt, InitSpec(r_l=0.5, seed=seed + 3))
     return gt, ds.y, init.a0

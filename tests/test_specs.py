@@ -16,9 +16,9 @@ NAN_SPECS = {
     "ratio": lambda: ThresholdSchedule(ratio=NAN),
     # a threshold c held for every stage is start=c at ratio 1
     "c": lambda: ThresholdSchedule(start=NAN, ratio=1.0),
-    "concentration": lambda: WeightSpec.dirichlet(4, NAN),
-    "rho": lambda: WeightSpec.logistic_normal(4, rho=NAN),
-    "cov_scale": lambda: WeightSpec.logistic_normal(4, cov_scale=NAN),
+    "concentration": lambda: WeightSpec("dirichlet", 4, concentration=NAN),
+    "rho": lambda: WeightSpec("logistic_normal", 4, rho=NAN),
+    "cov_scale": lambda: WeightSpec("logistic_normal", 4, cov_scale=NAN),
     "gamma": lambda: NoiseSpec(gamma=NAN),
     "r_l": lambda: InitSpec(r_l=NAN),
     "r_n": lambda: InitSpec(r_n=NAN),

@@ -50,7 +50,8 @@ def test_noise_spec_rejects_negative_gamma():
 
 def test_dataset_noiseless_exact():
     gt = generate_ground_truth(60, 6, seed=2)
-    ds = generate_dataset(gt, WeightSpec.dirichlet(6, 0.5, seed=3), NoiseSpec(0.0), 100, seed=4)
+    ds = generate_dataset(gt, WeightSpec("dirichlet", 6, concentration=0.5, seed=3),
+                          NoiseSpec(0.0), 100, seed=4)
     assert not ds.zeta.any()
     assert np.array_equal(ds.y, gt.a_star @ ds.x)
 
@@ -59,7 +60,7 @@ def test_dataset_noise_column_norms():
     gamma, w, n = 0.2, 200, 5000
     gt = generate_ground_truth(w, 10, seed=5)
     ds = generate_dataset(
-        gt, WeightSpec.sparse_binary(10, 2, seed=6), NoiseSpec(gamma), n, seed=7
+        gt, WeightSpec("sparse_binary", 10, s=2, seed=6), NoiseSpec(gamma), n, seed=7
     )
     mean_norm = np.linalg.norm(ds.zeta, axis=0).mean()
     assert mean_norm == pytest.approx(gamma, rel=0.05)
@@ -67,7 +68,8 @@ def test_dataset_noise_column_norms():
 
 def test_dataset_binary_columns_are_column_sums():
     gt = generate_ground_truth(40, 8, seed=8)
-    ds = generate_dataset(gt, WeightSpec.sparse_binary(8, 3, seed=9), NoiseSpec(0.0), 50, seed=10)
+    ds = generate_dataset(gt, WeightSpec("sparse_binary", 8, s=3, seed=9), NoiseSpec(0.0), 50,
+                          seed=10)
     for col in range(5):
         support = np.flatnonzero(ds.x[:, col])
         assert support.size == 3
@@ -76,7 +78,7 @@ def test_dataset_binary_columns_are_column_sums():
 
 def test_dataset_reproducible():
     gt = generate_ground_truth(30, 5, seed=11)
-    spec = WeightSpec.logistic_normal(5, seed=12)
+    spec = WeightSpec("logistic_normal", 5, seed=12)
     a = generate_dataset(gt, spec, NoiseSpec(0.1), 40, seed=13)
     b = generate_dataset(gt, spec, NoiseSpec(0.1), 40, seed=13)
     assert np.array_equal(a.y, b.y)
@@ -86,7 +88,8 @@ def test_dataset_reproducible():
 
 def test_dataset_dirichlet_in_span():
     gt = generate_ground_truth(80, 10, seed=14)
-    ds = generate_dataset(gt, WeightSpec.dirichlet(10, 0.5, seed=15), NoiseSpec(0.0), 200, seed=16)
+    ds = generate_dataset(gt, WeightSpec("dirichlet", 10, concentration=0.5, seed=15),
+                          NoiseSpec(0.0), 200, seed=16)
     assert ds.x.sum(axis=0) == pytest.approx(np.ones(200), abs=1e-12)
     coeffs = Evaluator(gt.a_star).pinv @ ds.y
     assert np.linalg.norm(ds.y - gt.a_star @ coeffs) <= 1e-9

@@ -27,57 +27,57 @@ def exact_sparse_binary_second_moment(d, s):
 
 class TestSampling:
     def test_sparse_binary_full_support(self):
-        x = sample_weights(WeightSpec.sparse_binary(5, 5, seed=0), 7)
+        x = sample_weights(WeightSpec("sparse_binary", 5, s=5, seed=0), 7)
         assert np.array_equal(x, np.ones((5, 7)))
 
     def test_sparse_binary_column_sums(self):
-        x = sample_weights(WeightSpec.sparse_binary(10, 3, seed=1), 200)
+        x = sample_weights(WeightSpec("sparse_binary", 10, s=3, seed=1), 200)
         assert np.array_equal(np.sort(np.unique(x)), [0.0, 1.0])
         assert np.array_equal(x.sum(axis=0), np.full(200, 3.0))
 
     def test_sparse_binary_marginals(self):
-        x = sample_weights(WeightSpec.sparse_binary(4, 2, seed=2), 60000)
+        x = sample_weights(WeightSpec("sparse_binary", 4, s=2, seed=2), 60000)
         freq = x.mean(axis=1)
         assert freq == pytest.approx(np.full(4, 0.5), abs=0.01)
 
     def test_dirichlet_simplex(self):
-        x = sample_weights(WeightSpec.dirichlet(6, 0.3, seed=3), 500)
+        x = sample_weights(WeightSpec("dirichlet", 6, concentration=0.3, seed=3), 500)
         assert x.sum(axis=0) == pytest.approx(np.ones(500), abs=1e-12)
         assert np.all(x >= 0)
 
     def test_logistic_normal_simplex(self):
-        x = sample_weights(WeightSpec.logistic_normal(6, rho=0.5, seed=4), 500)
+        x = sample_weights(WeightSpec("logistic_normal", 6, rho=0.5, seed=4), 500)
         assert x.sum(axis=0) == pytest.approx(np.ones(500), abs=1e-12)
         assert np.all(x > 0)
 
     def test_reproducible_bitwise(self):
-        spec = WeightSpec.logistic_normal(5, seed=11)
+        spec = WeightSpec("logistic_normal", 5, seed=11)
         assert np.array_equal(sample_weights(spec, 64), sample_weights(spec, 64))
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
-            sample_weights(WeightSpec.sparse_binary(4, 0), 1)
+            sample_weights(WeightSpec("sparse_binary", 4, s=0), 1)
         with pytest.raises(ValueError):
-            sample_weights(WeightSpec.dirichlet(4, -1.0), 1)
+            sample_weights(WeightSpec("dirichlet", 4, concentration=-1.0), 1)
         with pytest.raises(ValueError):
-            sample_weights(WeightSpec.sparse_binary(4, 2), 0)
+            sample_weights(WeightSpec("sparse_binary", 4, s=2), 0)
         with pytest.raises(ValueError, match="unknown weight family"):
             WeightSpec(family="sparse_uniform", dim=4, s=2)
 
 
 class TestClosedForm:
     def test_sparse_binary_s3(self):
-        p = gcc_closed_form(WeightSpec.sparse_binary(20, 3))
+        p = gcc_closed_form(WeightSpec("sparse_binary", 20, s=3))
         assert (p.r, p.k, p.m) == (3.0, 3.0, 9.0)
         assert p.lam == pytest.approx(2.0 / 3.0)
         assert math.isinf(p.q)
 
     def test_sparse_binary_s1_lambda_zero(self):
-        assert gcc_closed_form(WeightSpec.sparse_binary(6, 1)).lam == 0.0
+        assert gcc_closed_form(WeightSpec("sparse_binary", 6, s=1)).lam == 0.0
 
     def test_dirichlet(self):
         d, s = 40, 5
-        p = gcc_closed_form(WeightSpec.dirichlet(d, s / d))
+        p = gcc_closed_form(WeightSpec("dirichlet", d, concentration=s / d))
         assert (p.r, p.k) == (1.0, 1.0)
         assert p.m == pytest.approx(1.0 / (5 * d))
         assert p.lam == pytest.approx(4.0 / 5.0)
@@ -85,7 +85,7 @@ class TestClosedForm:
 
     def test_no_closed_form(self):
         with pytest.raises(NoClosedFormError):
-            gcc_closed_form(WeightSpec.logistic_normal(4))
+            gcc_closed_form(WeightSpec("logistic_normal", 4))
 
 
 class TestEmpirical:
@@ -127,14 +127,14 @@ class TestEmpirical:
     @pytest.mark.parametrize("d, s", [(4, 2), (8, 3)])
     def test_sampled_moments_within_three_standard_errors(self, d, s):
         n = 50000
-        x = sample_weights(WeightSpec.sparse_binary(d, s, seed=7), n)
+        x = sample_weights(WeightSpec("sparse_binary", d, s=s, seed=7), n)
         est = gcc_from_samples(x)
         delta = exact_sparse_binary_second_moment(d, s)
         se = np.sqrt(delta * (1 - delta) / n)
         assert np.all(np.abs(est.second_moment - delta) <= 3 * se + 1e-12)
 
     def test_fitted_params_satisfy_conditions(self):
-        x = sample_weights(WeightSpec.dirichlet(8, 0.4, seed=8), 2000)
+        x = sample_weights(WeightSpec("dirichlet", 8, concentration=0.4, seed=8), 2000)
         est = gcc_from_samples(x)
         d = 8
         delta = est.second_moment
@@ -152,7 +152,7 @@ class TestEmpirical:
 
 class TestDecayProfile:
     def test_binary_is_infinite_order(self):
-        x = sample_weights(WeightSpec.sparse_binary(6, 2, seed=9), 4000)
+        x = sample_weights(WeightSpec("sparse_binary", 6, s=2, seed=9), 4000)
         prof = decay_profile(x, [0.1, 0.3, 0.5, 0.9])
         assert np.all(prof.max_cdf == 0.0)
         assert math.isinf(prof.q_hat)
