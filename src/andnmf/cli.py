@@ -6,9 +6,10 @@ Subcommands:
     eval       correlation-error report of an estimate vs a truth matrix
     gcc        empirical correlation bounds + decay profile of a weight sample
 
-Exit codes: 0 success, 1 validation error (bad config, bad values, a solver
-refusing its preconditions), 2 runtime error or solver divergence (including
-a solver's "error" status), 3 I/O or file-format error.
+Exit codes: 0 success, 1 validation error (a usage error such as an unknown
+option, a bad config, bad values, a solver refusing its preconditions), 2
+runtime error or solver divergence (including a solver's "error" status), 3
+I/O or file-format error. `--help` exits 0.
 """
 
 from __future__ import annotations
@@ -34,8 +35,16 @@ EXIT_RUNTIME = 2
 EXIT_IO = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ValueError, so that they exit 1 like
+    every other validation error rather than with argparse's 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="andnmf",
         description="Staged pseudo-inverse/threshold NMF solver and experiment harness",
     )
@@ -48,7 +57,7 @@ def _build_parser():
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", help="path to a JSON experiment config")
         p.add_argument("--preset", help="dataset preset (DIR, CTM, NEG, NOISE, BINARY, paper-scale)")
-        p.add_argument("--out", help="output directory (falls back to the config's out_dir)")
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the dataset seed")
         if name == "run":
             p.add_argument("--jobs", type=int, default=1,
@@ -72,10 +81,7 @@ def _load(args):
         cfg = validate_config(preset_config(args.preset), seed_override=args.seed)
     else:
         raise ConfigError("one of --config or --preset is required")
-    out = args.out or cfg.out_dir
-    if not out:
-        raise ConfigError("no output directory: pass --out or set out_dir in the config")
-    return cfg, out
+    return cfg, args.out
 
 
 def _emit(report, out_path):
@@ -88,8 +94,8 @@ def _emit(report, out_path):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "generate":
             cfg, out = _load(args)
             generate(cfg, out)

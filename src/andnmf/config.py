@@ -123,7 +123,6 @@ class ExperimentConfig:
     init: InitSpec
     solvers: list[SolverEntry]
     eval_every: int | None
-    out_dir: str | None = None
     raw: dict = field(repr=False, default_factory=dict)
 
     def derived_seeds(self) -> dict:
@@ -253,7 +252,7 @@ def validate_config(raw: dict, seed_override: int | None = None) -> ExperimentCo
     seed.
     """
     raw = _section(raw, "config")
-    top = _fields(raw, {"eval_every": int, "out_dir": str}, "config",
+    top = _fields(raw, {"eval_every": int}, "config",
                   {"dataset", "init", "solvers"})
     ds_raw = _section(raw.get("dataset"), "config.dataset")
     preset = None
@@ -317,7 +316,7 @@ def validate_config(raw: dict, seed_override: int | None = None) -> ExperimentCo
             cfg = _parse_baseline_solver(sobj, name, children[4 + i], path)
         entries.append(SolverEntry(name=name, label=label, config=cfg))
 
-    eval_every, out_dir = top.get("eval_every"), top.get("out_dir")
+    eval_every = top.get("eval_every")
     if eval_every is not None and eval_every < 1:
         raise ConfigError(f"config.eval_every: must be >= 1, got {eval_every}")
 
@@ -331,11 +330,10 @@ def validate_config(raw: dict, seed_override: int | None = None) -> ExperimentCo
         "init": _resolved(init, _INIT_KEYS),
         "solvers": [_solver_dict(e) for e in entries],
         "eval_every": eval_every,
-        "out_dir": out_dir,
     }
     return ExperimentConfig(
         dataset=dataset, init=init, solvers=entries, eval_every=eval_every,
-        out_dir=out_dir, raw=resolved,
+        raw=resolved,
     )
 
 

@@ -13,21 +13,19 @@ error is recorded in summary.json rather than crashing the other solvers. The ma
 hash, every derived seed, and library versions: enough to reproduce each file
 bitwise on the same machine.
 
-`run(..., jobs=N)` runs up to N solvers in threads. Each of them calls BLAS,
-so while the pool runs, numpy's OpenBLAS is capped to share the CPUs among
-the workers (`_blas_threads`). A serial run caps it at one thread around each
-`and` solver whose per-iteration product `A @ G` (`W·D²` multiply-adds) is
-below `2**20`: OpenBLAS 0.3.31 runs a product that small on one thread anyway
-(measured on a 2-core Xeon: 9.9e5 multiply-adds on one thread, 1.3e6 on
-two), so the cap costs no speed, and it makes the solve's output bitwise
-independent of the host's thread count. The trade-off: such a problem with a
-very large `n` also runs its stage GEMMs (decode `P @ Y`, `Y Zᵀ`) on one
-thread; no preset or experiment has one (their largest `n` is 4000).
-Baselines, larger `and` solves and the pool keep their count. Each solver's
-entry in `summary.json` records the count it ran with. The count changes the
-order of BLAS sums, so outputs at one `jobs` value are reproducible, and
-agree within rounding with those at another; a small `and` solve runs on one
-thread whatever the host's count.
+`run` makes one OpenBLAS thread decision per run (`_blas_threads`). A run
+of `and` solvers alone runs on one thread: its per-iteration product `A @ G`
+is too small to thread, and only its stage GEMMs (decode `P @ Y`, `Y Zᵀ`)
+are large enough to gain. At `paper-scale`, the largest preset, one thread
+cost 7% of the CLI's wall time and saved 15% of its CPU time (benchmark, 10
+pairs on a 2-core Xeon, OpenBLAS 0.3.31). The solve's output is then the
+same bits whatever the host's count. Not measured: hosts with more than
+2 CPUs, and `n` far above a preset's 5000, whose stage GEMMs would likely
+gain from threads. A run with a baseline, whose products are threaded, caps
+the count at `ncpu // workers`, `workers` being the number of solvers run at
+a time. The count changes the order of BLAS sums, so outputs at one `jobs`
+value are reproducible, and agree within rounding with those at another.
+`summary.json` records the count as `blas_threads`.
 
 No thread count decides how long an idle OpenBLAS worker spins. By default
 each one busy-waits for `2**28` cycles (about 0.1 s) after it starts and
@@ -50,7 +48,6 @@ import contextlib
 import ctypes
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -67,9 +64,6 @@ from .synth import generate_dataset, generate_ground_truth, generate_initializat
 from .weights import NoClosedFormError, decay_profile, gcc_closed_form, gcc_from_samples
 
 DECAY_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
-
-# a serial `and` solve with W·D² below this runs on one OpenBLAS thread
-ONE_THREAD_AND_WORK = 2**20
 
 # (set, get) thread-count entry points of OpenBLAS builds, newest first: the
 # scipy-openblas of numpy >= 2 wheels, 64-bit-integer builds, then plain ones
@@ -147,7 +141,7 @@ def _blas_threads(limit):
     """Run the block with OpenBLAS at `max(1, min(current, limit))` threads.
 
     The current count is restored after the block, also when it raises; at
-    a limit of `math.inf`, or one at or above the count, it is only read.
+    a limit at or above the count, it is only read.
     Yields the count the block runs with, or None when no OpenBLAS is found,
     in which case nothing is capped. The count is process-global: callers
     in a thread pool share one block around the whole pool.
@@ -169,21 +163,9 @@ def _blas_threads(limit):
         set_threads(before)
 
 
-def _serial_thread_limit(entry, a0):
-    """The OpenBLAS thread limit for `entry` run alone: one for an `and`
-    solve whose `A @ G` is too small for OpenBLAS to thread, else none."""
-    w, d = a0.shape
-    if entry.name == "and" and w * d * d < ONE_THREAD_AND_WORK:
-        return 1
-    return math.inf
-
-
-def _run_one(entry, y, a0, truth, eval_every, out, blas_threads):
+def _run_one(entry, y, a0, truth, eval_every, out):
     t0 = time.perf_counter()
-    status = {"label": entry.label, "solver": entry.name, "status": "ok",
-              "blas_threads": blas_threads}
-    # a failed run must not leave an earlier run's final matrix behind
-    (out / f"{entry.label}_A_final.mat").unlink(missing_ok=True)
+    status = {"label": entry.label, "solver": entry.name, "status": "ok"}
     try:
         with TraceWriter(out / f"{entry.label}_trace.csv") as writer:
             if entry.name == "and":
@@ -220,18 +202,24 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     Before any solver runs, `Y.mat` must be `W x n` and `A0.mat` (and
     `A_star.mat`, if present) `W x D` by the config, else `ValueError`.
     A ground truth in `A_star.mat` is checked by each solver's evaluator, so
-    a rank-deficient one makes every solver `refused`.
+    a rank-deficient one makes every solver `refused`. Any check that fails
+    finds no results of an earlier run: `summary.json` and each configured
+    label's trace and final matrix are deleted first.
 
-    With `jobs > 1` and more than one solver, `min(jobs, len(cfg.solvers))`
-    solvers run at a time in threads, with OpenBLAS capped at
-    `ncpu // workers` threads (`_blas_threads`) until the last one finishes.
-    Otherwise they run one after another, a small `and` solve on one thread
-    (`_serial_thread_limit`). Each solver's status records the count it ran
-    with as `blas_threads` (None when no OpenBLAS is found).
+    `workers = min(jobs, len(cfg.solvers))` solvers run at a time: in a
+    thread pool, or on the calling thread when `workers` is 1, so that an
+    interrupt stops the run at once. OpenBLAS runs on one thread when every
+    solver is `and`, else on `ncpu // workers` threads (`_blas_threads`),
+    until the last solver finishes. The summary records that count as
+    `blas_threads` (None when no OpenBLAS is found).
     """
+    out = Path(out_dir)
+    for path in (out / "summary.json",
+                 *(out / f"{e.label}_{name}" for e in cfg.solvers
+                   for name in ("trace.csv", "A_final.mat"))):
+        path.unlink(missing_ok=True)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    out = Path(out_dir)
     for fname in ("Y.mat", "A0.mat"):
         if not (out / fname).exists():
             raise FileNotFoundError(f"missing dataset file {out / fname}; run generate first")
@@ -249,20 +237,23 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
                              f"but the config's {dims} is {shape[0]}x{shape[1]}")
     eval_every = cfg.effective_eval_every()
 
-    workers = min(jobs, len(cfg.solvers))
-    if workers > 1:
-        with (_blas_threads(len(os.sched_getaffinity(0)) // workers) as count,
-              concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool):
-            statuses = list(pool.map(
-                lambda e: _run_one(e, y, a0, truth, eval_every, out, count), cfg.solvers
-            ))
-    else:
-        statuses = []
-        for entry in cfg.solvers:
-            with _blas_threads(_serial_thread_limit(entry, a0)) as count:
-                statuses.append(_run_one(entry, y, a0, truth, eval_every, out, count))
+    def solve(entry):
+        return _run_one(entry, y, a0, truth, eval_every, out)
 
-    summary = {"config_sha256": cfg.config_hash(), "solvers": statuses}
+    workers = min(jobs, len(cfg.solvers))
+    if all(e.name == "and" for e in cfg.solvers):
+        limit = 1
+    else:
+        limit = len(os.sched_getaffinity(0)) // workers
+    with _blas_threads(limit) as count:
+        if workers == 1:
+            statuses = list(map(solve, cfg.solvers))
+        else:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+                statuses = list(pool.map(solve, cfg.solvers))
+
+    summary = {"blas_threads": count, "config_sha256": cfg.config_hash(),
+               "solvers": statuses}
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

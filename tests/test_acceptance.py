@@ -64,6 +64,56 @@ def ctm_problem():
     return gt, ds, init
 
 
+@pytest.fixture(scope="session")
+def neg_problem():
+    gt = generate_ground_truth(W, D, kind="signed", seed=301)
+    ds = generate_dataset(gt, WeightSpec("logistic_normal", D, seed=302, **CTM_WEIGHTS),
+                          NoiseSpec(0.0), N, seed=303)
+    init = generate_initialization(gt, InitSpec(r_l=1.0, seed=304))
+    return gt, ds, init
+
+
+def timed(solve):
+    """The result of `solve()` and its wall time in seconds."""
+    t0 = time.perf_counter()
+    result = solve()
+    return result, time.perf_counter() - t0
+
+
+def and_110(problem):
+    """`and` at 110 stages x T=50 under the geometric schedule, timed."""
+    gt, ds, init = problem
+    cfg = AndConfig(stages=110, iters_per_stage=50, schedule=GEOMETRIC)
+    return timed(lambda: run(init.a0, ds.y, cfg, truth=gt, eval_every=50))
+
+
+def baseline(problem, algorithm, outer_iters, seed, eval_every):
+    gt, ds, init = problem
+    cfg = BaselineConfig(algorithm, outer_iters=outer_iters, seed=seed)
+    return timed(lambda: run_baseline(cfg, ds.y, init.a0, truth=gt, eval_every=eval_every))
+
+
+# the `and` runs at 110 x 50 of C10, which C2 (CTM) and C3 (NEG) share
+@pytest.fixture(scope="session")
+def dir_and_run(dir_problem):
+    return and_110(dir_problem)
+
+
+@pytest.fixture(scope="session")
+def ctm_and_run(ctm_problem):
+    return and_110(ctm_problem)
+
+
+@pytest.fixture(scope="session")
+def neg_and_run(neg_problem):
+    return and_110(neg_problem)
+
+
+@pytest.fixture(scope="session")
+def neg_hals_run(neg_problem):
+    return baseline(neg_problem, "hals", 1000, 305, 100)
+
+
 def test_c1_dir_linear_rate(dir_problem):
     """Full DIR protocol: Dirichlet(0.25), r_l=1, Geometric(0.1, 1/1.1),
     30 stages x T=50. Asserts stage-linear decay (slope < 0, R2 >= 0.9)
@@ -119,15 +169,12 @@ def test_c1_dir_linear_rate(dir_problem):
     )
 
 
-def test_c2_ctm_recovery(ctm_problem):
+def test_c2_ctm_recovery(ctm_problem, ctm_and_run):
     """Strong-correlation recovery; stage count not pinned by the criterion,
     110 stages lets the schedule anneal to where the logistic-normal decode
     bias is negligible."""
-    gt, ds, init = ctm_problem
-    cfg = AndConfig(stages=110, iters_per_stage=50, schedule=GEOMETRIC)
-    t0 = time.perf_counter()
-    result = run(init.a0, ds.y, cfg, truth=gt, eval_every=50)
-    elapsed = time.perf_counter() - t0
+    gt, _, init = ctm_problem
+    result, elapsed = ctm_and_run
     initial = Evaluator(gt.a_star).error_report(init.a0).total
     final = result.trace.stage_end_errors()[-1]
     ok = final <= 1e-3 * initial and elapsed <= 120
@@ -135,19 +182,11 @@ def test_c2_ctm_recovery(ctm_problem):
            f"(final/initial {final / initial:.2e} [need <= 1e-3], {elapsed:.0f}s)")
 
 
-def test_c3_negative_ground_truth():
-    gt = generate_ground_truth(W, D, kind="signed", seed=301)
-    ds = generate_dataset(gt, WeightSpec("logistic_normal", D, seed=302, **CTM_WEIGHTS),
-                          NoiseSpec(0.0), N, seed=303)
-    init = generate_initialization(gt, InitSpec(r_l=1.0, seed=304))
+def test_c3_negative_ground_truth(neg_problem, neg_and_run, neg_hals_run):
+    gt, _, init = neg_problem
     initial = Evaluator(gt.a_star).error_report(init.a0).total
-    t0 = time.perf_counter()
-    and_result = run(init.a0, ds.y,
-                     AndConfig(stages=110, iters_per_stage=50, schedule=GEOMETRIC),
-                     truth=gt, eval_every=50)
-    hals_result = run_baseline(BaselineConfig("hals", outer_iters=1000, seed=305),
-                               ds.y, init.a0, truth=gt, eval_every=100)
-    elapsed = time.perf_counter() - t0
+    (and_result, and_s), (hals_result, hals_s) = neg_and_run, neg_hals_run
+    elapsed = and_s + hals_s
     and_final = and_result.trace.stage_end_errors()[-1]
     hals_final = hals_result.trace.rows[-1].total_error
     ok = and_final <= 1e-3 * initial and hals_final >= 1e-1 * initial and elapsed <= 180
@@ -155,6 +194,50 @@ def test_c3_negative_ground_truth():
         "C3 NEG recovery vs HALS", ok,
         f"(AND {and_final / initial:.2e} [<= 1e-3], "
         f"HALS {hals_final / initial:.2e} [>= 1e-1], {elapsed:.0f}s)",
+    )
+
+
+# outer iterations per baseline in C10: on a 2-core Xeon each budget takes
+# 1.8-2.8x the wall time of `and` at 110 x 50
+C10_BUDGET = {"hals": 400, "anls": 200, "mu": 600}
+
+
+@pytest.mark.parametrize("name", ["DIR", "CTM", "NEG"])
+def test_c10_and_beats_the_baselines(name, request):
+    """The paper's comparative claim: on correlated weights, `and` at
+    110 stages x T=50 ends at <= 0.1x the final error of each baseline given
+    at least its wall time. The factor 0.1 (a decade) is fixed from the
+    claim, not read from the program; the correct program ends near 1e-3x
+    on DIR and CTM and 2e-5x on NEG. MU refuses NEG's signed data, so NEG
+    compares HALS (C3's 1000-iteration run) and ANLS only. Each baseline's
+    budget is a fixed iteration count, and its measured wall time is
+    asserted to be at least `and`'s, so a baseline is never stopped early.
+
+    Two broken programs fail it on every problem: a pseudo-inverse computed
+    once and never refreshed ends at 1.0-4.1x the baselines' error on DIR
+    and CTM and 0.13x on NEG, a decode without threshold at 1.2-4.1x and
+    0.18x.
+    """
+    problem = request.getfixturevalue(f"{name.lower()}_problem")
+    and_result, and_s = request.getfixturevalue(f"{name.lower()}_and_run")
+    and_final = and_result.trace.stage_end_errors()[-1]
+    runs = {}
+    for algorithm, iters in C10_BUDGET.items():
+        if name == "NEG" and algorithm == "mu":
+            continue
+        if name == "NEG" and algorithm == "hals":
+            runs[algorithm] = request.getfixturevalue("neg_hals_run")
+        else:
+            runs[algorithm] = baseline(problem, algorithm, iters, 1010, iters)
+    ratios = {a: and_final / r.trace.rows[-1].total_error for a, (r, _) in runs.items()}
+    times = {a: s for a, (_, s) in runs.items()}
+    ok = all(r <= 0.1 for r in ratios.values()) and all(s >= and_s for s in times.values())
+    report(
+        f"C10 {name} and vs baselines", ok,
+        "(and/baseline final error "
+        + ", ".join(f"{a} {r:.2e}" for a, r in ratios.items()) + " [need <= 0.1]; "
+        + f"wall s and {and_s:.2f}, "
+        + ", ".join(f"{a} {s:.2f}" for a, s in times.items()) + " [need >= and])",
     )
 
 

@@ -47,7 +47,6 @@ def every_kind_config(weights):
             {"name": "mu"},
         ],
         "eval_every": 2,
-        "out_dir": "runs/every-kind",
     }
 
 
@@ -82,6 +81,14 @@ class TestConfigValidation:
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="config.bogus"):
             validate_config(tiny_config(bogus=1))
+
+    def test_out_dir_is_not_a_key(self, tmp_path, capsys):
+        # `--out` is the one way to name the output directory
+        out = str(tmp_path / "o")
+        path = write_config(tmp_path, tiny_config(out_dir=out))
+        assert main(["generate", "--config", str(path), "--out", out]) == 1
+        assert "config.out_dir: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_dataset_key(self):
         raw = tiny_config()
@@ -219,7 +226,7 @@ class TestConfigValidation:
         assert back.config_hash() == cfg.config_hash()
 
     def test_null_means_absent(self):
-        raw = tiny_config(eval_every=None, out_dir=None)
+        raw = tiny_config(eval_every=None)
         raw["dataset"]["weights"] = None
         raw["solvers"][0].update(label=None, schedule=None)
         assert validate_config(raw).raw == validate_config(tiny_config()).raw
@@ -358,6 +365,33 @@ class TestGenerate:
         assert main(["generate", "--out", str(tmp_path / "o")]) == 1
 
 
+class TestUsageErrors:
+    # argparse exits 2 on a usage error, the CLI's code for divergence and
+    # runtime failures; a usage error is a validation error, exit 1
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--preset", "DIR", "--out", "d", "--jobs", "two"],
+         "andnmf run: argument --jobs: invalid int value: 'two'"),
+        (["run", "--bogus"], "andnmf run: the following arguments are required: --out"),
+        (["run", "--preset", "DIR", "--out", "d", "--bogus"],
+         "andnmf: unrecognized arguments: --bogus"),
+        ([], "andnmf: the following arguments are required: command"),
+        (["generate", "--preset", "DIR"],
+         "andnmf generate: the following arguments are required: --out"),
+    ], ids=["jobs-not-int", "bogus", "bogus-with-out", "no-subcommand", "no-out"])
+    def test_exits_one(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: andnmf" in capsys.readouterr().out
+
+
 class TestRun:
     def run_tiny(self, tmp_path, raw=None):
         raw = raw or tiny_config()
@@ -450,13 +484,11 @@ class TestRun:
 
         found = harness._openblas()
         current = found[1]() if found else None
-        # serially the small `and` solve runs on one thread, the baselines on
-        # the current count; the pool shares the CPUs between its two workers
-        assert [s["blas_threads"] for s in serial["solvers"]] == (
-            [None] * 3 if found is None else [1, current, current])
-        assert [s["blas_threads"] for s in summary["solvers"]] == (
-            [None] * 3 if found is None
-            else [max(1, min(current, len(os.sched_getaffinity(0)) // 2))] * 3)
+        # with a baseline, the run shares the CPUs between its workers
+        for run_summary, workers in ((serial, 1), (summary, 2)):
+            assert run_summary["blas_threads"] == (
+                None if found is None
+                else max(1, min(current, len(os.sched_getaffinity(0)) // workers)))
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_validation_error(self, tmp_path, capsys, jobs):
@@ -519,22 +551,32 @@ class TestRun:
         assert [s["status"] for s in statuses] == ["refused", "refused"]
         assert all("ground truth is rank deficient" in s["detail"] for s in statuses)
 
-    def run_with_dataset_file(self, tmp_path, capsys, fname, shape, keep_truth):
-        """Generate the tiny 40 x 5, n = 80 dataset, overwrite `fname` with a
-        random matrix of `shape`, and run `and` and `hals` on it; the run's
-        exit code and stderr."""
+    def rerun_after(self, tmp_path, capsys, edit):
+        """Generate the tiny 40 x 5, n = 80 dataset, run `and` and `hals` on
+        it, apply `edit(out)` and run again; the rerun's exit code and stderr.
+        A rerun stopped before its solvers leaves no result of the first."""
         raw = tiny_config()
         raw["solvers"].append({"name": "hals", "outer_iters": 3})
         cfg_path = write_config(tmp_path, raw)
         out = tmp_path / "out"
         assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
-        if not keep_truth:
-            (out / "A_star.mat").unlink()
-        write_matrix(out / fname, np.random.default_rng(0).random(shape))
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        edit(out)
         rc = main(["run", "--config", str(cfg_path), "--out", str(out)])
         assert not (out / "summary.json").exists()
-        assert not list(out.glob("*_A_final.mat"))
+        assert not list(out.glob("*_trace.csv")) and not list(out.glob("*_A_final.mat"))
         return rc, capsys.readouterr().err
+
+    def run_with_dataset_file(self, tmp_path, capsys, fname, shape, keep_truth):
+        """`rerun_after` an edit that overwrites `fname` with a random matrix
+        of `shape`, and first deletes `A_star.mat` unless `keep_truth`."""
+        def edit(out):
+            if not keep_truth:
+                (out / "A_star.mat").unlink()
+            write_matrix(out / fname, np.random.default_rng(0).random(shape))
+
+        return self.rerun_after(tmp_path, capsys, edit)
 
     def test_wide_a0_without_truth_refused(self, tmp_path, capsys):
         # refused by the file check before any solver runs; a direct solver
@@ -553,6 +595,11 @@ class TestRun:
         rc, err = self.run_with_dataset_file(tmp_path, capsys, fname, shape, keep_truth)
         assert rc == 1
         assert f"{fname} is {shape[0]}x{shape[1]}" in err
+
+    def test_rerun_without_y_leaves_no_results(self, tmp_path, capsys):
+        rc, err = self.rerun_after(tmp_path, capsys, lambda out: (out / "Y.mat").unlink())
+        assert rc == 3
+        assert "missing dataset file" in err
 
     def test_divergence_recorded_with_partial_trace(self, tmp_path, monkeypatch):
         # 3x the stable step on the top curvature mode: |1 - 3| = 2 per step
@@ -658,12 +705,19 @@ class TestBlasThreads:
                 assert count == get_threads() == 2
             assert get_threads() == 2
 
-    def test_small_and_run_does_not_depend_on_the_count(self, openblas, tmp_path):
-        # a DIR-size `and` solve runs on one thread at any host count, so its
-        # outputs are bitwise the same at 2 threads and at 1
+    def test_numpys_openblas_is_found(self):
+        # the one-thread rule for `and`-only runs rests on this lookup; the
+        # `openblas` fixture skips without it, so a broken lookup must fail here
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "openblas" not in blas["name"].lower():
+            pytest.skip(f"numpy's BLAS is {blas['name']}, not OpenBLAS")
+        assert harness._openblas() is not None
+
+    @staticmethod
+    def and_outputs_at_2_and_1_thread(openblas, tmp_path, raw):
+        """The trace (without `seconds`) and final matrix bytes of the `and`
+        run `raw`, at 2 OpenBLAS threads and at 1."""
         set_threads, get_threads = openblas
-        raw = preset_config("DIR")
-        raw["solvers"] = [{"name": "and", "stages": 4}]
         cfg_path = write_config(tmp_path, raw)
         out = tmp_path / "out"
         assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
@@ -676,7 +730,23 @@ class TestBlasThreads:
                     for r in read_trace(out / "and_trace.csv")]
             return rows, read_matrix(out / "and_A_final.mat").tobytes()
 
-        assert run_at(2) == run_at(1)
+        return run_at(2), run_at(1)
+
+    def test_small_and_run_does_not_depend_on_the_count(self, openblas, tmp_path):
+        # an `and`-only run is on one thread at any host count, so its
+        # outputs are bitwise the same at 2 threads and at 1
+        raw = {"dataset": {"preset": "DIR"}, "solvers": [{"name": "and", "stages": 4}]}
+        two, one = self.and_outputs_at_2_and_1_thread(openblas, tmp_path, raw)
+        assert two == one
+
+    def test_and_run_of_threaded_size_does_not_depend_on_the_count(self, openblas,
+                                                                   tmp_path):
+        # W·D² = 1024·32², with columns enough that two threads sum in
+        # another order than one: OpenBLAS threads the products of this run
+        raw = {"dataset": {"preset": "DIR", "W": 1024, "D": 32, "n": 400},
+               "solvers": [{"name": "and", "stages": 2, "iters_per_stage": 5}]}
+        two, one = self.and_outputs_at_2_and_1_thread(openblas, tmp_path, raw)
+        assert two == one
 
     @pytest.fixture
     def fake_openblas(self, monkeypatch):
@@ -716,41 +786,44 @@ class TestBlasThreads:
     HALS = {"name": "hals", "outer_iters": 2}
     MU = {"name": "mu", "outer_iters": 2}
 
-    # the pool caps the count at 8 CPUs // 2 workers for every solver; a
-    # serial run caps only its small `and` solve, at one thread
-    @pytest.mark.parametrize("jobs, solvers, sets, during", [
-        (2, [AND, HALS, MU], [4, 16], [4, 4, 4]),
-        (1, [AND, HALS, MU], [1, 16], [1, 16, 16]),
-        (2, [AND], [1, 16], [1]),  # one solver runs serially whatever --jobs says
+    # a run of `and` alone is on one thread at any --jobs; a run with a
+    # baseline caps the count at 8 CPUs // workers
+    @pytest.mark.parametrize("jobs, solvers, limit", [
+        (2, [AND, HALS, MU], 4),
+        (1, [AND, HALS, MU], 8),
+        (2, [AND], 1),  # one solver runs serially whatever --jobs says
     ], ids=["pool", "jobs1", "one-solver"])
     def test_run_sets_each_solvers_count(self, tmp_path, fake_openblas, jobs, solvers,
-                                         sets, during):
+                                         limit):
         threads, calls, seen = fake_openblas
         summary = self.run_fake(tmp_path, solvers, jobs=jobs)
         assert [s["status"] for s in summary["solvers"]] == ["ok"] * len(solvers)
-        assert calls == sets and seen == during and threads[0] == 16
-        assert [s["blas_threads"] for s in summary["solvers"]] == during
-        assert "blas_threads" not in summary
+        assert calls == [limit, 16] and seen == [limit] * len(solvers) and threads[0] == 16
+        assert summary["blas_threads"] == limit
+        assert not any("blas_threads" in s for s in summary["solvers"])
 
     @pytest.mark.parametrize("name", ["hals", "anls", "mu"])
     def test_serial_baseline_keeps_the_count(self, tmp_path, fake_openblas, name):
+        # a host count of one thread per CPU is already below 8 CPUs // 1
         threads, calls, seen = fake_openblas
+        threads[0] = 8
         summary = self.run_fake(tmp_path, [{"name": name, "outer_iters": 2}])
         assert summary["solvers"][0]["status"] == "ok"
-        assert calls == [] and seen == [16] and threads[0] == 16
-        assert summary["solvers"][0]["blas_threads"] == 16
+        assert calls == [] and seen == [8] and threads[0] == 8
+        assert summary["blas_threads"] == 8
 
-    # W·D² = 1023·32² is just below 2**20, 1024·32² is 2**20
-    @pytest.mark.parametrize("w, sets, during", [(1023, [1, 16], 1), (1024, [], 16)],
-                             ids=["below", "at"])
-    def test_serial_and_cap_ends_at_the_threaded_size(self, tmp_path, fake_openblas,
-                                                      w, sets, during):
+    # W·D² = 1023·32² is just below 2**20, the size up to which a serial
+    # `and` solve was capped alone; 1024·32² is 2**20
+    @pytest.mark.parametrize("w, jobs", [(1023, 1), (1024, 1), (1023, 2), (1024, 2)],
+                             ids=["below", "at", "below-pool", "at-pool"])
+    def test_and_run_is_one_thread_at_any_size(self, tmp_path, fake_openblas, w, jobs):
         threads, calls, seen = fake_openblas
-        summary = self.run_fake(tmp_path, [{"name": "and", "stages": 1, "iters_per_stage": 2}],
-                                w=w, d=32, n=64)
-        assert summary["solvers"][0]["status"] == "ok"
-        assert calls == sets and seen == [during] and threads[0] == 16
-        assert summary["solvers"][0]["blas_threads"] == during
+        solver_ = {"name": "and", "stages": 1, "iters_per_stage": 2}
+        summary = self.run_fake(tmp_path, [solver_, {**solver_, "label": "again"}],
+                                jobs=jobs, w=w, d=32, n=64)
+        assert [s["status"] for s in summary["solvers"]] == ["ok", "ok"]
+        assert calls == [1, 16] and seen == [1, 1] and threads[0] == 16
+        assert summary["blas_threads"] == 1
 
     def test_refused_and_restores_the_count(self, tmp_path, fake_openblas):
         threads, calls, seen = fake_openblas
