@@ -15,19 +15,33 @@ cyclic window of b columns per iteration, starting at column (t * b) mod n
 (b = n reproduces full batch bitwise; b = 1 is the one-sample-per-step variant).
 
 Pinv, alpha and Y are all fixed within a stage, so the decode Z_w of each
-window is too. Each stage therefore runs in its Gram form: at a window's first
-visit in the stage, Z_w, G_w = Z_w Z_w^T and B_w = Y_w Z_w^T are computed once,
-and every iteration is
+window is too, and so are G_w = Z_w Z_w^T and B_w = Y_w Z_w^T. Every iteration
+is then
 
     update   A <- A + eta * (B_w - A @ G_w)
 
-which gives the same iterates up to rounding at O(W D^2) per iteration. The
-full batch is the case of a single window, decoded once per stage.
+A full-batch stage has a single window, so this update is one fixed linear
+map, and the stage runs it in closed form. With G = V diag(lambda) V^T from
+one `eigh` per stage, A~ = A V and B~ = B V, an update scales the columns:
+A~ <- A~ * mu + eta * B~ with mu = 1 - eta * lambda, so k updates are
 
-`run` checks its inputs once at entry; the loop and `decode` do arithmetic.
-`TraceRecorder.check_divergence` guards this loop and the baselines': an entry
+    advance  A~ <- A~ * mu^k + B~ * phi_k,   phi_k = eta * sum_{i<k} mu^i
+
+for D-vectors mu^k and phi_k of k multiply-adds each, computed once per
+distinct k in the stage. A = A~ V^T is formed only where it is read: at a
+trace row and at the stage end. A mode with lambda = 0 needs no special case
+(mu = 1, phi_k = k * eta), and no pseudo-inverse of G is taken.
+
+A mini-batch stage cycles through windows with different G_w, so it keeps the
+per-iteration loop in Gram form: at a window's first visit in the stage Z_w,
+G_w and B_w are computed once, and each iteration costs O(W D^2).
+
+`run` checks its inputs once at entry; the stages and `decode` do arithmetic.
+`TraceRecorder.check_divergence` guards the stages and the baselines: an entry
 that is NaN or beyond DIVERGENCE_LIMIT * max(1, max|Y|) in magnitude diverges,
-a limit that scales with Y and A0 as the iterates do.
+a limit that scales with Y and A0 as the iterates do. A mini-batch stage checks
+every iterate; a full-batch stage checks the iterates it forms, those of its
+trace rows.
 """
 
 from __future__ import annotations
@@ -39,7 +53,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .linalg import as_matrix, full_rank_pseudo_inverse, spectral_norm, threshold_elementwise
+from .linalg import (
+    SvdConvergenceError,
+    as_matrix,
+    full_rank_pseudo_inverse,
+    spectral_norm,
+    threshold_elementwise,
+)
 
 DIVERGENCE_LIMIT = 1e12
 # numerator of the curvature-scaled step eta = _ETA_SCALE / (||G||_2 + 1e-12)
@@ -97,7 +117,9 @@ class AndConfig:
     0.5 / (||Z0 Z0^T||_2 + 1e-12) with Z0 the stage's decode of the full
     batch, or of its first window when `batch` is smaller than the dataset.
     A Z0 of all zeros has no curvature, and `run` refuses it (ValueError).
-    `batch` is "full" or a positive window size.
+    `batch` is "full" or a positive window size. A window of the whole dataset
+    makes each stage one fixed linear map, which `run` applies in closed form
+    in the eigenbasis of Z0 Z0^T; a smaller window updates every iteration.
     """
 
     stages: int = 30
@@ -253,6 +275,98 @@ def _window(y, start: int, b: int) -> np.ndarray:
     return y[:, (start + np.arange(b)) % n]
 
 
+def _step(g, stage: int, alpha: float) -> float:
+    """The curvature-scaled step _ETA_SCALE / (||G||_2 + 1e-12) of a stage
+    whose first window has Gram matrix G; a G of all zeros is refused."""
+    curvature = spectral_norm(g)
+    if curvature == 0:
+        raise ValueError(
+            f"stage {stage} decodes its first window to all zeros at "
+            f"alpha={alpha:g}: no curvature to set the step from")
+    return _ETA_SCALE / (curvature + 1e-12)
+
+
+class _ClosedFormStage:
+    """The iterates A_k of one full-batch stage, k updates after its start.
+
+    Holds A~ = A V (`_av`) and B~ = B V (`_bv`) for G = V diag(lambda) V^T,
+    and advances A~ by the column scaling A~ * mu^k + B~ * phi_k (see the
+    module docstring).
+    """
+
+    def __init__(self, a, b, g, eta):
+        try:
+            lam, v = np.linalg.eigh(g)
+        except np.linalg.LinAlgError as exc:
+            raise SvdConvergenceError(f"eigenvalues did not converge: {exc}") from exc
+        self._mu = 1.0 - eta * lam
+        self._eta = eta
+        self._vt = np.ascontiguousarray(v.T)  # a transposed view multiplies slower
+        self._av = a @ v
+        self._bv = b @ v
+        self._advances = {}  # k -> (mu^k, B~ * phi_k)
+        self._k = 0
+        self._a = a
+
+    def at(self, k: int) -> np.ndarray:
+        """A_k, for k no smaller than that of the last call; formed once."""
+        if k != self._k:
+            steps = k - self._k
+            if steps not in self._advances:
+                mu_k, phi_k = np.ones_like(self._mu), np.zeros_like(self._mu)
+                for _ in range(steps):
+                    phi_k += self._eta * mu_k
+                    mu_k *= self._mu
+                self._advances[steps] = (mu_k, self._bv * phi_k)
+            scale, shift = self._advances[steps]
+            self._av *= scale
+            self._av += shift
+            self._a = self._av @ self._vt
+            self._k = k
+        return self._a
+
+
+def _full_batch_stage(a, y, pinv, alpha, j, iters, recorder, limit):
+    """One full-batch stage from `a`, in closed form; returns its last iterate."""
+    z = decode(pinv, y, alpha)
+    g = z @ z.T
+    stage = _ClosedFormStage(a, y @ z.T, g, _step(g, j, alpha))
+    for t in range(iters):
+        if not recorder.due(t, iters):
+            continue
+        # a row without a truth records the residual of the state entering t
+        entering = stage.at(t) if recorder.evaluator is None else None
+        a = stage.at(t + 1)
+        recorder.check_divergence(limit, j, t, alpha, a)
+        recorder.record(j, t, alpha, a, lambda: np.linalg.norm(y - entering @ z))
+    return a
+
+
+def _mini_batch_stage(a, y, pinv, alpha, j, iters, batch, recorder, limit):
+    """One stage over cyclic windows of `batch` < n columns, an update per
+    iteration in Gram form; returns its last iterate."""
+    n = y.shape[1]
+    windows = {}
+    for t in range(iters):
+        start = t * batch % n
+        if start not in windows:
+            y_w = _window(y, start, batch)
+            z = decode(pinv, y_w, alpha)
+            windows[start] = (z, z @ z.T, y_w @ z.T)
+        z, g, bm = windows[start]
+        if t == 0:
+            # the step of the first window, fixed for the stage
+            eta = _step(g, j, alpha)
+        a_prev = a
+        a = a + eta * (bm - a @ g)
+        recorder.check_divergence(limit, j, t, alpha, a)
+        if recorder.due(t, iters):
+            # the residual of the state entering this iteration, not of `a`
+            recorder.record(j, t, alpha, a,
+                            lambda: np.linalg.norm(_window(y, start, batch) - a_prev @ z))
+    return a
+
+
 def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> AndResult:
     """Run the staged solver on Y from the initialization a0.
 
@@ -263,9 +377,20 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
     Rows are recorded every `eval_every` iterations plus the last iteration of
     each stage, and stream to `on_row` in order: with a ground truth, once per
     evaluated stack of iterates (see TraceRecorder), and every row of a stage
-    before the next stage starts. An iterate with a NaN entry, or one beyond
-    `divergence_limit(y)` in magnitude, is not evaluated: its row records
-    total_error = inf, and DivergenceError carries the partial trace.
+    before the next stage starts.
+
+    A full-batch stage advances in closed form in the eigenbasis of G and forms
+    A only at its trace rows (the module docstring gives the form); a mini-batch
+    stage updates A every iteration. The iterates agree up to rounding.
+
+    An iterate with a NaN entry, or one beyond `divergence_limit(y)` in
+    magnitude, is not evaluated: its row records total_error = inf, and
+    DivergenceError carries the partial trace. A mini-batch stage checks every
+    iterate, so `iteration` is the first that diverged. A full-batch stage
+    checks only the iterates of its rows, so `iteration` is the first row at
+    or after the divergence: with `eval_every` > 1 the error may name a later
+    iteration than an update-by-update check would, and the inf row is that
+    row.
 
     The stage thresholds come from `cfg.schedule` alone, so a run with a
     ground truth and one without take the same steps.
@@ -284,30 +409,10 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
         pinv = full_rank_pseudo_inverse(a, name="working matrix")
         trace.pinv_count += 1
         alpha = stage_threshold(cfg.schedule, j)
-        # pinv and alpha change between stages, so a window's Gram form is
-        # valid for this stage only
-        windows = {}
-        for t in range(cfg.iters_per_stage):
-            start = t * batch % n
-            if start not in windows:
-                y_w = _window(y, start, batch)
-                z = decode(pinv, y_w, alpha)
-                windows[start] = (z, z @ z.T, y_w @ z.T)
-            z, g, bm = windows[start]
-            if t == 0:
-                # curvature-scaled step of the first window, fixed for the stage
-                curvature = spectral_norm(g)
-                if curvature == 0:
-                    raise ValueError(
-                        f"stage {j} decodes its first window to all zeros at "
-                        f"alpha={alpha:g}: no curvature to set the step from")
-                eta = _ETA_SCALE / (curvature + 1e-12)
-            a_prev = a
-            a = a + eta * (bm - a @ g)
-            recorder.check_divergence(limit, j, t, alpha, a)
-            if recorder.due(t, cfg.iters_per_stage):
-                # the residual of the state entering this iteration, not of `a`
-                recorder.record(j, t, alpha, a,
-                                lambda: np.linalg.norm(_window(y, start, batch) - a_prev @ z))
+        if batch == n:
+            a = _full_batch_stage(a, y, pinv, alpha, j, cfg.iters_per_stage, recorder, limit)
+        else:
+            a = _mini_batch_stage(a, y, pinv, alpha, j, cfg.iters_per_stage, batch,
+                                  recorder, limit)
         recorder.flush()
     return AndResult(a=a, trace=trace)

@@ -8,8 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from andnmf.cli import main
 from andnmf.config import validate_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -26,6 +28,8 @@ def _load(name, path):
 
 experiments = _load("experiments", SCRIPT)
 workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+gate = _load("perfbench_gate", ROOT / "perfbench" / "gate.py")
+REFERENCE = json.loads((ROOT / "perfbench" / "reference.json").read_text())
 
 
 @pytest.mark.parametrize("experiment, args", [
@@ -77,3 +81,26 @@ def test_perfbench_workload_configs_validate(name, smoke):
     make = workload.smoke_config if smoke else workload.config
     for seed in (0, workloads.REFERENCE_SEEDS - 1):
         validate_config(make(seed))
+
+
+@pytest.mark.parametrize("section, name", [
+    *(("smoke", name) for name in sorted(workloads.WORKLOADS)),
+    ("workloads", "paper-scale"),
+], ids=[*(f"smoke-{name}" for name in sorted(workloads.WORKLOADS)), "full-paper-scale"])
+def test_cli_outputs_pass_the_benchmark_gate(tmp_path, section, name):
+    # the benchmark gates every run against the final errors pinned in
+    # perfbench/reference.json (rtol 1e-6), so a change that moves one fails
+    # here first; the dataset hashes are pinned for one numpy version only
+    workload = workloads.WORKLOADS[name]
+    config = (workload.smoke_config if section == "smoke" else workload.config)(0)
+    reference = REFERENCE[section][name]["0"]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    if np.__version__ == REFERENCE["env"]["numpy"]:
+        assert gate.check_dataset(out, reference) == []
+    assert main(["run", "--config", str(cfg_path), "--out", str(out),
+                 "--jobs", str(workload.jobs())]) == 0
+    failures, _ = gate.check_run(out, workloads.expected_rows(config), reference)
+    assert failures == {}

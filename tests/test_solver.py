@@ -1,6 +1,7 @@
 import itertools
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,30 @@ class TestRun:
             run(init.a0, ds.y, cfg, truth=gt)
         assert exc.value.stage == 0
         assert exc.value.trace.rows  # partial trace retained
+
+    def test_full_batch_divergence_is_caught_at_the_next_row(self, monkeypatch):
+        # a full-batch stage forms only the iterates of its rows, so with
+        # eval_every = 4 a divergence at iteration t is reported at the first
+        # row t' >= t, whose row is the inf one; the closed form's mu = -2
+        # raises no RuntimeWarning on the way
+        gt, ds, init = make_problem()
+        monkeypatch.setattr(solver, "_ETA_SCALE", 3.0)
+        cfg = AndConfig(stages=1, iters_per_stage=500)
+        with pytest.raises(DivergenceError) as every:
+            run(init.a0, ds.y, cfg, truth=gt)
+        first = every.value.iteration
+        assert first % 4 != 0  # so that the row is later than the divergence
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DivergenceError) as exc:
+                run(init.a0, ds.y, cfg, truth=gt, eval_every=4)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        row = first + (-first) % 4
+        assert (exc.value.stage, exc.value.iteration) == (0, row)
+        rows = exc.value.trace.rows
+        assert [r.iteration for r in rows] == list(range(0, row + 1, 4))
+        assert all(math.isfinite(r.total_error) for r in rows[:-1])
+        assert rows[-1].total_error == math.inf and rows[-1].e_norm is None
 
     @pytest.mark.parametrize("scale", [1e6, 1e13])
     def test_scaling_the_problem_scales_the_run(self, scale):

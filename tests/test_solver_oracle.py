@@ -215,3 +215,58 @@ def test_no_truth_residual_is_of_the_entering_state(batch):
            [(s, t) for s in range(3) for t in (0, 3, 6)]
     for g, r in zip(got.trace.rows, ref.trace.rows):
         assert g.total_error == pytest.approx(r.total_error, rel=REL_TOL, abs=0)
+
+
+def _edge_problem(kind, w=12, d=4, n=40, seed=0):
+    """A problem whose full-batch decode gives G a zero mode or makes it nearly
+    singular: Y = A* X with the last row of X zero ("zero-row") or with its
+    first two rows equal up to 1e-7 ("near-singular"), from A0 near A*."""
+    gt = generate_ground_truth(w, d, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    x = rng.dirichlet(np.ones(d), n).T
+    if kind == "zero-row":
+        x[-1] = 0.0
+        offset = 1e-2
+    else:
+        x[1] = x[0] * (1 + 1e-7 * rng.standard_normal(n))
+        offset = 1e-6  # a larger one mixes the two rows apart
+    a0 = gt.a_star + offset * rng.standard_normal((w, d))
+    return gt, gt.a_star @ x, a0
+
+
+@pytest.mark.parametrize("with_truth", [True, False], ids=["truth", "no-truth"])
+@pytest.mark.parametrize("eval_every", [1, 3, 7])
+@pytest.mark.parametrize("kind", ["zero-row", "near-singular"])
+def test_full_batch_edge_cases_match_reference_loop(monkeypatch, kind, eval_every, with_truth):
+    # the closed form scales G's eigenmodes, so a mode with lambda = 0 (mu = 1)
+    # and a G with lambda_min / lambda_max ~ 1e-14 must still give the loop's
+    # iterates; eval_every = 7 = T records only the first and last iteration
+    gt, y, a0 = _edge_problem(kind)
+    cfg = AndConfig(stages=3, iters_per_stage=7, schedule=ThresholdSchedule(0.05, 1.0))
+    truth = gt if with_truth else None
+    decodes = []
+    original = solver.decode
+
+    def recording_decode(*args, **kwargs):
+        decodes.append(original(*args, **kwargs))
+        return decodes[-1]
+
+    monkeypatch.setattr(solver, "decode", recording_decode)
+    got = run(a0, y, cfg, truth=truth, eval_every=eval_every)
+    assert len(decodes) == cfg.stages
+    for z in decodes:
+        if kind == "zero-row":
+            assert not z[-1].any()
+        else:
+            lam = np.linalg.eigvalsh(z @ z.T)
+            assert 0 < lam[0] <= 1e-12 * lam[-1]
+    ref = reference_run(a0, y, cfg, truth=truth, eval_every=eval_every)
+    floor = spectral_norm(gt.a_star)
+    assert [(r.stage, r.iteration) for r in got.trace.rows] == \
+           [(r.stage, r.iteration) for r in ref.trace.rows]
+    for g, r in zip(got.trace.rows, ref.trace.rows):
+        assert _close(g.total_error, r.total_error, floor)
+        if r.e_norm is not None:
+            assert _close(g.e_norm, r.e_norm, floor)
+            assert _close(g.n_norm, r.n_norm, floor)
+    assert _close(got.a, ref.a, floor)
