@@ -6,7 +6,7 @@ Directory layout written by `generate` / `run` under one output directory:
     <label>_trace.csv  <label>_A_final.mat  summary.json
 
 Traces stream to disk as their rows are evaluated: with a ground truth, a
-stack of recorded iterates at a time (`solver.TraceRecorder`), every stage's
+stack of recorded rows at a time (`solver.TraceRecorder`), every stage's
 rows by the stage's end, and every earlier row before a divergence row, so a
 diverging run leaves its whole partial trace behind. A divergence or runtime
 error is recorded in summary.json rather than crashing the other solvers. The manifest carries the resolved config, its

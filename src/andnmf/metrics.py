@@ -13,6 +13,18 @@ residual: A = A_star (Sigma + E) + N. `Evaluator.evaluate` gives the total
 error and the spectral norms of E and N for a whole stack of estimates in one
 vectorised pass; every single-estimate entry point is its k = 1 case. Both
 norms come from `linalg.spectral_norms`.
+
+`Evaluator.evaluate_coordinates` gives the same three values from an
+estimate's coordinates instead, with no W-sized work. With the SVD
+A_star = u diag(s) vt, an estimate is A = u X + Q Y for X = u^T A (D x D) and
+any orthonormal Q orthogonal to u, so that N = Q Y and ||N||_2 = ||Y||_2.
+Then C = (vt^T / s) X, ||A_j||^2 = ||X_j||^2 + ||Y_j||^2, and with
+r_i = s_i vt[:, i] the coordinates of a*_i,
+
+    ||a*_i - sigma A_j||^2 = ||r_i - sigma X_j||^2 + sigma^2 ||Y_j||^2.
+
+An explicit stack is the case u = I with no Y term, and keeps its own
+arithmetic.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, full_rank_pseudo_inverse, spectral_norms
+from .linalg import as_matrix, full_rank_svd, spectral_norms
 
 _ZERO_COL_TOL = 1e-24  # squared-norm cutoff below which a column is "zero"
 # Below 2^_HUGE_EXP an estimate's squared entries, and h^2 = <A_j, a*_i>^2
@@ -57,20 +69,34 @@ class Decomposition:
     residual_norm: float
 
 
-def _correlation_errors(stack, a_star):
-    """Per-column errors of each estimate in a (k, W, Da) stack against a_star
-    (W, Ds): eps (k, Ds), the winning estimate column (k, Ds; -1 when every
+def _correlation_errors(stack, a_star, perp=None):
+    """Per-column errors of each estimate in a (k, m, Da) stack against a_star
+    (m, Ds): eps (k, Ds), the winning estimate column (k, Ds; -1 when every
     column of that estimate is zero) and its optimal scale (k, Ds).
 
-    An estimate whose largest |entry| reaches 2^_HUGE_EXP is searched divided
-    by 2^e, the power of two just above that entry, so that squaring it cannot
-    overflow. The winners do not depend on the scale of the estimate, and a
-    power-of-two scaling is exact."""
-    e = np.frexp(np.abs(stack).max(axis=(1, 2)))[1]
+    The rows of `stack` and `a_star` are coordinates in one orthonormal basis
+    (explicit W-vectors are the standard basis). `perp` (k, p, Da), if given,
+    holds the coordinates of each estimate's part orthogonal to that basis,
+    in an orthonormal basis of its own; it adds to the column norms and to the
+    error of the winning column (see the module docstring).
+
+    An estimate whose largest |coordinate| reaches 2^_HUGE_EXP is searched
+    divided by 2^e, the power of two just above that entry, so that squaring
+    it cannot overflow. The winners do not depend on the scale of the
+    estimate, and a power-of-two scaling is exact."""
+    top = np.abs(stack).max(axis=(1, 2))
+    if perp is not None:
+        top = np.maximum(top, np.abs(perp).max(axis=(1, 2)))
+    e = np.frexp(top)[1]
     e = np.where(e > _HUGE_EXP, e, 0)                    # (k,)
-    unit = np.ldexp(stack, -e[:, None, None]) if e.any() else stack
-    h = np.swapaxes(unit, 1, 2) @ a_star                 # h[k, j, i] = <U_j, a*_i>
-    cn = np.einsum("kwj,kwj->kj", unit, unit)            # ||U_j||^2
+    if e.any():
+        stack = np.ldexp(stack, -e[:, None, None])
+        perp = None if perp is None else np.ldexp(perp, -e[:, None, None])
+    h = np.swapaxes(stack, 1, 2) @ a_star                # h[k, j, i] = <U_j, a*_i>
+    cn = np.einsum("kwj,kwj->kj", stack, stack)          # ||U_j||^2
+    if perp is not None:
+        perp2 = np.einsum("kpj,kpj->kj", perp, perp)
+        cn = cn + perp2
     ok = cn > np.ldexp(_ZERO_COL_TOL, -2 * e)[:, None]   # ||A_j||^2 = ||U_j||^2 4^e
     cn = np.where(ok, cn, 1.0)
     star2 = np.einsum("ij,ij->j", a_star, a_star)
@@ -82,10 +108,13 @@ def _correlation_errors(stack, a_star):
     sigmas = np.where(any_ok, h[kk, js, np.arange(a_star.shape[1])] / cn[kk, js], 0.0)
     # evaluate the winner through the explicit residual vector: the
     # closed-form ||a||^2 - proj^2 cancels catastrophically near exact
-    # matches, the direct difference does not (sigma = 0 leaves a*_i itself)
-    resid = a_star.T - unit[kk, :, js] * sigmas[:, :, None]   # (k, Ds, W)
-    eps = np.sqrt(np.einsum("kiw,kiw->ki", resid, resid))
-    return eps, np.where(any_ok, js, -1), np.ldexp(sigmas, -e[:, None])
+    # matches, the direct difference does not (sigma = 0 leaves a*_i itself);
+    # the out-of-basis term is a sum of squares, so it cancels nothing either
+    resid = a_star.T - stack[kk, :, js] * sigmas[:, :, None]   # (k, Ds, m)
+    eps2 = np.einsum("kiw,kiw->ki", resid, resid)
+    if perp is not None:
+        eps2 = eps2 + sigmas**2 * perp2[kk, js]
+    return np.sqrt(eps2), np.where(any_ok, js, -1), np.ldexp(sigmas, -e[:, None])
 
 
 def total_correlation_error(a, a_star) -> ErrorReport:
@@ -102,13 +131,28 @@ def total_correlation_error(a, a_star) -> ErrorReport:
     )
 
 
+def _off_diagonal(c):
+    """A copy of a (k, D, D) stack with exact zeros on each diagonal."""
+    off = c.copy()
+    d = np.arange(c.shape[1])
+    off[:, d, d] = 0.0
+    return off
+
+
 class Evaluator:
-    """Caches the pseudo-inverse of a ground truth so per-iteration metric
-    evaluation inside solver loops stays cheap."""
+    """Evaluates estimates against one ground truth A* = u diag(s) vt.
+
+    The SVD that checks A*'s rank gives its pseudo-inverse `pinv` and the
+    orthonormal `basis` u of its column space, in which `evaluate_coordinates`
+    takes an estimate's coordinates."""
 
     def __init__(self, a_star):
         self.a_star = as_matrix(a_star, "a_star")
-        self.pinv = full_rank_pseudo_inverse(self.a_star, name="ground truth")
+        u, s, vt = full_rank_svd(self.a_star, name="ground truth")
+        self.basis = u
+        self._mix = vt.T * (1.0 / s)   # C = Pinv* A = _mix @ (u^T A)
+        self.pinv = self._mix @ u.T
+        self._star = s[:, None] * vt   # A* = u @ _star
 
     def error_report(self, a) -> ErrorReport:
         return total_correlation_error(a, self.a_star)
@@ -116,10 +160,7 @@ class Evaluator:
     def _split(self, stack):
         """C = Pinv* A and its off-diagonal part, and N = A - A* C, per estimate."""
         c = self.pinv @ stack
-        off = c.copy()
-        d = np.arange(c.shape[1])
-        off[:, d, d] = 0.0
-        return c, off, stack - self.a_star @ c
+        return c, _off_diagonal(c), stack - self.a_star @ c
 
     def evaluate(self, stack):
         """(total, E_norm, N_norm) of each estimate in a (k, W, D) stack, as
@@ -134,6 +175,24 @@ class Evaluator:
         _, off, residual = self._split(stack)
         eps = _correlation_errors(stack, self.a_star)[0]
         return eps.sum(axis=1), spectral_norms(off), spectral_norms(residual)
+
+    def evaluate_coordinates(self, inspan, perp):
+        """`evaluate` of the estimates A = basis @ X + N, given by the (k, D, D)
+        stack `inspan` of X = basis^T A and a (k, p, D) stack `perp` of
+        coordinates Y of N = A - A* C in any orthonormal basis (so that
+        Y^T Y = N^T N); equal up to rounding, with no W-sized work."""
+        k, d = len(inspan), self.a_star.shape[1]
+        if np.shape(inspan) != (k, d, d) or np.ndim(perp) != 3 or \
+                (len(perp), np.shape(perp)[2]) != (k, d):
+            raise ValueError(
+                f"shape mismatch: {inspan.shape} and {perp.shape} are not coordinate "
+                f"stacks of a {self.a_star.shape} estimate"
+            )
+        if not (np.all(np.isfinite(inspan)) and np.all(np.isfinite(perp))):
+            raise ValueError("estimate contains a non-finite entry")
+        off = _off_diagonal(self._mix @ inspan)
+        eps = _correlation_errors(inspan, self._star, perp)[0]
+        return eps.sum(axis=1), spectral_norms(off), spectral_norms(perp)
 
     def decompose(self, a) -> Decomposition:
         a = as_matrix(a, "estimate")

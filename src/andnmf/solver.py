@@ -28,9 +28,20 @@ A~ <- A~ * mu + eta * B~ with mu = 1 - eta * lambda, so k updates are
     advance  A~ <- A~ * mu^k + B~ * phi_k,   phi_k = eta * sum_{i<k} mu^i
 
 for D-vectors mu^k and phi_k of k multiply-adds each, computed once per
-distinct k in the stage. A = A~ V^T is formed only where it is read: at a
-trace row and at the stage end. A mode with lambda = 0 needs no special case
+distinct k in the stage. A mode with lambda = 0 needs no special case
 (mu = 1, phi_k = k * eta), and no pseudo-inverse of G is taken.
+
+A = A~ V^T is formed only where it is read. Without a ground truth that is
+at each trace row. With one, a trace row reads A only through its
+coordinates: with u the orthonormal basis of the truth's column space, the
+stage takes P = u^T [A~ B~] and the R factor [R_X R_Y] of [A~ B~] - u P once,
+and advances both by the same scaling, so that at step k
+
+    in span      u^T A = (P_A * mu^k + P_B * phi_k) V^T          (D x D)
+    out of span  R     = (R_X * mu^k + R_Y * phi_k) V^T          (min(W, 2D) x D)
+
+with R^T R = N^T N for N = A - u u^T A. `metrics.Evaluator.evaluate_coordinates`
+evaluates a row from these in O(D^3), and A is formed once, at the stage end.
 
 A mini-batch stage cycles through windows with different G_w, so it keeps the
 per-iteration loop in Gram form: at a window's first visit in the stage Z_w,
@@ -40,8 +51,10 @@ G_w and B_w are computed once, and each iteration costs O(W D^2).
 `TraceRecorder.check_divergence` guards the stages and the baselines: an entry
 that is NaN or beyond DIVERGENCE_LIMIT * max(1, max|Y|) in magnitude diverges,
 a limit that scales with Y and A0 as the iterates do. A mini-batch stage checks
-every iterate; a full-batch stage checks the iterates it forms, those of its
-trace rows.
+every iterate; a full-batch stage checks the iterates of its trace rows. A row
+given by coordinates passes when every column norm of A is within the limit,
+since no entry exceeds its column's norm; a row that fails that bound forms
+its iterate for the entrywise check, so the verdict is the same.
 """
 
 from __future__ import annotations
@@ -164,9 +177,9 @@ class RunTrace:
         return np.array([ends[s] for s in sorted(ends)])
 
 
-# Iterates due a trace row are evaluated in stacks of at most this many bytes:
-# several DIR-sized (200 x 20) iterates share each vectorised pass, and the
-# stack stays cache-sized (a whole 50-iterate DIR stage is slower and larger).
+# Rows due with a ground truth are evaluated in stacks of at most this many
+# bytes: several rows share each vectorised pass, and the stack stays
+# cache-sized (a whole 50-row DIR stage at once is no faster, and larger).
 EVAL_BATCH_BYTES = 192 * 1024
 
 
@@ -178,10 +191,13 @@ class TraceRecorder:
     no-truth residual norm that the caller supplies. A row is due every
     `eval_every` iterations and at the last iteration of each stage.
 
-    With a ground truth, recorded iterates are copied into a stack of at most
-    EVAL_BATCH_BYTES and evaluated together when it fills, at `flush()` (the
-    caller's stage end) and before a divergence row. A row's `seconds` is the
-    time its iterate was recorded, and rows reach `on_row` in order.
+    With a ground truth, a row's iterate is recorded either explicitly
+    (`record`) or by its coordinates (`record_coordinates`), and copied into a
+    stack of at most EVAL_BATCH_BYTES. The stack is evaluated together, by
+    `Evaluator.evaluate` or `Evaluator.evaluate_coordinates`, when it fills, at
+    `flush()` (the caller's stage end) and before a divergence row. A row's
+    `seconds` is the time its iterate was recorded, and rows reach `on_row` in
+    order.
     """
 
     def __init__(self, truth=None, on_row=None, eval_every: int = 1):
@@ -189,14 +205,11 @@ class TraceRecorder:
             raise ValueError(f"eval_every must be >= 1, got {eval_every}")
         self.eval_every = eval_every
         self.evaluator = None
-        self._stack = None
         if truth is not None:
-            a_star = getattr(truth, "a_star", truth)
-            self.evaluator = metrics.Evaluator(a_star)
-            shape = self.evaluator.a_star.shape
-            capacity = max(1, EVAL_BATCH_BYTES // (8 * shape[0] * shape[1]))
-            self._stack = np.empty((capacity,) + shape)
-        self._pending = []  # (stage, iteration, alpha, seconds) of the stacked iterates
+            self.evaluator = metrics.Evaluator(getattr(truth, "a_star", truth))
+        self._stack = None  # allocated for the first recorded row's kind and shape
+        self._coordinates = False  # whether the stack holds coordinates
+        self._pending = []  # (stage, iteration, alpha, seconds) of the stacked rows
         self.trace = RunTrace()
         self._on_row = on_row
         self._t0 = time.perf_counter()
@@ -214,18 +227,38 @@ class TraceRecorder:
             return
         if np.shape(a) != self.evaluator.a_star.shape:
             raise ValueError(f"shape mismatch: {np.shape(a)} != {self.evaluator.a_star.shape}")
-        self._stack[len(self._pending)] = a
-        self._pending.append((stage, iteration, alpha, seconds))
+        self._push(False, (stage, iteration, alpha, seconds), a)
+
+    def record_coordinates(self, stage, iteration, alpha, x):
+        """Record the row of the estimate whose coordinates are `x`: D rows in
+        the ground truth's column basis, then those of the part out of it
+        (see `_ClosedFormStage.coordinates`). Needs a ground truth."""
+        self._push(True, (stage, iteration, alpha, time.perf_counter() - self._t0), x)
+
+    def _push(self, coordinates, row, m):
+        # a row's shape is fixed by its kind and the ground truth
+        if self._stack is None or coordinates != self._coordinates:
+            self.flush()
+            capacity = max(1, EVAL_BATCH_BYTES // (8 * m.size))
+            self._stack = np.empty((capacity,) + m.shape)
+            self._coordinates = coordinates
+        self._stack[len(self._pending)] = m
+        self._pending.append(row)
         if len(self._pending) == len(self._stack):
             self.flush()
 
     def flush(self):
-        """Evaluate the stacked iterates and emit their rows in order."""
+        """Evaluate the stacked rows and emit them in order."""
         if not self._pending:
             return
         pending, self._pending = self._pending, []
-        totals, e_norms, n_norms = self.evaluator.evaluate(self._stack[:len(pending)])
-        for (stage, iteration, alpha, seconds), err, e, n in zip(pending, totals, e_norms, n_norms):
+        stack = self._stack[:len(pending)]
+        if self._coordinates:
+            d = self.evaluator.a_star.shape[1]
+            values = self.evaluator.evaluate_coordinates(stack[:, :d], stack[:, d:])
+        else:
+            values = self.evaluator.evaluate(stack)
+        for (stage, iteration, alpha, seconds), err, e, n in zip(pending, *values):
             self._emit(stage, iteration, seconds, alpha, float(err), float(e), float(n))
 
     def check_divergence(self, limit, stage, iteration, alpha, *iterates):
@@ -286,15 +319,34 @@ def _step(g, stage: int, alpha: float) -> float:
     return _ETA_SCALE / (curvature + 1e-12)
 
 
+def _columns_within(x, limit) -> bool:
+    """Whether every column of `x` has norm <= `limit`. max|x| is compared
+    first, so a NaN or an overflowed entry fails without being squared, and
+    the norms are taken of x / max|x|, which cannot overflow. No norm exceeds
+    sqrt(rows) max|x|, so a small enough max|x| passes without them."""
+    top = np.abs(x).max()
+    if not top <= limit:  # negated so that NaN fails it
+        return False
+    if top * math.sqrt(len(x)) <= limit:
+        return True
+    unit = x / top
+    return top * math.sqrt(np.einsum("ij,ij->j", unit, unit).max()) <= limit
+
+
 class _ClosedFormStage:
     """The iterates A_k of one full-batch stage, k updates after its start.
 
-    Holds A~ = A V (`_av`) and B~ = B V (`_bv`) for G = V diag(lambda) V^T,
-    and advances A~ by the column scaling A~ * mu^k + B~ * phi_k (see the
-    module docstring).
+    Holds A~ = A V and B~ = B V for G = V diag(lambda) V^T, and advances A~ by
+    the column scaling A~ * mu^k + B~ * phi_k (see the module docstring).
+
+    Given the orthonormal basis u of the ground truth's column space, it also
+    holds the coordinates of [A~ B~] in that span, P = u^T [A~ B~], and out of
+    it, the R factor of [A~ B~] - u P (min(W, 2D) rows), and advances both by
+    the same scaling. At step k they give the D-sized coordinates of A_k that
+    `metrics.Evaluator.evaluate_coordinates` reads, without forming A_k.
     """
 
-    def __init__(self, a, b, g, eta):
+    def __init__(self, a, b, g, eta, basis=None):
         try:
             lam, v = np.linalg.eigh(g)
         except np.linalg.LinAlgError as exc:
@@ -302,44 +354,78 @@ class _ClosedFormStage:
         self._mu = 1.0 - eta * lam
         self._eta = eta
         self._vt = np.ascontiguousarray(v.T)  # a transposed view multiplies slower
-        self._av = a @ v
-        self._bv = b @ v
-        self._advances = {}  # k -> (mu^k, B~ * phi_k)
+        self._w, d = a.shape
+        # rows 0 .. W-1 are A~ and B~, the rest their coordinates
+        self._xv, self._bv = a @ v, b @ v
+        if basis is not None:
+            m = np.hstack([self._xv, self._bv])
+            p = basis.T @ m
+            coords = np.vstack([p, np.linalg.qr(m - basis @ p, mode="r")])
+            self._xv = np.vstack([self._xv, coords[:, :d]])
+            self._bv = np.vstack([self._bv, coords[:, d:]])
+        self._advances = {}  # k -> (mu^k, [B~; its coordinates] * phi_k)
         self._k = 0
         self._a = a
 
+    def _advance(self, k: int):
+        if k == self._k:
+            return
+        steps = k - self._k
+        if steps not in self._advances:
+            mu_k, phi_k = np.ones_like(self._mu), np.zeros_like(self._mu)
+            for _ in range(steps):
+                phi_k += self._eta * mu_k
+                mu_k *= self._mu
+            self._advances[steps] = (mu_k, self._bv * phi_k)
+        scale, shift = self._advances[steps]
+        self._xv *= scale
+        self._xv += shift
+        self._a = None
+        self._k = k
+
     def at(self, k: int) -> np.ndarray:
         """A_k, for k no smaller than that of the last call; formed once."""
-        if k != self._k:
-            steps = k - self._k
-            if steps not in self._advances:
-                mu_k, phi_k = np.ones_like(self._mu), np.zeros_like(self._mu)
-                for _ in range(steps):
-                    phi_k += self._eta * mu_k
-                    mu_k *= self._mu
-                self._advances[steps] = (mu_k, self._bv * phi_k)
-            scale, shift = self._advances[steps]
-            self._av *= scale
-            self._av += shift
-            self._a = self._av @ self._vt
-            self._k = k
+        self._advance(k)
+        if self._a is None:
+            self._a = self._xv[:self._w] @ self._vt
         return self._a
+
+    def coordinates(self, k: int) -> np.ndarray:
+        """[u^T A_k; R_k] for k no smaller than that of the last call: D rows
+        in the ground truth's span, then min(W, 2D) rows whose Gram matrix is
+        that of A_k's part out of it. A column's norm is that of A_k."""
+        self._advance(k)
+        return self._xv[self._w:] @ self._vt
 
 
 def _full_batch_stage(a, y, pinv, alpha, j, iters, recorder, limit):
-    """One full-batch stage from `a`, in closed form; returns its last iterate."""
+    """One full-batch stage from `a`, in closed form; returns its last iterate.
+
+    Without a ground truth each row forms its iterate. With one, a row is
+    evaluated from the iterate's coordinates, and passes the divergence check
+    when every column norm is within `limit`, since no entry exceeds its
+    column's norm; only a row that fails that bound forms its iterate for the
+    entrywise check."""
     z = decode(pinv, y, alpha)
     g = z @ z.T
-    stage = _ClosedFormStage(a, y @ z.T, g, _step(g, j, alpha))
+    evaluator = recorder.evaluator
+    stage = _ClosedFormStage(a, y @ z.T, g, _step(g, j, alpha),
+                             None if evaluator is None else evaluator.basis)
     for t in range(iters):
         if not recorder.due(t, iters):
             continue
-        # a row without a truth records the residual of the state entering t
-        entering = stage.at(t) if recorder.evaluator is None else None
-        a = stage.at(t + 1)
-        recorder.check_divergence(limit, j, t, alpha, a)
-        recorder.record(j, t, alpha, a, lambda: np.linalg.norm(y - entering @ z))
-    return a
+        if evaluator is not None:
+            x = stage.coordinates(t + 1)
+            if not _columns_within(x, limit):
+                recorder.check_divergence(limit, j, t, alpha, stage.at(t + 1))
+            recorder.record_coordinates(j, t, alpha, x)
+        else:
+            # the row records the residual of the state entering t
+            entering = stage.at(t)
+            a = stage.at(t + 1)
+            recorder.check_divergence(limit, j, t, alpha, a)
+            recorder.record(j, t, alpha, a, lambda: np.linalg.norm(y - entering @ z))
+    return stage.at(iters)
 
 
 def _mini_batch_stage(a, y, pinv, alpha, j, iters, batch, recorder, limit):
@@ -379,8 +465,10 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
     evaluated stack of iterates (see TraceRecorder), and every row of a stage
     before the next stage starts.
 
-    A full-batch stage advances in closed form in the eigenbasis of G and forms
-    A only at its trace rows (the module docstring gives the form); a mini-batch
+    A full-batch stage advances in closed form in the eigenbasis of G (the
+    module docstring gives the form). Without a ground truth it forms A at its
+    trace rows; with one it evaluates each row from A's coordinates in the
+    truth's column space and forms A once, at the stage end. A mini-batch
     stage updates A every iteration. The iterates agree up to rounding.
 
     An iterate with a NaN entry, or one beyond `divergence_limit(y)` in
@@ -401,6 +489,8 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
     if a.shape[0] != w:
         raise ValueError(f"a0 has {a.shape[0]} rows but y has {w}")
     recorder = TraceRecorder(truth, on_row, eval_every)
+    if recorder.evaluator is not None and a.shape != recorder.evaluator.a_star.shape:
+        raise ValueError(f"shape mismatch: {a.shape} != {recorder.evaluator.a_star.shape}")
     trace = recorder.trace
     limit = divergence_limit(y)
     batch = n if cfg.batch == "full" else min(cfg.batch, n)

@@ -67,10 +67,9 @@ class Dataset:
 
 @dataclass
 class Initialization:
-    a0: np.ndarray
-    u: np.ndarray       # the in-span mixing draw, a0 = A*(I + u) + n_mat
+    a0: np.ndarray      # A*(I + U) + n_mat for the in-span mixing draw U
     n_mat: np.ndarray   # the out-of-span draw
-    ell: float          # spectral norm of offdiag(u), the in-span mixing level
+    ell: float          # spectral norm of offdiag(U), the in-span mixing level
     rho: float          # spectral norm of n_mat, the out-of-span level
 
 
@@ -122,7 +121,6 @@ def generate_initialization(gt: GroundTruth, ispec: InitSpec) -> Initialization:
     offdiag = u - np.diag(np.diag(u))
     return Initialization(
         a0=a0,
-        u=u,
         n_mat=nmat,
         ell=spectral_norm(offdiag),
         rho=spectral_norm(nmat),

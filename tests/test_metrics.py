@@ -226,17 +226,28 @@ def _estimates(star, k, rng, scale=1.0):
     return star @ mix + scale * rng.standard_normal((k, w, d))
 
 
+def _coordinates(ev, stack):
+    """(inspan, perp) of each estimate in `stack`: u^T A in the truth's column
+    basis u, and the R factor of A - u u^T A."""
+    inspan = ev.basis.T @ stack
+    perp = np.stack([np.linalg.qr(a - ev.basis @ x, mode="r") for a, x in zip(stack, inspan)])
+    return inspan, perp
+
+
 def _assert_matches_per_row_oracle(star, stack, rel_only=False):
-    """Evaluator.evaluate against the exact-SVD per-row path, within
-    1e-12 * max(|ref|, ||A*||_2) (or 1e-12 * |ref| with `rel_only`)."""
-    got = Evaluator(star).evaluate(stack)
+    """Evaluator.evaluate, and evaluate_coordinates of the same estimates,
+    against the exact-SVD per-row path, within 1e-12 * max(|ref|, ||A*||_2)
+    (or 1e-12 * |ref| with `rel_only`); returns evaluate's values."""
+    ev = Evaluator(star)
+    got = ev.evaluate(stack)
     pinv = full_rank_pseudo_inverse(star)
     ref = np.array([per_row_oracle.row_values(a, star, pinv) for a in stack]).T
     floor = 0.0 if rel_only else spectral_norm(star)
-    for g, r in zip(got, ref):
-        assert g.shape == (len(stack),)
-        assert np.all(np.isfinite(g)) and np.all(g >= 0)
-        assert np.all(np.abs(g - r) <= 1e-12 * np.maximum(np.abs(r), floor))
+    for values in (got, ev.evaluate_coordinates(*_coordinates(ev, stack))):
+        for g, r in zip(values, ref):
+            assert g.shape == (len(stack),)
+            assert np.all(np.isfinite(g)) and np.all(g >= 0)
+            assert np.all(np.abs(g - r) <= 1e-12 * np.maximum(np.abs(r), floor))
     return got
 
 
@@ -294,6 +305,38 @@ class TestBatchedEvaluate:
         tiny = scale * rng.standard_normal((5, 30, 6))
         _, e_norms, n_norms = _assert_matches_per_row_oracle(star, tiny, rel_only=True)
         assert np.all(n_norms > 0) and np.all(e_norms > 0)
+
+    def test_huge_estimates_are_rescaled(self):
+        # squares of entries near 2^600 overflow; the error search divides an
+        # estimate beyond 2^256 by a power of two first, which moves no bit of
+        # the explicit total, and both norms scale with the estimate
+        rng = np.random.default_rng(24)
+        star = rng.random((12, 3))
+        stack = _estimates(star, 4, rng, 0.01)
+        ev = Evaluator(star)
+        base = ev.evaluate(stack)
+        base_coordinates = ev.evaluate_coordinates(*_coordinates(ev, stack))
+        for m in (300, 600):
+            huge = np.ldexp(stack, m)
+            with np.errstate(over="raise", invalid="raise"):
+                got = ev.evaluate(huge)
+                got_coordinates = ev.evaluate_coordinates(*_coordinates(ev, huge))
+            assert np.array_equal(got[0], base[0])
+            assert np.allclose(got_coordinates[0], base_coordinates[0], rtol=1e-14, atol=0)
+            for values in (got, got_coordinates):
+                for g, b in zip(values[1:], base[1:]):
+                    assert np.allclose(g, np.ldexp(b, m), rtol=1e-12, atol=0)
+
+    def test_coordinates_reject_wrong_shape_and_non_finite(self):
+        star = np.random.default_rng(25).random((10, 3))
+        ev = Evaluator(star)
+        inspan, perp = _coordinates(ev, np.stack([star, 2 * star]))
+        for bad in ((inspan[:, :2], perp), (inspan, perp[:, :, :2]), (inspan, perp[:1])):
+            with pytest.raises(ValueError, match="shape"):
+                ev.evaluate_coordinates(*bad)
+        perp[1, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            ev.evaluate_coordinates(inspan, perp)
 
     def test_rejects_wrong_shape_and_non_finite(self):
         star = np.random.default_rng(23).random((10, 3))

@@ -175,6 +175,51 @@ class TestRun:
         assert all(math.isfinite(r.total_error) for r in rows[:-1])
         assert rows[-1].total_error == math.inf and rows[-1].e_norm is None
 
+    def test_column_norms_over_the_limit_fall_back_to_the_entrywise_check(self, monkeypatch):
+        # a full-batch row with a truth passes the divergence check on its
+        # column norms; a limit of 2 is above every entry of these iterates
+        # (near A*, entries below about 1.1) and below every column norm
+        # (about sqrt(60 / 3)), so each row forms its iterate, passes the
+        # entrywise check and is recorded as under the default limit
+        gt, ds, init = make_problem()
+        cfg = AndConfig(stages=2, iters_per_stage=5)
+        base = run(init.a0, ds.y, cfg, truth=gt)
+        formed = []
+        at = solver._ClosedFormStage.at
+
+        def counting_at(stage, k):
+            formed.append(k)
+            return at(stage, k)
+
+        monkeypatch.setattr(solver._ClosedFormStage, "at", counting_at)
+        monkeypatch.setattr(solver, "DIVERGENCE_LIMIT", 2.0 / max(1.0, ds.y.max()))
+        got = run(init.a0, ds.y, cfg, truth=gt)
+        # one iterate per row for the check, and each stage's last one again
+        assert len(formed) == len(got.trace.rows) + cfg.stages
+        values = [[(r.stage, r.iteration, r.alpha, r.total_error, r.e_norm, r.n_norm)
+                   for r in result.trace.rows] for result in (got, base)]
+        assert values[0] == values[1]
+        assert np.array_equal(got.a, base.a)
+
+    def test_column_norm_bound_compares_before_squaring(self):
+        # squares of 1e200 overflow, and a NaN or inf entry fails at max|x|,
+        # so no operation of the bound overflows or meets an invalid value
+        big = np.full((3, 2), 1e200)  # column norms sqrt(3) * 1e200
+        spike = np.zeros((4, 2))
+        spike[0, 0] = 1e200  # column norms 1e200 and 0, below sqrt(4) * max|x|
+        with np.errstate(over="raise", invalid="raise"):
+            assert solver._columns_within(big, 2e200)
+            assert not solver._columns_within(big, 1.5e200)
+            assert solver._columns_within(spike, 1.5e200)
+            for bad in (math.inf, -math.inf, math.nan):
+                x = big.copy()
+                x[1, 1] = bad
+                assert not solver._columns_within(x, 1e300)
+        small = np.array([[2.0, 0.0], [2.0, 1.0]])  # column norms sqrt(8), 1
+        assert solver._columns_within(small, 3.0)
+        assert not solver._columns_within(small, 2.5)
+        assert solver._columns_within(np.zeros((4, 2)), 1.0)
+
     @pytest.mark.parametrize("scale", [1e6, 1e13])
     def test_scaling_the_problem_scales_the_run(self, scale):
         # Z = phi_alpha(P Y) is unchanged when Y and A scale together, so the
@@ -254,10 +299,11 @@ class TestRun:
 class TestTraceStreaming:
     """Rows are evaluated in stacks of at most EVAL_BATCH_BYTES, yet keep the
     time their iterate was produced, arrive in order, and never outlive a stage
-    or a divergence."""
+    or a divergence. A full-batch row is stacked as its coordinates: D rows in
+    the truth's span and min(W, 2D) out of it, each D wide."""
 
     W, D = 200, 20
-    CAPACITY = EVAL_BATCH_BYTES // (8 * W * D)
+    CAPACITY = EVAL_BATCH_BYTES // (8 * (D + min(W, 2 * D)) * D)
 
     def problem(self):
         return make_problem(w=self.W, d=self.D, n=400, s=3, seed=7)
@@ -265,23 +311,24 @@ class TestTraceStreaming:
     @pytest.fixture
     def log(self, monkeypatch):
         """`events` in call order: ("row", row, tick) at each `on_row`, ("eval", k)
-        at each batched evaluation and ("pinv",) at each stage pseudo-inverse.
+        at each batched evaluation of coordinate rows and ("pinv",) at each
+        stage pseudo-inverse.
         The solver's clock is a counter whose first tick, 0, is the recorder's
         start, so a row's `seconds` is the tick at which its iterate was recorded."""
         events = []
         clock = itertools.count()
         monkeypatch.setattr(solver, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
-        evaluate, pinv = metrics.Evaluator.evaluate, solver.full_rank_pseudo_inverse
+        evaluate, pinv = metrics.Evaluator.evaluate_coordinates, solver.full_rank_pseudo_inverse
 
-        def logged_evaluate(ev, stack):
-            events.append(("eval", len(stack)))
-            return evaluate(ev, stack)
+        def logged_evaluate(ev, inspan, perp):
+            events.append(("eval", len(inspan)))
+            return evaluate(ev, inspan, perp)
 
         def logged_pinv(*args, **kwargs):
             events.append(("pinv",))
             return pinv(*args, **kwargs)
 
-        monkeypatch.setattr(metrics.Evaluator, "evaluate", logged_evaluate)
+        monkeypatch.setattr(metrics.Evaluator, "evaluate_coordinates", logged_evaluate)
         monkeypatch.setattr(solver, "full_rank_pseudo_inverse", logged_pinv)
         return types.SimpleNamespace(
             events=events, on_row=lambda row: events.append(("row", row, next(clock))))

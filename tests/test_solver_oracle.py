@@ -270,3 +270,41 @@ def test_full_batch_edge_cases_match_reference_loop(monkeypatch, kind, eval_ever
             assert _close(g.e_norm, r.e_norm, floor)
             assert _close(g.n_norm, r.n_norm, floor)
     assert _close(got.a, ref.a, floor)
+
+
+@pytest.mark.parametrize("w", [4, 5, 8, 12, 64], ids=["W=D", "W=D+1", "W=2D", "W=3D", "W>>3D"])
+@pytest.mark.parametrize("eval_every", [1, 3])
+def test_full_batch_rows_match_reference_loop_at_every_height(w, eval_every):
+    # a full-batch row is evaluated from its coordinates: D in the truth's
+    # span and min(W, 2D) out of it, which at W = D leave nothing out of span
+    # and at W <= 2D make the out-of-span factor W rows tall
+    gt, y, a0 = _problem(w, 4, 40, seed=w)
+    cfg = AndConfig(stages=3, iters_per_stage=7)
+    ref = reference_run(a0, y, cfg, truth=gt, eval_every=eval_every)
+    got = run(a0, y, cfg, truth=gt, eval_every=eval_every)
+    floor = spectral_norm(gt.a_star)
+    assert [(r.stage, r.iteration) for r in got.trace.rows] == \
+           [(r.stage, r.iteration) for r in ref.trace.rows]
+    for g, r in zip(got.trace.rows, ref.trace.rows):
+        assert _close(g.total_error, r.total_error, floor)
+        assert _close(g.e_norm, r.e_norm, floor)
+        assert _close(g.n_norm, r.n_norm, floor)
+    assert _close(got.a, ref.a, floor)
+
+
+def test_full_batch_stage_forms_its_iterate_once(monkeypatch):
+    # with a truth, every row of a stage is evaluated from coordinates, and
+    # the W x D iterate is formed only at the stage end
+    gt, y, a0 = _problem(24, 4, 40, seed=3)
+    cfg = AndConfig(stages=3, iters_per_stage=5)
+    formed = []
+    original = solver._ClosedFormStage.at
+
+    def counting_at(stage, k):
+        formed.append(k)
+        return original(stage, k)
+
+    monkeypatch.setattr(solver._ClosedFormStage, "at", counting_at)
+    got = run(a0, y, cfg, truth=gt)
+    assert len(got.trace.rows) == cfg.stages * cfg.iters_per_stage
+    assert formed == [cfg.iters_per_stage] * cfg.stages
