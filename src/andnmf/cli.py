@@ -4,7 +4,7 @@ Subcommands:
     generate   write dataset files + manifest from a config or preset
     run        run configured solvers against generated dataset files
     eval       correlation-error report of an estimate vs a truth matrix
-    gcc        empirical correlation bounds + decay profile of a weight sample
+    gcc        empirical correlation bounds and moments of a weight sample
 
 Exit codes: 0 success, 1 validation error (a usage error such as an unknown
 option, a bad config, bad values, a solver refusing its preconditions), 2
@@ -25,7 +25,7 @@ import sys
 # the user set wins. It must run before the imports below load numpy.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
-from .config import ConfigError, load_config, preset_config, validate_config
+from .config import load_config, preset_config, validate_config
 from .harness import evaluate, gcc_report, generate, run
 from .matio import MatrixFormatError
 
@@ -55,8 +55,10 @@ def _build_parser():
         ("run", "run configured solvers on a generated dataset"),
     ):
         p = sub.add_parser(name, help=help_)
-        p.add_argument("--config", help="path to a JSON experiment config")
-        p.add_argument("--preset", help="dataset preset (DIR, CTM, NEG, NOISE, BINARY, paper-scale)")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--config", help="path to a JSON experiment config")
+        source.add_argument("--preset",
+                            help="dataset preset (DIR, CTM, NEG, NOISE, BINARY, paper-scale)")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the dataset seed")
         if name == "run":
@@ -68,19 +70,17 @@ def _build_parser():
     p.add_argument("truth", help="ground-truth matrix (.mat)")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
 
-    p = sub.add_parser("gcc", help="correlation bounds and decay profile of weights")
+    p = sub.add_parser("gcc", help="correlation bounds and moments of weights")
     p.add_argument("weights", help="weight sample matrix (.mat), D x n")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     return parser
 
 
 def _load(args):
-    if args.config:
+    if args.config is not None:
         cfg = load_config(args.config, seed_override=args.seed)
-    elif args.preset:
-        cfg = validate_config(preset_config(args.preset), seed_override=args.seed)
     else:
-        raise ConfigError("one of --config or --preset is required")
+        cfg = validate_config(preset_config(args.preset), seed_override=args.seed)
     return cfg, args.out
 
 

@@ -61,9 +61,7 @@ from .config import ExperimentConfig
 from .matio import TraceWriter, read_matrix, write_matrix
 from .solver import DivergenceError, run as run_and
 from .synth import generate_dataset, generate_ground_truth, generate_initialization
-from .weights import NoClosedFormError, decay_profile, gcc_closed_form, gcc_from_samples
-
-DECAY_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
+from .weights import gcc_from_samples
 
 # (set, get) thread-count entry points of OpenBLAS builds, newest first: the
 # scipy-openblas of numpy >= 2 wheels, 64-bit-integer builds, then plain ones
@@ -89,17 +87,12 @@ def generate(cfg: ExperimentConfig, out_dir) -> dict:
     write_matrix(out / "Zeta.mat", data.zeta)
     write_matrix(out / "A0.mat", init.a0)
 
-    try:
-        closed_form = gcc_closed_form(ds.weights).as_dict()
-    except NoClosedFormError:
-        closed_form = None
     manifest = {
         "config": cfg.raw,
         "config_sha256": cfg.config_hash(),
         "seeds": cfg.derived_seeds(),
         "ground_truth": {"provenance": gt.provenance, "cond": gt.cond},
         "initialization": {"ell": init.ell, "rho": init.rho},
-        "gcc_closed_form": closed_form,
         "versions": {
             "andnmf": __version__,
             "numpy": np.__version__,
@@ -268,12 +261,9 @@ def evaluate(estimate_path, truth_path) -> dict:
 
 
 def gcc_report(weights_path) -> dict:
-    """Empirical correlation bounds, raw moments, and the decay profile of a
+    """Empirical correlation bounds and the raw moments they were fit to, of a
     weight sample stored as a D x n matrix."""
-    x = read_matrix(weights_path)
-    est = gcc_from_samples(x)
-    profile = decay_profile(x, DECAY_GRID)
-    q_hat = profile.q_hat
+    est = gcc_from_samples(read_matrix(weights_path))
     return {
         "params": est.params.as_dict(),
         "moments": {
@@ -281,11 +271,5 @@ def gcc_report(weights_path) -> dict:
             "max_diag": est.max_diag,
             "max_offdiag": est.max_offdiag,
             "min_eig": est.min_eig,
-        },
-        "decay": {
-            "alphas": [float(a) for a in profile.alphas],
-            "max_cdf": [float(c) for c in profile.max_cdf],
-            "q_hat": "inf" if np.isinf(q_hat) else float(q_hat),
-            "skipped_coordinates": list(profile.skipped),
         },
     }

@@ -14,8 +14,7 @@ error and the spectral norms of E and N for a whole stack of estimates in one
 vectorised pass; every single-estimate entry point is its k = 1 case. Both
 norms come from `linalg.spectral_norms`.
 
-`Evaluator.evaluate_coordinates` gives the same three values from an
-estimate's coordinates instead, with no W-sized work. With the SVD
+Every evaluation works on an estimate's coordinates. With the SVD
 A_star = u diag(s) vt, an estimate is A = u X + Q Y for X = u^T A (D x D) and
 any orthonormal Q orthogonal to u, so that N = Q Y and ||N||_2 = ||Y||_2.
 Then C = (vt^T / s) X, ||A_j||^2 = ||X_j||^2 + ||Y_j||^2, and with
@@ -23,8 +22,9 @@ r_i = s_i vt[:, i] the coordinates of a*_i,
 
     ||a*_i - sigma A_j||^2 = ||r_i - sigma X_j||^2 + sigma^2 ||Y_j||^2.
 
-An explicit stack is the case u = I with no Y term, and keeps its own
-arithmetic.
+An explicit estimate takes Y = A - u X, whose W rows are coordinates in the
+standard basis (`Evaluator.coordinates`); a full-batch stage of the solver
+supplies a D-sized Y of its own, with no W-sized work.
 """
 
 from __future__ import annotations
@@ -142,25 +142,24 @@ def _off_diagonal(c):
 class Evaluator:
     """Evaluates estimates against one ground truth A* = u diag(s) vt.
 
-    The SVD that checks A*'s rank gives its pseudo-inverse `pinv` and the
-    orthonormal `basis` u of its column space, in which `evaluate_coordinates`
-    takes an estimate's coordinates."""
+    The SVD that checks A*'s rank gives the orthonormal `basis` u of its
+    column space, in which `coordinates` splits an estimate."""
 
     def __init__(self, a_star):
         self.a_star = as_matrix(a_star, "a_star")
         u, s, vt = full_rank_svd(self.a_star, name="ground truth")
         self.basis = u
         self._mix = vt.T * (1.0 / s)   # C = Pinv* A = _mix @ (u^T A)
-        self.pinv = self._mix @ u.T
         self._star = s[:, None] * vt   # A* = u @ _star
 
     def error_report(self, a) -> ErrorReport:
         return total_correlation_error(a, self.a_star)
 
-    def _split(self, stack):
-        """C = Pinv* A and its off-diagonal part, and N = A - A* C, per estimate."""
-        c = self.pinv @ stack
-        return c, _off_diagonal(c), stack - self.a_star @ c
+    def coordinates(self, a):
+        """(X, N) of an estimate or a stack of them: X = u^T A in the truth's
+        column basis, and N = A - u X = A - A* C, the part out of it."""
+        x = self.basis.T @ a
+        return x, a - self.basis @ x
 
     def evaluate(self, stack):
         """(total, E_norm, N_norm) of each estimate in a (k, W, D) stack, as
@@ -170,17 +169,13 @@ class Evaluator:
             raise ValueError(
                 f"shape mismatch: {stack.shape} is not a stack of {self.a_star.shape}"
             )
-        if not np.all(np.isfinite(stack)):
-            raise ValueError("estimate contains a non-finite entry")
-        _, off, residual = self._split(stack)
-        eps = _correlation_errors(stack, self.a_star)[0]
-        return eps.sum(axis=1), spectral_norms(off), spectral_norms(residual)
+        return self.evaluate_coordinates(*self.coordinates(stack))
 
     def evaluate_coordinates(self, inspan, perp):
         """`evaluate` of the estimates A = basis @ X + N, given by the (k, D, D)
         stack `inspan` of X = basis^T A and a (k, p, D) stack `perp` of
         coordinates Y of N = A - A* C in any orthonormal basis (so that
-        Y^T Y = N^T N); equal up to rounding, with no W-sized work."""
+        Y^T Y = N^T N)."""
         k, d = len(inspan), self.a_star.shape[1]
         if np.shape(inspan) != (k, d, d) or np.ndim(perp) != 3 or \
                 (len(perp), np.shape(perp)[2]) != (k, d):
@@ -198,7 +193,9 @@ class Evaluator:
         a = as_matrix(a, "estimate")
         if a.shape != self.a_star.shape:
             raise ValueError(f"shape mismatch: {a.shape} != {self.a_star.shape}")
-        c, off, residual = self._split(a[None])
+        x, residual = self.coordinates(a[None])
+        c = self._mix @ x
+        off = _off_diagonal(c)
         sigma = np.diagonal(c[0]).copy()
         return Decomposition(
             sigma=sigma,

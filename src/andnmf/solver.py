@@ -191,13 +191,13 @@ class TraceRecorder:
     no-truth residual norm that the caller supplies. A row is due every
     `eval_every` iterations and at the last iteration of each stage.
 
-    With a ground truth, a row's iterate is recorded either explicitly
-    (`record`) or by its coordinates (`record_coordinates`), and copied into a
-    stack of at most EVAL_BATCH_BYTES. The stack is evaluated together, by
-    `Evaluator.evaluate` or `Evaluator.evaluate_coordinates`, when it fills, at
-    `flush()` (the caller's stage end) and before a divergence row. A row's
-    `seconds` is the time its iterate was recorded, and rows reach `on_row` in
-    order.
+    With a ground truth, a row is stacked as its iterate's coordinates
+    [X; Y] (see `metrics`): `record` splits an explicit iterate into
+    [u^T A; A - u u^T A], and `record_coordinates` takes those of a full-batch
+    stage. The stack holds at most EVAL_BATCH_BYTES, and is evaluated by one
+    `Evaluator.evaluate_coordinates` call when it fills, at `flush()` (the
+    caller's stage end) and before a divergence row. A row's `seconds` is the
+    time its iterate was recorded, and rows reach `on_row` in order.
     """
 
     def __init__(self, truth=None, on_row=None, eval_every: int = 1):
@@ -207,8 +207,7 @@ class TraceRecorder:
         self.evaluator = None
         if truth is not None:
             self.evaluator = metrics.Evaluator(getattr(truth, "a_star", truth))
-        self._stack = None  # allocated for the first recorded row's kind and shape
-        self._coordinates = False  # whether the stack holds coordinates
+        self._stack = None  # allocated for the recorded rows' shape
         self._pending = []  # (stage, iteration, alpha, seconds) of the stacked rows
         self.trace = RunTrace()
         self._on_row = on_row
@@ -227,21 +226,19 @@ class TraceRecorder:
             return
         if np.shape(a) != self.evaluator.a_star.shape:
             raise ValueError(f"shape mismatch: {np.shape(a)} != {self.evaluator.a_star.shape}")
-        self._push(False, (stage, iteration, alpha, seconds), a)
+        self._push((stage, iteration, alpha, seconds), np.vstack(self.evaluator.coordinates(a)))
 
     def record_coordinates(self, stage, iteration, alpha, x):
         """Record the row of the estimate whose coordinates are `x`: D rows in
         the ground truth's column basis, then those of the part out of it
         (see `_ClosedFormStage.coordinates`). Needs a ground truth."""
-        self._push(True, (stage, iteration, alpha, time.perf_counter() - self._t0), x)
+        self._push((stage, iteration, alpha, time.perf_counter() - self._t0), x)
 
-    def _push(self, coordinates, row, m):
-        # a row's shape is fixed by its kind and the ground truth
-        if self._stack is None or coordinates != self._coordinates:
+    def _push(self, row, m):
+        if self._stack is None or m.shape != self._stack.shape[1:]:
             self.flush()
             capacity = max(1, EVAL_BATCH_BYTES // (8 * m.size))
             self._stack = np.empty((capacity,) + m.shape)
-            self._coordinates = coordinates
         self._stack[len(self._pending)] = m
         self._pending.append(row)
         if len(self._pending) == len(self._stack):
@@ -253,11 +250,8 @@ class TraceRecorder:
             return
         pending, self._pending = self._pending, []
         stack = self._stack[:len(pending)]
-        if self._coordinates:
-            d = self.evaluator.a_star.shape[1]
-            values = self.evaluator.evaluate_coordinates(stack[:, :d], stack[:, d:])
-        else:
-            values = self.evaluator.evaluate(stack)
+        d = self.evaluator.a_star.shape[1]
+        values = self.evaluator.evaluate_coordinates(stack[:, :d], stack[:, d:])
         for (stage, iteration, alpha, seconds), err, e, n in zip(pending, *values):
             self._emit(stage, iteration, seconds, alpha, float(err), float(e), float(n))
 

@@ -3,16 +3,13 @@
 A `WeightSpec` describes one of three column distributions on the nonnegative
 orthant (all bounded by [0, 1] entrywise). It has one constructor, which
 takes the family's own fields by keyword, e.g.
-`WeightSpec("dirichlet", 20, concentration=0.25, seed=1)`. `gcc_closed_form`
-returns the known (r, k, m, lambda) correlation bounds for the families that
-have them; `gcc_from_samples` fits the tightest bounds satisfied by an
-empirical second moment, and `decay_profile` measures how much conditional
-mass the nonzero coordinates put near zero.
+`WeightSpec("dirichlet", 20, concentration=0.25, seed=1)`.
+`gcc_from_samples` fits the tightest (r, k, m, lambda) correlation bounds
+satisfied by an empirical second moment.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +17,6 @@ import numpy as np
 from .linalg import as_matrix
 
 FAMILIES = ("sparse_binary", "dirichlet", "logistic_normal")
-
-
-class NoClosedFormError(ValueError):
-    """No closed-form correlation bounds for this family; use gcc_from_samples."""
 
 
 @dataclass(frozen=True)
@@ -97,41 +90,16 @@ def sample_weights(spec: WeightSpec, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GccParams:
-    """Correlation bounds: l1 cap r, diagonal scale k, pairwise scale m,
-    lower-eigenvalue scale lam, and decay order q (math.inf for binary
-    values, None when only measurable empirically)."""
+    """Correlation bounds: l1 cap r, diagonal scale k, pairwise scale m and
+    lower-eigenvalue scale lam."""
 
     r: float
     k: float
     m: float
     lam: float
-    q: float | None
 
     def as_dict(self):
-        q = self.q
-        if q is not None and math.isinf(q):
-            q = "inf"
-        return {"r": self.r, "k": self.k, "m": self.m, "lambda": self.lam, "q": q}
-
-
-def gcc_closed_form(spec: WeightSpec) -> GccParams:
-    """Known closed-form bounds for the sparse-binary and Dirichlet families.
-
-    Dirichlet bounds are parameterized by the total mass s = concentration * dim;
-    its decay order has no closed form and is reported as None (measure it with
-    decay_profile). Other families raise NoClosedFormError.
-    """
-    if spec.family == "sparse_binary":
-        s = float(spec.s)
-        return GccParams(r=s, k=s, m=s * s, lam=1.0 - 1.0 / s, q=math.inf)
-    if spec.family == "dirichlet":
-        s = spec.concentration * spec.dim
-        return GccParams(
-            r=1.0, k=1.0, m=1.0 / (s * spec.dim), lam=max(0.0, 1.0 - 1.0 / s), q=None
-        )
-    raise NoClosedFormError(
-        f"no closed form for family {spec.family!r}; use gcc_from_samples"
-    )
+        return {"r": self.r, "k": self.k, "m": self.m, "lambda": self.lam}
 
 
 @dataclass
@@ -170,50 +138,10 @@ def gcc_from_samples(x) -> GccEstimate:
     min_eig = float(np.linalg.eigvalsh((delta + delta.T) / 2.0)[0])
     lam_hat = max(0.0, d * min_eig / k_hat) if k_hat > 0 else 0.0
     return GccEstimate(
-        params=GccParams(r=r_hat, k=k_hat, m=m_hat, lam=lam_hat, q=None),
+        params=GccParams(r=r_hat, k=k_hat, m=m_hat, lam=lam_hat),
         second_moment=delta,
         n_samples=n,
         max_diag=max_diag,
         max_offdiag=max_off,
         min_eig=min_eig,
     )
-
-
-@dataclass
-class DecayProfile:
-    """Empirical conditional CDF max_i Pr[x_i <= alpha | x_i != 0] on a grid,
-    the largest decay order consistent with it, and coordinates that had no
-    nonzero samples (skipped)."""
-
-    alphas: np.ndarray
-    max_cdf: np.ndarray
-    q_hat: float
-    skipped: tuple[int, ...]
-
-
-def decay_profile(x, alphas) -> DecayProfile:
-    x = as_matrix(x, "weights")
-    alphas = np.asarray(sorted(alphas), dtype=np.float64)
-    if alphas.size == 0:
-        raise ValueError("alphas must be nonempty")
-    if np.any(alphas <= 0) or np.any(alphas >= 1):
-        raise ValueError("alphas must lie in (0, 1)")
-    d, n = x.shape
-    nonzero = x != 0
-    counts = nonzero.sum(axis=1)
-    skipped = tuple(int(i) for i in np.flatnonzero(counts == 0))
-    active = counts > 0
-    max_cdf = np.empty_like(alphas)
-    for j, a in enumerate(alphas):
-        hits = (nonzero & (x <= a)).sum(axis=1)
-        cdf = hits[active] / counts[active]
-        max_cdf[j] = cdf.max() if cdf.size else 0.0
-    # Largest q with max_cdf(a) <= a^q + slack at every grid point; the slack
-    # absorbs sampling noise so clean distributions are not rejected.
-    slack = 2.0 / np.sqrt(n)
-    q_hat = math.inf
-    for a, c in zip(alphas, max_cdf):
-        excess = c - slack
-        if excess > 0:
-            q_hat = min(q_hat, math.log(excess) / math.log(a))
-    return DecayProfile(alphas=alphas, max_cdf=max_cdf, q_hat=q_hat, skipped=skipped)

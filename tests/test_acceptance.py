@@ -153,7 +153,7 @@ def test_c1_dir_linear_rate(dir_problem):
     evaluator = Evaluator(gt.a_star)
     initial = evaluator.error_report(init.a0).total
     alpha_last = GEOMETRIC.start * GEOMETRIC.ratio ** (stages - 1)
-    z = threshold_elementwise(evaluator.pinv @ ds.y, alpha_last)
+    z = threshold_elementwise(full_rank_pseudo_inverse(gt.a_star) @ ds.y, alpha_last)
     floor = evaluator.error_report(np.linalg.lstsq(z.T, ds.y.T, rcond=None)[0].T).total
     ends = result.trace.stage_end_errors()
     log_ends = np.log10(ends)

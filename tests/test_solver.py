@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from andnmf import metrics, solver
+from andnmf.baselines import BaselineConfig, run_baseline
 from andnmf.linalg import full_rank_pseudo_inverse
 from andnmf.solver import (
     EVAL_BATCH_BYTES,
@@ -387,6 +388,30 @@ class TestTraceStreaming:
         last = max(i for i, e in enumerate(log.events) if e[0] == "eval")
         assert log.events[last][1] == t % self.CAPACITY > 0
         assert [e[0] for e in log.events[last + 1:]] == ["row"] * (t % self.CAPACITY + 1)
+
+
+def test_every_row_is_evaluated_from_coordinates(monkeypatch):
+    """Explicit iterates, those of a mini-batch stage and of a baseline, are
+    evaluated as coordinates too: every row with a ground truth comes from
+    `Evaluator.evaluate_coordinates`, the one evaluation path."""
+    evaluated = []
+    evaluate = metrics.Evaluator.evaluate_coordinates
+
+    def logged_evaluate(ev, inspan, perp):
+        evaluated.append(len(inspan))
+        return evaluate(ev, inspan, perp)
+
+    monkeypatch.setattr(metrics.Evaluator, "evaluate_coordinates", logged_evaluate)
+    gt, ds, init = make_problem(w=40, d=5, n=400, seed=3)
+    for solve in (
+        lambda: run(init.a0, ds.y, AndConfig(stages=2, iters_per_stage=10, batch=40),
+                    truth=gt, eval_every=3),
+        lambda: run_baseline(BaselineConfig("hals", outer_iters=7), ds.y, init.a0, truth=gt),
+    ):
+        evaluated.clear()
+        rows = solve().trace.rows
+        assert rows and all(row.e_norm is not None for row in rows)
+        assert sum(evaluated) == len(rows)
 
 
 def test_run_rejects_bad_config():

@@ -1,17 +1,9 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
 
-from andnmf.weights import (
-    NoClosedFormError,
-    WeightSpec,
-    decay_profile,
-    gcc_closed_form,
-    gcc_from_samples,
-    sample_weights,
-)
+from andnmf.weights import WeightSpec, gcc_from_samples, sample_weights
 
 
 def exact_sparse_binary_second_moment(d, s):
@@ -63,29 +55,6 @@ class TestSampling:
             sample_weights(WeightSpec("sparse_binary", 4, s=2), 0)
         with pytest.raises(ValueError, match="unknown weight family"):
             WeightSpec(family="sparse_uniform", dim=4, s=2)
-
-
-class TestClosedForm:
-    def test_sparse_binary_s3(self):
-        p = gcc_closed_form(WeightSpec("sparse_binary", 20, s=3))
-        assert (p.r, p.k, p.m) == (3.0, 3.0, 9.0)
-        assert p.lam == pytest.approx(2.0 / 3.0)
-        assert math.isinf(p.q)
-
-    def test_sparse_binary_s1_lambda_zero(self):
-        assert gcc_closed_form(WeightSpec("sparse_binary", 6, s=1)).lam == 0.0
-
-    def test_dirichlet(self):
-        d, s = 40, 5
-        p = gcc_closed_form(WeightSpec("dirichlet", d, concentration=s / d))
-        assert (p.r, p.k) == (1.0, 1.0)
-        assert p.m == pytest.approx(1.0 / (5 * d))
-        assert p.lam == pytest.approx(4.0 / 5.0)
-        assert p.q is None  # measured empirically, not asserted
-
-    def test_no_closed_form(self):
-        with pytest.raises(NoClosedFormError):
-            gcc_closed_form(WeightSpec("logistic_normal", 4))
 
 
 class TestEmpirical:
@@ -148,41 +117,3 @@ class TestEmpirical:
         x = np.array([[0.5, 1.5], [0.2, 0.1]])
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
             gcc_from_samples(x)
-
-
-class TestDecayProfile:
-    def test_binary_is_infinite_order(self):
-        x = sample_weights(WeightSpec("sparse_binary", 6, s=2, seed=9), 4000)
-        prof = decay_profile(x, [0.1, 0.3, 0.5, 0.9])
-        assert np.all(prof.max_cdf == 0.0)
-        assert math.isinf(prof.q_hat)
-
-    def test_uniform_values_order_one(self):
-        rng = np.random.default_rng(10)
-        # Unif(0, 1] values on a random half of the entries
-        x = (1.0 - rng.random((4, 200000))) * (rng.random((4, 200000)) < 0.5)
-        prof = decay_profile(x, np.arange(1, 10) * 0.1)
-        # conditional CDF of Unif(0, 1] at alpha is alpha, so the fitted order
-        # sits at 1 up to the sampling slack
-        assert 0.95 <= prof.q_hat <= 1.15
-
-    def test_point_mass_above_grid(self):
-        x = np.zeros((2, 50))
-        x[0, ::2] = 0.9
-        x[1, 1::2] = 0.9
-        prof = decay_profile(x, np.arange(1, 9) * 0.1)
-        assert np.all(prof.max_cdf == 0.0)
-        assert math.isinf(prof.q_hat)
-
-    def test_all_zero_coordinate_skipped(self):
-        x = np.zeros((3, 40))
-        x[0] = 0.8
-        x[1, :20] = 0.6
-        prof = decay_profile(x, [0.5])
-        assert prof.skipped == (2,)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            decay_profile(np.ones((2, 2)), [])
-        with pytest.raises(ValueError):
-            decay_profile(np.ones((2, 2)), [0.0, 0.5])
