@@ -126,7 +126,7 @@ def run_baseline(cfg: BaselineConfig, y, a0, truth=None, eval_every: int = 1, on
     d = a.shape[1]
     rng = np.random.default_rng(cfg.seed)
     x = rng.random((d, y.shape[1]))
-    recorder = TraceRecorder(truth, on_row=on_row, eval_every=eval_every)
+    recorder = TraceRecorder(a.shape, truth, on_row=on_row, eval_every=eval_every)
     limit = divergence_limit(y)
 
     for it in range(cfg.outer_iters):

@@ -6,9 +6,9 @@ Directory layout written by `generate` / `run` under one output directory:
     <label>_trace.csv  <label>_A_final.mat  summary.json
 
 Traces stream to disk as their rows are evaluated: with a ground truth, a
-stack of recorded rows at a time (`solver.TraceRecorder`), every stage's
-rows by the stage's end, and every earlier row before a divergence row, so a
-diverging run leaves its whole partial trace behind. A divergence or runtime
+stage's rows at a time (`solver.TraceRecorder`), by the stage's end, and
+every earlier row before a divergence row, so a diverging run leaves its
+whole partial trace behind. A divergence or runtime
 error is recorded in summary.json rather than crashing the other solvers. The manifest carries the resolved config, its
 hash, every derived seed, and library versions: enough to reproduce each file
 bitwise on the same machine.

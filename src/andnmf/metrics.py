@@ -9,10 +9,10 @@ solved in closed form by projection (sigma = <A_j, a*_i> / ||A_j||^2). The
 total error sums eps_i over i; it is invariant to column permutations and
 nonzero column scalings of A. `Evaluator.decompose` splits an estimate into a
 diagonal scale, an off-diagonal in-span mixing part, and an out-of-span
-residual: A = A_star (Sigma + E) + N. `Evaluator.evaluate` gives the total
-error and the spectral norms of E and N for a whole stack of estimates in one
-vectorised pass; every single-estimate entry point is its k = 1 case. Both
-norms come from `linalg.spectral_norms`.
+residual: A = A_star (Sigma + E) + N. `Evaluator.evaluate_coordinates` gives
+the total error and the spectral norms of E and N for a whole stack of
+estimates in one vectorised pass; every single-estimate entry point is its
+k = 1 case. Both norms come from `linalg.spectral_norms`.
 
 Every evaluation works on an estimate's coordinates. With the SVD
 A_star = u diag(s) vt, an estimate is A = u X + Q Y for X = u^T A (D x D) and
@@ -69,34 +69,32 @@ class Decomposition:
     residual_norm: float
 
 
-def _correlation_errors(stack, a_star, perp=None):
+def _correlation_errors(stack, a_star, perp):
     """Per-column errors of each estimate in a (k, m, Da) stack against a_star
     (m, Ds): eps (k, Ds), the winning estimate column (k, Ds; -1 when every
     column of that estimate is zero) and its optimal scale (k, Ds).
 
     The rows of `stack` and `a_star` are coordinates in one orthonormal basis
-    (explicit W-vectors are the standard basis). `perp` (k, p, Da), if given,
-    holds the coordinates of each estimate's part orthogonal to that basis,
-    in an orthonormal basis of its own; it adds to the column norms and to the
-    error of the winning column (see the module docstring).
+    (explicit W-vectors are the standard basis). `perp` (k, p, Da) holds the
+    coordinates of each estimate's part orthogonal to that basis, in an
+    orthonormal basis of its own (p = 0 when there is none); it adds to the
+    column norms and to the error of the winning column (see the module
+    docstring).
 
     An estimate whose largest |coordinate| reaches 2^_HUGE_EXP is searched
     divided by 2^e, the power of two just above that entry, so that squaring
     it cannot overflow. The winners do not depend on the scale of the
     estimate, and a power-of-two scaling is exact."""
-    top = np.abs(stack).max(axis=(1, 2))
-    if perp is not None:
-        top = np.maximum(top, np.abs(perp).max(axis=(1, 2)))
+    top = np.maximum(np.abs(stack).max(axis=(1, 2)),
+                     np.abs(perp).max(axis=(1, 2), initial=0.0))
     e = np.frexp(top)[1]
     e = np.where(e > _HUGE_EXP, e, 0)                    # (k,)
     if e.any():
         stack = np.ldexp(stack, -e[:, None, None])
-        perp = None if perp is None else np.ldexp(perp, -e[:, None, None])
+        perp = np.ldexp(perp, -e[:, None, None])
     h = np.swapaxes(stack, 1, 2) @ a_star                # h[k, j, i] = <U_j, a*_i>
-    cn = np.einsum("kwj,kwj->kj", stack, stack)          # ||U_j||^2
-    if perp is not None:
-        perp2 = np.einsum("kpj,kpj->kj", perp, perp)
-        cn = cn + perp2
+    perp2 = np.einsum("kpj,kpj->kj", perp, perp)
+    cn = np.einsum("kwj,kwj->kj", stack, stack) + perp2  # ||U_j||^2
     ok = cn > np.ldexp(_ZERO_COL_TOL, -2 * e)[:, None]   # ||A_j||^2 = ||U_j||^2 4^e
     cn = np.where(ok, cn, 1.0)
     star2 = np.einsum("ij,ij->j", a_star, a_star)
@@ -111,9 +109,7 @@ def _correlation_errors(stack, a_star, perp=None):
     # matches, the direct difference does not (sigma = 0 leaves a*_i itself);
     # the out-of-basis term is a sum of squares, so it cancels nothing either
     resid = a_star.T - stack[kk, :, js] * sigmas[:, :, None]   # (k, Ds, m)
-    eps2 = np.einsum("kiw,kiw->ki", resid, resid)
-    if perp is not None:
-        eps2 = eps2 + sigmas**2 * perp2[kk, js]
+    eps2 = np.einsum("kiw,kiw->ki", resid, resid) + sigmas**2 * perp2[kk, js]
     return np.sqrt(eps2), np.where(any_ok, js, -1), np.ldexp(sigmas, -e[:, None])
 
 
@@ -122,7 +118,7 @@ def total_correlation_error(a, a_star) -> ErrorReport:
     a_star = as_matrix(a_star, "a_star")
     if a.shape[0] != a_star.shape[0]:
         raise ValueError(f"row mismatch: estimate has {a.shape[0]}, a_star has {a_star.shape[0]}")
-    eps, js, sigmas = _correlation_errors(a[None], a_star)
+    eps, js, sigmas = _correlation_errors(a[None], a_star, np.empty((1, 0, a.shape[1])))
     return ErrorReport(
         per_column=eps[0],
         total=float(eps[0].sum()),
@@ -161,21 +157,13 @@ class Evaluator:
         x = self.basis.T @ a
         return x, a - self.basis @ x
 
-    def evaluate(self, stack):
-        """(total, E_norm, N_norm) of each estimate in a (k, W, D) stack, as
-        length-k arrays: `total` and the two norms of `decompose`, batched."""
-        stack = np.asarray(stack, dtype=np.float64)
-        if stack.ndim != 3 or stack.shape[1:] != self.a_star.shape:
-            raise ValueError(
-                f"shape mismatch: {stack.shape} is not a stack of {self.a_star.shape}"
-            )
-        return self.evaluate_coordinates(*self.coordinates(stack))
-
     def evaluate_coordinates(self, inspan, perp):
-        """`evaluate` of the estimates A = basis @ X + N, given by the (k, D, D)
-        stack `inspan` of X = basis^T A and a (k, p, D) stack `perp` of
-        coordinates Y of N = A - A* C in any orthonormal basis (so that
-        Y^T Y = N^T N)."""
+        """(total, E_norm, N_norm) of each estimate A = basis @ X + N, as
+        length-k arrays: `total` and the two norms of `decompose`, batched.
+        The estimates are given by the (k, D, D) stack `inspan` of
+        X = basis^T A and a (k, p, D) stack `perp` of coordinates Y of
+        N = A - A* C in any orthonormal basis (so that Y^T Y = N^T N); an
+        explicit stack's are `coordinates(stack)`."""
         k, d = len(inspan), self.a_star.shape[1]
         if np.shape(inspan) != (k, d, d) or np.ndim(perp) != 3 or \
                 (len(perp), np.shape(perp)[2]) != (k, d):

@@ -25,17 +25,19 @@ map, and the stage runs it in closed form. With G = V diag(lambda) V^T from
 one `eigh` per stage, A~ = A V and B~ = B V, an update scales the columns:
 A~ <- A~ * mu + eta * B~ with mu = 1 - eta * lambda, so k updates are
 
-    advance  A~ <- A~ * mu^k + B~ * phi_k,   phi_k = eta * sum_{i<k} mu^i
+    A_k = (A~ * mu^k + B~ * phi_k) V^T,   phi_k = eta * sum_{i<k} mu^i
 
-for D-vectors mu^k and phi_k of k multiply-adds each, computed once per
-distinct k in the stage. A mode with lambda = 0 needs no special case
-(mu = 1, phi_k = k * eta), and no pseudo-inverse of G is taken.
+for D-vectors mu^k and phi_k, which each iteration advances by one
+multiply-add. A mode with lambda = 0 needs no special case (mu = 1,
+phi_k = k * eta), and no pseudo-inverse of G is taken. Every A_k is formed
+from the stage-start [A~ B~], so the stage-end A does not depend on which
+rows were recorded.
 
-A = A~ V^T is formed only where it is read. Without a ground truth that is
-at each trace row. With one, a trace row reads A only through its
-coordinates: with u the orthonormal basis of the truth's column space, the
-stage takes P = u^T [A~ B~] and the R factor [R_X R_Y] of [A~ B~] - u P once,
-and advances both by the same scaling, so that at step k
+A_k is formed only where it is read. Without a ground truth that is at each
+trace row. With one, a trace row reads A only through its coordinates: with
+u the orthonormal basis of the truth's column space, the stage takes
+P = u^T [A~ B~] and the R factor [R_X R_Y] of [A~ B~] - u P once, and forms
+them by the same scaling, so that at step k
 
     in span      u^T A = (P_A * mu^k + P_B * phi_k) V^T          (D x D)
     out of span  R     = (R_X * mu^k + R_Y * phi_k) V^T          (min(W, 2D) x D)
@@ -177,38 +179,34 @@ class RunTrace:
         return np.array([ends[s] for s in sorted(ends)])
 
 
-# Rows due with a ground truth are evaluated in stacks of at most this many
-# bytes: several rows share each vectorised pass, and the stack stays
-# cache-sized (a whole 50-row DIR stage at once is no faster, and larger).
-EVAL_BATCH_BYTES = 192 * 1024
-
-
 class TraceRecorder:
     """Builds trace rows for one run and streams each to `on_row`.
 
     With a ground truth a row records the total correlation error and the
     in-span/out-of-span norms of the decomposition; without one it records the
     no-truth residual norm that the caller supplies. A row is due every
-    `eval_every` iterations and at the last iteration of each stage.
+    `eval_every` iterations and at the last iteration of each stage. `shape`
+    is that of the run's estimates, checked once against the truth's.
 
-    With a ground truth, a row is stacked as its iterate's coordinates
-    [X; Y] (see `metrics`): `record` splits an explicit iterate into
+    With a ground truth, a row is kept as its iterate's coordinates [X; Y]
+    (see `metrics`): `record` splits an explicit iterate into
     [u^T A; A - u u^T A], and `record_coordinates` takes those of a full-batch
-    stage. The stack holds at most EVAL_BATCH_BYTES, and is evaluated by one
-    `Evaluator.evaluate_coordinates` call when it fills, at `flush()` (the
-    caller's stage end) and before a divergence row. A row's `seconds` is the
-    time its iterate was recorded, and rows reach `on_row` in order.
+    stage. The kept rows are evaluated by one `Evaluator.evaluate_coordinates`
+    call at `flush()` (the caller's stage end) and before a divergence row. A
+    row's `seconds` is the time its iterate was recorded, and rows reach
+    `on_row` in order.
     """
 
-    def __init__(self, truth=None, on_row=None, eval_every: int = 1):
+    def __init__(self, shape, truth=None, on_row=None, eval_every: int = 1):
         if not eval_every >= 1:
             raise ValueError(f"eval_every must be >= 1, got {eval_every}")
         self.eval_every = eval_every
         self.evaluator = None
         if truth is not None:
             self.evaluator = metrics.Evaluator(getattr(truth, "a_star", truth))
-        self._stack = None  # allocated for the recorded rows' shape
-        self._pending = []  # (stage, iteration, alpha, seconds) of the stacked rows
+            if shape != self.evaluator.a_star.shape:
+                raise ValueError(f"shape mismatch: {shape} != {self.evaluator.a_star.shape}")
+        self._pending = []  # ((stage, iteration, alpha, seconds), coordinates) per row
         self.trace = RunTrace()
         self._on_row = on_row
         self._t0 = time.perf_counter()
@@ -224,35 +222,24 @@ class TraceRecorder:
         if self.evaluator is None:
             self._emit(stage, iteration, seconds, alpha, float(residual_norm()), None, None)
             return
-        if np.shape(a) != self.evaluator.a_star.shape:
-            raise ValueError(f"shape mismatch: {np.shape(a)} != {self.evaluator.a_star.shape}")
-        self._push((stage, iteration, alpha, seconds), np.vstack(self.evaluator.coordinates(a)))
+        self._pending.append(((stage, iteration, alpha, seconds),
+                              np.vstack(self.evaluator.coordinates(a))))
 
     def record_coordinates(self, stage, iteration, alpha, x):
         """Record the row of the estimate whose coordinates are `x`: D rows in
         the ground truth's column basis, then those of the part out of it
-        (see `_ClosedFormStage.coordinates`). Needs a ground truth."""
-        self._push((stage, iteration, alpha, time.perf_counter() - self._t0), x)
-
-    def _push(self, row, m):
-        if self._stack is None or m.shape != self._stack.shape[1:]:
-            self.flush()
-            capacity = max(1, EVAL_BATCH_BYTES // (8 * m.size))
-            self._stack = np.empty((capacity,) + m.shape)
-        self._stack[len(self._pending)] = m
-        self._pending.append(row)
-        if len(self._pending) == len(self._stack):
-            self.flush()
+        (see `_full_batch_stage`). Needs a ground truth."""
+        self._pending.append(((stage, iteration, alpha, time.perf_counter() - self._t0), x))
 
     def flush(self):
-        """Evaluate the stacked rows and emit them in order."""
+        """Evaluate the kept rows and emit them in order."""
         if not self._pending:
             return
         pending, self._pending = self._pending, []
-        stack = self._stack[:len(pending)]
+        stack = np.stack([x for _, x in pending])
         d = self.evaluator.a_star.shape[1]
         values = self.evaluator.evaluate_coordinates(stack[:, :d], stack[:, d:])
-        for (stage, iteration, alpha, seconds), err, e, n in zip(pending, *values):
+        for ((stage, iteration, alpha, seconds), _), err, e, n in zip(pending, *values):
             self._emit(stage, iteration, seconds, alpha, float(err), float(e), float(n))
 
     def check_divergence(self, limit, stage, iteration, alpha, *iterates):
@@ -327,69 +314,12 @@ def _columns_within(x, limit) -> bool:
     return top * math.sqrt(np.einsum("ij,ij->j", unit, unit).max()) <= limit
 
 
-class _ClosedFormStage:
-    """The iterates A_k of one full-batch stage, k updates after its start.
-
-    Holds A~ = A V and B~ = B V for G = V diag(lambda) V^T, and advances A~ by
-    the column scaling A~ * mu^k + B~ * phi_k (see the module docstring).
-
-    Given the orthonormal basis u of the ground truth's column space, it also
-    holds the coordinates of [A~ B~] in that span, P = u^T [A~ B~], and out of
-    it, the R factor of [A~ B~] - u P (min(W, 2D) rows), and advances both by
-    the same scaling. At step k they give the D-sized coordinates of A_k that
-    `metrics.Evaluator.evaluate_coordinates` reads, without forming A_k.
-    """
-
-    def __init__(self, a, b, g, eta, basis=None):
-        try:
-            lam, v = np.linalg.eigh(g)
-        except np.linalg.LinAlgError as exc:
-            raise SvdConvergenceError(f"eigenvalues did not converge: {exc}") from exc
-        self._mu = 1.0 - eta * lam
-        self._eta = eta
-        self._vt = np.ascontiguousarray(v.T)  # a transposed view multiplies slower
-        self._w, d = a.shape
-        # rows 0 .. W-1 are A~ and B~, the rest their coordinates
-        self._xv, self._bv = a @ v, b @ v
-        if basis is not None:
-            m = np.hstack([self._xv, self._bv])
-            p = basis.T @ m
-            coords = np.vstack([p, np.linalg.qr(m - basis @ p, mode="r")])
-            self._xv = np.vstack([self._xv, coords[:, :d]])
-            self._bv = np.vstack([self._bv, coords[:, d:]])
-        self._advances = {}  # k -> (mu^k, [B~; its coordinates] * phi_k)
-        self._k = 0
-        self._a = a
-
-    def _advance(self, k: int):
-        if k == self._k:
-            return
-        steps = k - self._k
-        if steps not in self._advances:
-            mu_k, phi_k = np.ones_like(self._mu), np.zeros_like(self._mu)
-            for _ in range(steps):
-                phi_k += self._eta * mu_k
-                mu_k *= self._mu
-            self._advances[steps] = (mu_k, self._bv * phi_k)
-        scale, shift = self._advances[steps]
-        self._xv *= scale
-        self._xv += shift
-        self._a = None
-        self._k = k
-
-    def at(self, k: int) -> np.ndarray:
-        """A_k, for k no smaller than that of the last call; formed once."""
-        self._advance(k)
-        if self._a is None:
-            self._a = self._xv[:self._w] @ self._vt
-        return self._a
-
-    def coordinates(self, k: int) -> np.ndarray:
-        """[u^T A_k; R_k] for k no smaller than that of the last call: D rows
-        in the ground truth's span, then min(W, 2D) rows whose Gram matrix is
-        that of A_k's part out of it. A column's norm is that of A_k."""
-        self._advance(k)
-        return self._xv[self._w:] @ self._vt
+def _iterate(m, mu_k, phi_k, vt) -> np.ndarray:
+    """(M_A * mu^k + M_B * phi_k) V^T for M = [M_A M_B] of D columns each: the
+    iterate A_k of a full-batch stage from M = [A~ B~], or its coordinates
+    from M = [P; R] (see the module docstring)."""
+    d = len(mu_k)
+    return (m[:, :d] * mu_k + m[:, d:] * phi_k) @ vt
 
 
 def _full_batch_stage(a, y, pinv, alpha, j, iters, recorder, limit):
@@ -402,24 +332,37 @@ def _full_batch_stage(a, y, pinv, alpha, j, iters, recorder, limit):
     entrywise check."""
     z = decode(pinv, y, alpha)
     g = z @ z.T
+    eta = _step(g, j, alpha)
+    try:
+        lam, v = np.linalg.eigh(g)
+    except np.linalg.LinAlgError as exc:
+        raise SvdConvergenceError(f"eigenvalues did not converge: {exc}") from exc
+    mu = 1.0 - eta * lam
+    vt = np.ascontiguousarray(v.T)  # a transposed view multiplies slower
+    m = np.hstack([a @ v, (y @ z.T) @ v])  # [A~ B~]
     evaluator = recorder.evaluator
-    stage = _ClosedFormStage(a, y @ z.T, g, _step(g, j, alpha),
-                             None if evaluator is None else evaluator.basis)
+    if evaluator is not None:
+        p = evaluator.basis.T @ m
+        coords = np.vstack([p, np.linalg.qr(m - evaluator.basis @ p, mode="r")])
+    mu_k, phi_k = np.ones_like(mu), np.zeros_like(mu)
     for t in range(iters):
+        mu_t, phi_t = mu_k, phi_k  # the state entering iteration t
+        phi_k = phi_k + eta * mu_k
+        mu_k = mu_k * mu
         if not recorder.due(t, iters):
             continue
         if evaluator is not None:
-            x = stage.coordinates(t + 1)
+            x = _iterate(coords, mu_k, phi_k, vt)
             if not _columns_within(x, limit):
-                recorder.check_divergence(limit, j, t, alpha, stage.at(t + 1))
+                recorder.check_divergence(limit, j, t, alpha, _iterate(m, mu_k, phi_k, vt))
             recorder.record_coordinates(j, t, alpha, x)
         else:
-            # the row records the residual of the state entering t
-            entering = stage.at(t)
-            a = stage.at(t + 1)
+            a = _iterate(m, mu_k, phi_k, vt)
             recorder.check_divergence(limit, j, t, alpha, a)
-            recorder.record(j, t, alpha, a, lambda: np.linalg.norm(y - entering @ z))
-    return stage.at(iters)
+            # the row records the residual of the state entering t
+            recorder.record(j, t, alpha, a,
+                            lambda: np.linalg.norm(y - _iterate(m, mu_t, phi_t, vt) @ z))
+    return _iterate(m, mu_k, phi_k, vt)
 
 
 def _mini_batch_stage(a, y, pinv, alpha, j, iters, batch, recorder, limit):
@@ -455,15 +398,17 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
     the residual ||Y_w - A Z_w||_F of the iteration's window and of the state
     entering the iteration.
     Rows are recorded every `eval_every` iterations plus the last iteration of
-    each stage, and stream to `on_row` in order: with a ground truth, once per
-    evaluated stack of iterates (see TraceRecorder), and every row of a stage
-    before the next stage starts.
+    each stage, and stream to `on_row` in order: with a ground truth, a
+    stage's rows in one evaluation at the stage end (see TraceRecorder), and
+    every row of a stage before the next stage starts.
 
     A full-batch stage advances in closed form in the eigenbasis of G (the
     module docstring gives the form). Without a ground truth it forms A at its
     trace rows; with one it evaluates each row from A's coordinates in the
-    truth's column space and forms A once, at the stage end. A mini-batch
-    stage updates A every iteration. The iterates agree up to rounding.
+    truth's column space and forms A once, at the stage end. Either way the
+    stage-end A is formed from the stage start alone, so the final matrix
+    is the same bits at every `eval_every`. A mini-batch stage updates A
+    every iteration. The iterates agree up to rounding.
 
     An iterate with a NaN entry, or one beyond `divergence_limit(y)` in
     magnitude, is not evaluated: its row records total_error = inf, and
@@ -475,16 +420,14 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
     row.
 
     The stage thresholds come from `cfg.schedule` alone, so a run with a
-    ground truth and one without take the same steps.
+    ground truth and one without take the same steps and end on the same bits.
     """
     a = as_matrix(a0, "a0").copy()
     y = as_matrix(y, "y")
     w, n = y.shape
     if a.shape[0] != w:
         raise ValueError(f"a0 has {a.shape[0]} rows but y has {w}")
-    recorder = TraceRecorder(truth, on_row, eval_every)
-    if recorder.evaluator is not None and a.shape != recorder.evaluator.a_star.shape:
-        raise ValueError(f"shape mismatch: {a.shape} != {recorder.evaluator.a_star.shape}")
+    recorder = TraceRecorder(a.shape, truth, on_row, eval_every)
     trace = recorder.trace
     limit = divergence_limit(y)
     batch = n if cfg.batch == "full" else min(cfg.batch, n)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from andnmf import baselines
 from andnmf.baselines import BaselineConfig, anls_step, hals_step, mu_step, run_baseline
 from andnmf.solver import DivergenceError
 from andnmf.synth import InitSpec, NoiseSpec, generate_dataset, generate_ground_truth, generate_initialization
@@ -111,6 +112,17 @@ class TestRunBaseline:
         res = run_baseline(BaselineConfig("hals", outer_iters=0), ds.y, init.a0, truth=gt)
         assert np.array_equal(res.a, init.a0)
         assert res.trace.rows == []
+
+    @pytest.mark.parametrize("outer_iters", [0, 3])
+    def test_truth_of_another_shape_refused_before_any_step(self, monkeypatch, outer_iters):
+        steps = []
+        monkeypatch.setattr(baselines, "hals_step", lambda *args: steps.append(args) or args[:2])
+        gt = generate_ground_truth(30, 5, seed=0)
+        a0 = np.random.default_rng(1).random((30, 4))
+        y = np.random.default_rng(2).random((30, 50))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            run_baseline(BaselineConfig("hals", outer_iters=outer_iters), y, a0, truth=gt)
+        assert steps == []
 
     def test_mu_refuses_negative_data(self):
         gt, ds, init = self.make_problem(kind="signed")

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from andnmf.linalg import full_rank_pseudo_inverse, spectral_norm
 from andnmf.metrics import Evaluator, total_correlation_error
-from andnmf.solver import EVAL_BATCH_BYTES
 
 import per_row_oracle
 
@@ -119,7 +118,8 @@ class TestTotalError:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             big = total_correlation_error(scale * a, star)
-            totals = Evaluator(star).evaluate(np.stack([a, scale * a]))[0]
+            ev = Evaluator(star)
+            totals = ev.evaluate_coordinates(*ev.coordinates(np.stack([a, scale * a])))[0]
         assert ref.matches == [3, 1, 4, 0, 5, 2]
         assert big.matches == ref.matches
         assert big.total == pytest.approx(ref.total, rel=1e-12, abs=0)
@@ -235,11 +235,12 @@ def _coordinates(ev, stack):
 
 
 def _assert_matches_per_row_oracle(star, stack, rel_only=False):
-    """Evaluator.evaluate, and evaluate_coordinates of the same estimates,
-    against the exact-SVD per-row path, within 1e-12 * max(|ref|, ||A*||_2)
-    (or 1e-12 * |ref| with `rel_only`); returns evaluate's values."""
+    """Evaluator.evaluate_coordinates of the estimates' explicit coordinates,
+    and of their QR coordinates, against the exact-SVD per-row path, within
+    1e-12 * max(|ref|, ||A*||_2) (or 1e-12 * |ref| with `rel_only`); returns
+    the values from the explicit coordinates."""
     ev = Evaluator(star)
-    got = ev.evaluate(stack)
+    got = ev.evaluate_coordinates(*ev.coordinates(stack))
     pinv = full_rank_pseudo_inverse(star)
     ref = np.array([per_row_oracle.row_values(a, star, pinv) for a in stack]).T
     floor = 0.0 if rel_only else spectral_norm(star)
@@ -253,11 +254,11 @@ def _assert_matches_per_row_oracle(star, stack, rel_only=False):
 
 class TestBatchedEvaluate:
     @pytest.mark.parametrize("shape", [(200, 20), (40, 5), (12, 3), (7, 7)])
-    @pytest.mark.parametrize("k", ["1", "2", "budget+1", "50"])
+    @pytest.mark.parametrize("k", [1, 2, 50, 51])
     def test_matches_per_row_oracle(self, shape, k):
-        # budget+1 is one iterate more than a trace stack holds
+        # a trace stack is a whole stage's rows; 51 is one more than a DIR
+        # stage (50 iterations) records at eval_every 1
         w, d = shape
-        k = {"budget+1": EVAL_BATCH_BYTES // (8 * w * d) + 1}.get(k) or int(k)
         rng = np.random.default_rng(w * d + k)
         star = rng.random(shape)
         _assert_matches_per_row_oracle(star, _estimates(star, k, rng, 0.01))
@@ -314,12 +315,12 @@ class TestBatchedEvaluate:
         star = rng.random((12, 3))
         stack = _estimates(star, 4, rng, 0.01)
         ev = Evaluator(star)
-        base = ev.evaluate(stack)
+        base = ev.evaluate_coordinates(*ev.coordinates(stack))
         base_coordinates = ev.evaluate_coordinates(*_coordinates(ev, stack))
         for m in (300, 600):
             huge = np.ldexp(stack, m)
             with np.errstate(over="raise", invalid="raise"):
-                got = ev.evaluate(huge)
+                got = ev.evaluate_coordinates(*ev.coordinates(huge))
                 got_coordinates = ev.evaluate_coordinates(*_coordinates(ev, huge))
             assert np.array_equal(got[0], base[0])
             assert np.allclose(got_coordinates[0], base_coordinates[0], rtol=1e-14, atol=0)
@@ -342,13 +343,13 @@ class TestBatchedEvaluate:
         star = np.random.default_rng(23).random((10, 3))
         ev = Evaluator(star)
         with pytest.raises(ValueError, match="shape"):
-            ev.evaluate(star)
+            ev.evaluate_coordinates(*ev.coordinates(star))
         with pytest.raises(ValueError, match="shape"):
-            ev.evaluate(np.zeros((2, 10, 4)))
+            ev.evaluate_coordinates(*ev.coordinates(np.zeros((2, 10, 4))))
         bad = np.stack([star, star])
         bad[1, 2, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            ev.evaluate(bad)
+            ev.evaluate_coordinates(*ev.coordinates(bad))
 
     @given(
         d=st.integers(1, 6),

@@ -10,7 +10,6 @@ from andnmf import metrics, solver
 from andnmf.baselines import BaselineConfig, run_baseline
 from andnmf.linalg import full_rank_pseudo_inverse
 from andnmf.solver import (
-    EVAL_BATCH_BYTES,
     AndConfig,
     DivergenceError,
     ThresholdSchedule,
@@ -108,6 +107,19 @@ class TestRun:
         assert [r.total_error for r in full.trace.rows] == \
                [r.total_error for r in mini.trace.rows]
 
+    def test_full_batch_final_matrix_does_not_depend_on_rows(self):
+        # every stage-end A is formed from its stage's start, so neither the
+        # rows recorded nor the truth they are evaluated against move a bit
+        gt = generate_ground_truth(200, 20, seed=3)
+        ds = generate_dataset(gt, WeightSpec("dirichlet", 20, concentration=0.25, seed=4),
+                              NoiseSpec(0.0), 2000, seed=5)
+        init = generate_initialization(gt, InitSpec(r_l=1.0, seed=6))
+        cfg = AndConfig(stages=5, iters_per_stage=50)
+        base = run(init.a0, ds.y, cfg, eval_every=50).a
+        for eval_every, truth in itertools.product([1, 7, 50], [None, gt]):
+            assert np.array_equal(run(init.a0, ds.y, cfg, truth=truth, eval_every=eval_every).a,
+                                  base)
+
     def test_minibatch_one_runs(self):
         gt, ds, init = make_problem()
         cfg = AndConfig(stages=1, iters_per_stage=20, batch=1)
@@ -186,13 +198,14 @@ class TestRun:
         cfg = AndConfig(stages=2, iters_per_stage=5)
         base = run(init.a0, ds.y, cfg, truth=gt)
         formed = []
-        at = solver._ClosedFormStage.at
+        iterate = solver._iterate
 
-        def counting_at(stage, k):
-            formed.append(k)
-            return at(stage, k)
+        def counting_iterate(m, *args):
+            if len(m) == len(ds.y):  # a W-row iterate, not coordinates
+                formed.append(m)
+            return iterate(m, *args)
 
-        monkeypatch.setattr(solver._ClosedFormStage, "at", counting_at)
+        monkeypatch.setattr(solver, "_iterate", counting_iterate)
         monkeypatch.setattr(solver, "DIVERGENCE_LIMIT", 2.0 / max(1.0, ds.y.max()))
         got = run(init.a0, ds.y, cfg, truth=gt)
         # one iterate per row for the check, and each stage's last one again
@@ -298,13 +311,12 @@ class TestRun:
 
 
 class TestTraceStreaming:
-    """Rows are evaluated in stacks of at most EVAL_BATCH_BYTES, yet keep the
-    time their iterate was produced, arrive in order, and never outlive a stage
-    or a divergence. A full-batch row is stacked as its coordinates: D rows in
-    the truth's span and min(W, 2D) out of it, each D wide."""
+    """A stage's rows are evaluated together, yet keep the time their iterate
+    was produced, arrive in order, and never outlive a stage or a divergence.
+    A full-batch row is kept as its coordinates: D rows in the truth's span
+    and min(W, 2D) out of it, each D wide."""
 
     W, D = 200, 20
-    CAPACITY = EVAL_BATCH_BYTES // (8 * (D + min(W, 2 * D)) * D)
 
     def problem(self):
         return make_problem(w=self.W, d=self.D, n=400, s=3, seed=7)
@@ -359,13 +371,12 @@ class TestTraceStreaming:
             expected += ["pinv"] + [j] * per_stage
         assert stages == expected
 
-    def test_stage_over_budget_is_evaluated_in_several_batches(self, log):
+    def test_stage_is_evaluated_in_one_call(self, log):
         gt, ds, init = self.problem()
         run(init.a0, ds.y, AndConfig(stages=1, iters_per_stage=50), truth=gt,
             on_row=log.on_row)
-        batches = [e[1] for e in log.events if e[0] == "eval"]
-        assert 1 < self.CAPACITY < 50
-        assert batches == [self.CAPACITY] * (50 // self.CAPACITY) + [50 % self.CAPACITY]
+        assert [e[0] for e in log.events] == ["pinv", "eval"] + ["row"] * 50
+        assert log.events[1] == ("eval", 50)
 
     def test_divergence_mid_stage_writes_every_earlier_row_first(self, log, monkeypatch):
         gt, ds, init = self.problem()
@@ -375,7 +386,7 @@ class TestTraceStreaming:
         with pytest.raises(DivergenceError) as exc:
             run(init.a0, ds.y, cfg, truth=gt, on_row=log.on_row)
         t = exc.value.iteration
-        assert self.CAPACITY < t < cfg.iters_per_stage - 1
+        assert 0 < t < cfg.iters_per_stage - 1
         rows = [e[1] for e in log.events if e[0] == "row"]
         assert rows == exc.value.trace.rows
         assert [row.iteration for row in rows] == list(range(t + 1))
@@ -383,11 +394,11 @@ class TestTraceStreaming:
             assert math.isfinite(row.total_error)
             assert row.e_norm is not None and row.n_norm is not None
         assert rows[-1].total_error == math.inf and rows[-1].e_norm is None
-        # the divergence evaluates a part-filled stack and emits its rows
+        # the divergence evaluates the stage's t pending rows and emits them
         # before the inf row
         last = max(i for i, e in enumerate(log.events) if e[0] == "eval")
-        assert log.events[last][1] == t % self.CAPACITY > 0
-        assert [e[0] for e in log.events[last + 1:]] == ["row"] * (t % self.CAPACITY + 1)
+        assert log.events[last][1] == t
+        assert [e[0] for e in log.events[last + 1:]] == ["row"] * (t + 1)
 
 
 def test_every_row_is_evaluated_from_coordinates(monkeypatch):

@@ -298,13 +298,16 @@ def test_full_batch_stage_forms_its_iterate_once(monkeypatch):
     gt, y, a0 = _problem(24, 4, 40, seed=3)
     cfg = AndConfig(stages=3, iters_per_stage=5)
     formed = []
-    original = solver._ClosedFormStage.at
+    original = solver._iterate
 
-    def counting_at(stage, k):
-        formed.append(k)
-        return original(stage, k)
+    def counting_iterate(m, *args):
+        result = original(m, *args)
+        if len(m) == len(y):  # a W-row iterate, not coordinates
+            formed.append(result)
+        return result
 
-    monkeypatch.setattr(solver._ClosedFormStage, "at", counting_at)
+    monkeypatch.setattr(solver, "_iterate", counting_iterate)
     got = run(a0, y, cfg, truth=gt)
     assert len(got.trace.rows) == cfg.stages * cfg.iters_per_stage
-    assert formed == [cfg.iters_per_stage] * cfg.stages
+    assert len(formed) == cfg.stages
+    assert formed[-1] is got.a
