@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from andnmf import __version__
-from andnmf.config import CTM_COV_SCALE, validate_config
+from andnmf.config import validate_config
 from andnmf.harness import generate, run
 from andnmf.matio import read_matrix, read_trace
 from andnmf.solver import RunTrace
@@ -65,8 +65,7 @@ def comparison(seed):
 
     points = {preset: point(preset) for preset in ("DIR", "CTM", "NEG")}
     for rho in (0.0, 0.9, 0.99):
-        points[f"rho_{rho:g}"] = point("CTM", {"family": "logistic_normal", "rho": rho,
-                                               "cov_scale": CTM_COV_SCALE})
+        points[f"rho_{rho:g}"] = point("CTM", {"family": "logistic_normal", "rho": rho})
     return points
 
 

@@ -43,13 +43,6 @@ class ConfigError(ValueError):
 
 PRESET_NAMES = ("DIR", "CTM", "NEG", "NOISE", "BINARY", "paper-scale")
 
-# The CTM-style prior: softmax of a Toeplitz-correlated Gaussian. The
-# covariance scale concentrates the simplex mass so that nonzero weights do
-# not pile up arbitrarily close to zero (dense, flat weight vectors defeat
-# threshold decoding at this dimension); the correlation structure rho^|i-j|
-# is unchanged by the scale.
-CTM_COV_SCALE = 25.0
-
 _DEF_D = 20
 
 # JSON key -> type of each section. `object` passes the value through for the
@@ -58,7 +51,7 @@ _DATASET_KEYS = {"W": int, "D": int, "n": int, "kind": str, "gamma": float, "see
 _WEIGHT_KEYS = {
     "sparse_binary": {"s": int},
     "dirichlet": {"concentration": float},
-    "logistic_normal": {"rho": float, "cov_scale": float},
+    "logistic_normal": {"rho": float},
 }
 _SCHEDULE_KEYS = {"start": float, "ratio": float}
 _AND_KEYS = {"stages": int, "iters_per_stage": int, "batch": object}
@@ -70,7 +63,8 @@ _LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 def _dataset_defaults(preset, d):
     base = {"W": 200, "D": _DEF_D, "n": 2000, "kind": "nonneg", "seed": 0}
-    ctm_weights = {"family": "logistic_normal", "rho": 0.5, "cov_scale": CTM_COV_SCALE}
+    # the CTM-style prior: softmax of a Toeplitz-correlated Gaussian
+    ctm_weights = {"family": "logistic_normal", "rho": 0.5}
     if preset == "DIR":
         base["weights"] = {"family": "dirichlet", "concentration": 5.0 / d}
     elif preset == "CTM":

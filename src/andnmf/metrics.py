@@ -23,7 +23,7 @@ r_i = s_i vt[:, i] the coordinates of a*_i,
     ||a*_i - sigma A_j||^2 = ||r_i - sigma X_j||^2 + sigma^2 ||Y_j||^2.
 
 An explicit estimate takes Y = A - u X, whose W rows are coordinates in the
-standard basis (`Evaluator.coordinates`); a full-batch stage of the solver
+standard basis (`Evaluator.coordinates`); a one-window stage of the solver
 supplies a D-sized Y of its own, with no W-sized work.
 """
 

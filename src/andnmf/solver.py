@@ -1,29 +1,27 @@
 """Staged alternating solver: pseudo-inverse decode, threshold, gradient update.
 
-One run is `stages` blocks of `iters_per_stage` gradient iterations. Within a
-stage the decoding matrix is the pseudo-inverse of the stage-start working
-matrix (computed once per stage), the threshold is alpha_j = start * ratio^j,
-and the step eta = 0.5 / (||Z0 Z0^T||_2 + 1e-12) comes from the stage's first
-decode Z0:
+One run is `stages` blocks of `iters_per_stage` (T) gradient iterations.
+Within a stage the decoding matrix is the pseudo-inverse of the stage-start
+working matrix (computed once per stage), the threshold is
+alpha_j = start * ratio^j, and the step eta = 0.5 / (||Z0 Z0^T||_2 + 1e-12)
+comes from the decode Z0 of the stage's first window:
 
     decode   Z = phi_alpha(Pinv @ Y)
-    update   A <- A + eta * (Y - A @ Z) @ Z.T
+    update   A <- A + eta * (Y_w - A @ Z_w) @ Z_w.T
 
-Batch semantics: the gradient accumulates over all columns of the batch before
-A changes. The default is the whole dataset per iteration; `batch=b` uses a
-cyclic window of b columns per iteration, starting at column (t * b) mod n
-(b = n reproduces full batch bitwise; b = 1 is the one-sample-per-step variant).
-
-Pinv, alpha and Y are all fixed within a stage, so the decode Z_w of each
-window is too, and so are G_w = Z_w Z_w^T and B_w = Y_w Z_w^T. Every iteration
-is then
+Iteration t of a stage sums the gradient over the cyclic window of b columns
+from column (t * b) mod n; the default batch is the whole dataset, b = n.
+Pinv, alpha and Y are fixed within a stage and the threshold acts columnwise,
+so `_stage` decodes Y once and slices each window it visits, min(T, n /
+gcd(n, b)) of them, out of Y and Z once, with G_w = Z_w Z_w^T and
+B_w = Y_w Z_w^T. Every iteration is then
 
     update   A <- A + eta * (B_w - A @ G_w)
 
-A full-batch stage has a single window, so this update is one fixed linear
-map, and the stage runs it in closed form. With G = V diag(lambda) V^T from
-one `eigh` per stage, A~ = A V and B~ = B V, an update scales the columns:
-A~ <- A~ * mu + eta * B~ with mu = 1 - eta * lambda, so k updates are
+A stage that visits one window (b = n, or T = 1) runs one fixed linear map,
+in closed form. With G = V diag(lambda) V^T from one `eigh` per stage,
+A~ = A V and B~ = B V, an update scales the columns: A~ <- A~ * mu + eta * B~
+with mu = 1 - eta * lambda, so k updates are
 
     A_k = (A~ * mu^k + B~ * phi_k) V^T,   phi_k = eta * sum_{i<k} mu^i
 
@@ -45,18 +43,15 @@ them by the same scaling, so that at step k
 with R^T R = N^T N for N = A - u u^T A. `metrics.Evaluator.evaluate_coordinates`
 evaluates a row from these in O(D^3), and A is formed once, at the stage end.
 
-A mini-batch stage cycles through windows with different G_w, so it keeps the
-per-iteration loop in Gram form: at a window's first visit in the stage Z_w,
-G_w and B_w are computed once, and each iteration costs O(W D^2).
+A stage that visits several windows cycles through different G_w, so it
+keeps the per-iteration loop in Gram form, at O(W D^2) an iteration.
 
 `run` checks its inputs once at entry; the stages and `decode` do arithmetic.
 `TraceRecorder.check_divergence` guards the stages and the baselines: an entry
 that is NaN or beyond DIVERGENCE_LIMIT * max(1, max|Y|) in magnitude diverges,
-a limit that scales with Y and A0 as the iterates do. A mini-batch stage checks
-every iterate; a full-batch stage checks the iterates of its trace rows. A row
-given by coordinates passes when every column norm of A is within the limit,
-since no entry exceeds its column's norm; a row that fails that bound forms
-its iterate for the entrywise check, so the verdict is the same.
+a limit that scales with Y and A0 as the iterates do. A stage of several
+windows checks every iterate; a one-window stage checks the iterates of its
+trace rows (see `_closed_form`).
 """
 
 from __future__ import annotations
@@ -128,13 +123,23 @@ def stage_threshold(schedule: ThresholdSchedule, j: int) -> float:
 class AndConfig:
     """Solver hyperparameters, checked when built.
 
-    Each stage's step is curvature-scaled, set at the stage start:
-    0.5 / (||Z0 Z0^T||_2 + 1e-12) with Z0 the stage's decode of the full
-    batch, or of its first window when `batch` is smaller than the dataset.
-    A Z0 of all zeros has no curvature, and `run` refuses it (ValueError).
-    `batch` is "full" or a positive window size. A window of the whole dataset
-    makes each stage one fixed linear map, which `run` applies in closed form
-    in the eigenbasis of Z0 Z0^T; a smaller window updates every iteration.
+    `batch` is "full" or a positive window size b; iteration t of a stage
+    reads the b columns from (t * b) mod n on, cyclically. Each stage's step
+    is curvature-scaled, set at the stage start: 0.5 / (||Z0 Z0^T||_2 + 1e-12)
+    with Z0 the decode of the stage's first window, the whole dataset at full
+    batch. A Z0 of all zeros has no curvature, and `run` refuses it
+    (ValueError). A stage that visits one window (full batch, or
+    `iters_per_stage` 1) is one fixed linear map, which `run` applies in
+    closed form in the eigenbasis of Z0 Z0^T; any other stage updates every
+    iteration.
+
+    What a window smaller than the dataset leaves as it is: the step comes
+    from the first window alone, so a later window of more curvature can
+    make the stage diverge; and every stage restarts at column 0, so with
+    iters_per_stage * b < n no stage reads the columns from
+    iters_per_stage * b on, although each stage decodes all of Y, about
+    n / (iters_per_stage * b) times the columns it reads. Fixing either
+    changes the mini-batch iterates.
     """
 
     stages: int = 30
@@ -190,8 +195,8 @@ class TraceRecorder:
 
     With a ground truth, a row is kept as its iterate's coordinates [X; Y]
     (see `metrics`): `record` splits an explicit iterate into
-    [u^T A; A - u u^T A], and `record_coordinates` takes those of a full-batch
-    stage. The kept rows are evaluated by one `Evaluator.evaluate_coordinates`
+    [u^T A; A - u u^T A], and `record_coordinates` takes those of a
+    one-window stage. The kept rows are evaluated by one `Evaluator.evaluate_coordinates`
     call at `flush()` (the caller's stage end) and before a divergence row. A
     row's `seconds` is the time its iterate was recorded, and rows reach
     `on_row` in order.
@@ -227,8 +232,9 @@ class TraceRecorder:
 
     def record_coordinates(self, stage, iteration, alpha, x):
         """Record the row of the estimate whose coordinates are `x`: D rows in
-        the ground truth's column basis, then those of the part out of it
-        (see `_full_batch_stage`). Needs a ground truth."""
+        the ground truth's column basis, then those of the part out of it, as
+        the closed form of a one-window stage gives them (see `_closed_form`).
+        Needs a ground truth."""
         self._pending.append(((stage, iteration, alpha, time.perf_counter() - self._t0), x))
 
     def flush(self):
@@ -279,25 +285,13 @@ def decode(pinv, y, alpha: float) -> np.ndarray:
     return threshold_elementwise(pinv @ y, alpha)
 
 
-def _window(y, start: int, b: int) -> np.ndarray:
-    """Columns start .. start + b - 1 of y, cyclically: a view unless the window
-    wraps past the last column. Not cached with the stage's windows, since a
-    wrapping copy is W x b where the cached Z_w is only D x b."""
-    n = y.shape[1]
+def _window(m, start: int, b: int) -> np.ndarray:
+    """Columns start .. start + b - 1 of m, cyclically: a view unless the window
+    wraps past the last column, where it is a copy."""
+    n = m.shape[1]
     if start + b <= n:
-        return y[:, start:start + b]
-    return y[:, (start + np.arange(b)) % n]
-
-
-def _step(g, stage: int, alpha: float) -> float:
-    """The curvature-scaled step _ETA_SCALE / (||G||_2 + 1e-12) of a stage
-    whose first window has Gram matrix G; a G of all zeros is refused."""
-    curvature = spectral_norm(g)
-    if curvature == 0:
-        raise ValueError(
-            f"stage {stage} decodes its first window to all zeros at "
-            f"alpha={alpha:g}: no curvature to set the step from")
-    return _ETA_SCALE / (curvature + 1e-12)
+        return m[:, start:start + b]
+    return m[:, (start + np.arange(b)) % n]
 
 
 def _columns_within(x, limit) -> bool:
@@ -316,30 +310,64 @@ def _columns_within(x, limit) -> bool:
 
 def _iterate(m, mu_k, phi_k, vt) -> np.ndarray:
     """(M_A * mu^k + M_B * phi_k) V^T for M = [M_A M_B] of D columns each: the
-    iterate A_k of a full-batch stage from M = [A~ B~], or its coordinates
+    iterate A_k of a one-window stage from M = [A~ B~], or its coordinates
     from M = [P; R] (see the module docstring)."""
     d = len(mu_k)
     return (m[:, :d] * mu_k + m[:, d:] * phi_k) @ vt
 
 
-def _full_batch_stage(a, y, pinv, alpha, j, iters, recorder, limit):
-    """One full-batch stage from `a`, in closed form; returns its last iterate.
+def _stage(a, y, pinv, alpha, j, iters, b, recorder, limit):
+    """One stage from `a` over cyclic windows of `b` columns; returns its last
+    iterate.
+
+    Y is decoded once. Iteration t reads the window starting at column
+    (t * b) mod n; each window the stage visits is sliced out of Y and Z once,
+    in visit order, as (Y_w, Z_w, G_w, B_w), and the step is set from the
+    first; a window that wraps past column n keeps its W x b copy of Y for the
+    stage. A stage that visits one window advances in closed form
+    (`_closed_form`); any other takes one update per iteration."""
+    z = decode(pinv, y, alpha)
+    n = y.shape[1]
+    windows = []
+    for t in range(min(iters, n // math.gcd(n, b))):
+        start = t * b % n
+        y_w, z_w = _window(y, start, b), _window(z, start, b)
+        windows.append((y_w, z_w, z_w @ z_w.T, y_w @ z_w.T))
+    curvature = spectral_norm(windows[0][2])
+    if curvature == 0:
+        raise ValueError(
+            f"stage {j} decodes its first window to all zeros at "
+            f"alpha={alpha:g}: no curvature to set the step from")
+    eta = _ETA_SCALE / (curvature + 1e-12)
+    if len(windows) == 1:
+        return _closed_form(a, *windows[0], eta, alpha, j, iters, recorder, limit)
+    for t in range(iters):
+        y_w, z_w, g, bm = windows[t % len(windows)]
+        a_prev = a
+        a = a + eta * (bm - a @ g)
+        recorder.check_divergence(limit, j, t, alpha, a)
+        if recorder.due(t, iters):
+            # the residual of the state entering this iteration, not of `a`
+            recorder.record(j, t, alpha, a, lambda: np.linalg.norm(y_w - a_prev @ z_w))
+    return a
+
+
+def _closed_form(a, y, z, g, bm, eta, alpha, j, iters, recorder, limit):
+    """`iters` updates A <- A + eta (B - A G) of one window (Y, Z, G, B) from
+    `a`, in G's eigenbasis; returns the last iterate.
 
     Without a ground truth each row forms its iterate. With one, a row is
     evaluated from the iterate's coordinates, and passes the divergence check
     when every column norm is within `limit`, since no entry exceeds its
     column's norm; only a row that fails that bound forms its iterate for the
     entrywise check."""
-    z = decode(pinv, y, alpha)
-    g = z @ z.T
-    eta = _step(g, j, alpha)
     try:
         lam, v = np.linalg.eigh(g)
     except np.linalg.LinAlgError as exc:
         raise SvdConvergenceError(f"eigenvalues did not converge: {exc}") from exc
     mu = 1.0 - eta * lam
     vt = np.ascontiguousarray(v.T)  # a transposed view multiplies slower
-    m = np.hstack([a @ v, (y @ z.T) @ v])  # [A~ B~]
+    m = np.hstack([a @ v, bm @ v])  # [A~ B~]
     evaluator = recorder.evaluator
     if evaluator is not None:
         p = evaluator.basis.T @ m
@@ -365,31 +393,6 @@ def _full_batch_stage(a, y, pinv, alpha, j, iters, recorder, limit):
     return _iterate(m, mu_k, phi_k, vt)
 
 
-def _mini_batch_stage(a, y, pinv, alpha, j, iters, batch, recorder, limit):
-    """One stage over cyclic windows of `batch` < n columns, an update per
-    iteration in Gram form; returns its last iterate."""
-    n = y.shape[1]
-    windows = {}
-    for t in range(iters):
-        start = t * batch % n
-        if start not in windows:
-            y_w = _window(y, start, batch)
-            z = decode(pinv, y_w, alpha)
-            windows[start] = (z, z @ z.T, y_w @ z.T)
-        z, g, bm = windows[start]
-        if t == 0:
-            # the step of the first window, fixed for the stage
-            eta = _step(g, j, alpha)
-        a_prev = a
-        a = a + eta * (bm - a @ g)
-        recorder.check_divergence(limit, j, t, alpha, a)
-        if recorder.due(t, iters):
-            # the residual of the state entering this iteration, not of `a`
-            recorder.record(j, t, alpha, a,
-                            lambda: np.linalg.norm(_window(y, start, batch) - a_prev @ z))
-    return a
-
-
 def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> AndResult:
     """Run the staged solver on Y from the initialization a0.
 
@@ -402,22 +405,21 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
     stage's rows in one evaluation at the stage end (see TraceRecorder), and
     every row of a stage before the next stage starts.
 
-    A full-batch stage advances in closed form in the eigenbasis of G (the
-    module docstring gives the form). Without a ground truth it forms A at its
-    trace rows; with one it evaluates each row from A's coordinates in the
-    truth's column space and forms A once, at the stage end. Either way the
-    stage-end A is formed from the stage start alone, so the final matrix
-    is the same bits at every `eval_every`. A mini-batch stage updates A
-    every iteration. The iterates agree up to rounding.
+    Each stage decodes Y once and builds the windows it visits once
+    (`_stage`). A stage that visits one window advances in closed form (the
+    module docstring gives the form) and forms its stage-end A from the stage
+    start alone, so the final matrix is the same bits at every `eval_every`.
+    A stage of several windows updates A every iteration. The iterates agree
+    up to rounding.
 
     An iterate with a NaN entry, or one beyond `divergence_limit(y)` in
     magnitude, is not evaluated: its row records total_error = inf, and
-    DivergenceError carries the partial trace. A mini-batch stage checks every
-    iterate, so `iteration` is the first that diverged. A full-batch stage
-    checks only the iterates of its rows, so `iteration` is the first row at
-    or after the divergence: with `eval_every` > 1 the error may name a later
-    iteration than an update-by-update check would, and the inf row is that
-    row.
+    DivergenceError carries the partial trace. A stage of several windows
+    checks every iterate, so `iteration` is the first that diverged. A
+    one-window stage checks only the iterates of its rows, so `iteration` is
+    the first row at or after the divergence: with `eval_every` > 1 the error
+    may name a later iteration than an update-by-update check would, and the
+    inf row is that row.
 
     The stage thresholds come from `cfg.schedule` alone, so a run with a
     ground truth and one without take the same steps and end on the same bits.
@@ -436,10 +438,6 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
         pinv = full_rank_pseudo_inverse(a, name="working matrix")
         trace.pinv_count += 1
         alpha = stage_threshold(cfg.schedule, j)
-        if batch == n:
-            a = _full_batch_stage(a, y, pinv, alpha, j, cfg.iters_per_stage, recorder, limit)
-        else:
-            a = _mini_batch_stage(a, y, pinv, alpha, j, cfg.iters_per_stage, batch,
-                                  recorder, limit)
+        a = _stage(a, y, pinv, alpha, j, cfg.iters_per_stage, batch, recorder, limit)
         recorder.flush()
     return AndResult(a=a, trace=trace)

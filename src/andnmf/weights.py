@@ -18,6 +18,12 @@ from .linalg import as_matrix
 
 FAMILIES = ("sparse_binary", "dirichlet", "logistic_normal")
 
+# The logistic_normal covariance scale. It concentrates the simplex mass so
+# that nonzero weights do not pile up arbitrarily close to zero (dense, flat
+# weight vectors defeat threshold decoding at this dimension); the
+# correlation structure rho^|i-j| is unchanged by the scale.
+COV_SCALE = 25.0
+
 
 @dataclass(frozen=True)
 class WeightSpec:
@@ -27,7 +33,7 @@ class WeightSpec:
     Family-specific fields:
       sparse_binary    s ones on a uniformly random support
       dirichlet        symmetric Dirichlet with per-coordinate `concentration`
-      logistic_normal  softmax of N(0, cov_scale * rho^|i-j|) (Toeplitz)
+      logistic_normal  softmax of N(0, COV_SCALE * rho^|i-j|) (Toeplitz)
     """
 
     family: str
@@ -36,7 +42,6 @@ class WeightSpec:
     s: int | None = None
     concentration: float | None = None
     rho: float = 0.5
-    cov_scale: float = 1.0
 
     # every check is negated so that NaN fails it
     def __post_init__(self):
@@ -54,13 +59,11 @@ class WeightSpec:
             # rho^|i-j| is a covariance (positive definite) only for |rho| < 1
             if not -1 < self.rho < 1:
                 raise ValueError(f"rho must be in (-1, 1), got {self.rho}")
-            if not self.cov_scale > 0:
-                raise ValueError(f"cov_scale must be > 0, got {self.cov_scale}")
 
     def covariance(self) -> np.ndarray:
         """Gaussian covariance of the logistic_normal family."""
         idx = np.arange(self.dim)
-        return self.cov_scale * self.rho ** np.abs(idx[:, None] - idx[None, :])
+        return COV_SCALE * self.rho ** np.abs(idx[:, None] - idx[None, :])
 
 
 def sample_weights(spec: WeightSpec, n: int) -> np.ndarray:

@@ -28,7 +28,6 @@ pytestmark = pytest.mark.acceptance
 
 W, D, N = 200, 20, 2000
 GEOMETRIC = ThresholdSchedule(0.1, 1.0 / 1.1)
-CTM_WEIGHTS = dict(rho=0.5, cov_scale=25.0)
 
 
 def report(name, ok, detail=""):
@@ -58,7 +57,7 @@ def dir_problem():
 @pytest.fixture(scope="session")
 def ctm_problem():
     gt = generate_ground_truth(W, D, kind="nonneg", seed=201)
-    ds = generate_dataset(gt, WeightSpec("logistic_normal", D, seed=202, **CTM_WEIGHTS),
+    ds = generate_dataset(gt, WeightSpec("logistic_normal", D, rho=0.5, seed=202),
                           NoiseSpec(0.0), N, seed=203)
     init = generate_initialization(gt, InitSpec(r_l=1.0, seed=204))
     return gt, ds, init
@@ -67,7 +66,7 @@ def ctm_problem():
 @pytest.fixture(scope="session")
 def neg_problem():
     gt = generate_ground_truth(W, D, kind="signed", seed=301)
-    ds = generate_dataset(gt, WeightSpec("logistic_normal", D, seed=302, **CTM_WEIGHTS),
+    ds = generate_dataset(gt, WeightSpec("logistic_normal", D, rho=0.5, seed=302),
                           NoiseSpec(0.0), N, seed=303)
     init = generate_initialization(gt, InitSpec(r_l=1.0, seed=304))
     return gt, ds, init
@@ -93,12 +92,7 @@ def baseline(problem, algorithm, outer_iters, seed, eval_every):
     return timed(lambda: run_baseline(cfg, ds.y, init.a0, truth=gt, eval_every=eval_every))
 
 
-# the `and` runs at 110 x 50 of C10, which C2 (CTM) and C3 (NEG) share
-@pytest.fixture(scope="session")
-def dir_and_run(dir_problem):
-    return and_110(dir_problem)
-
-
+# the `and` runs at 110 x 50 of C2 (CTM) and C3 (NEG)
 @pytest.fixture(scope="session")
 def ctm_and_run(ctm_problem):
     return and_110(ctm_problem)
@@ -200,6 +194,8 @@ def test_c3_negative_ground_truth(neg_problem, neg_and_run, neg_hals_run):
 # outer iterations per baseline in C10: on a 2-core Xeon each budget takes
 # 1.8-2.8x the wall time of `and` at 110 x 50
 C10_BUDGET = {"hals": 400, "anls": 200, "mu": 600}
+# timed rounds of C10: each runs `and`, then each baseline
+C10_REPEATS = 3
 
 
 @pytest.mark.parametrize("name", ["DIR", "CTM", "NEG"])
@@ -212,6 +208,10 @@ def test_c10_and_beats_the_baselines(name, request):
     compares HALS (C3's 1000-iteration run) and ANLS only. Each baseline's
     budget is a fixed iteration count, and its measured wall time is
     asserted to be at least `and`'s, so a baseline is never stopped early.
+    The solvers are timed back to back in C10_REPEATS interleaved rounds,
+    and the minimum time of each is compared, so load that comes and goes
+    on the host slows both sides of a comparison alike or neither. Every
+    round gives the same results, since no solver's draws depend on time.
 
     Two broken programs fail it on every problem: a pseudo-inverse computed
     once and never refreshed ends at 1.0-4.1x the baselines' error on DIR
@@ -219,24 +219,28 @@ def test_c10_and_beats_the_baselines(name, request):
     0.18x.
     """
     problem = request.getfixturevalue(f"{name.lower()}_problem")
-    and_result, and_s = request.getfixturevalue(f"{name.lower()}_and_run")
-    and_final = and_result.trace.stage_end_errors()[-1]
-    runs = {}
-    for algorithm, iters in C10_BUDGET.items():
-        if name == "NEG" and algorithm == "mu":
-            continue
-        if name == "NEG" and algorithm == "hals":
-            runs[algorithm] = request.getfixturevalue("neg_hals_run")
-        else:
-            runs[algorithm] = baseline(problem, algorithm, iters, 1010, iters)
-    ratios = {a: and_final / r.trace.rows[-1].total_error for a, (r, _) in runs.items()}
-    times = {a: s for a, (_, s) in runs.items()}
+    # (outer iterations, seed, eval_every) of each baseline
+    budgets = {a: (iters, 1010, iters) for a, iters in C10_BUDGET.items()}
+    if name == "NEG":
+        del budgets["mu"]
+        budgets["hals"] = (1000, 305, 100)  # C3's run
+    results, seconds = {}, {a: [] for a in ("and", *budgets)}
+    for _ in range(C10_REPEATS):
+        results["and"], s = and_110(problem)
+        seconds["and"].append(s)
+        for algorithm, args in budgets.items():
+            results[algorithm], s = baseline(problem, algorithm, *args)
+            seconds[algorithm].append(s)
+    and_final = results["and"].trace.stage_end_errors()[-1]
+    and_s = min(seconds["and"])
+    ratios = {a: and_final / results[a].trace.rows[-1].total_error for a in budgets}
+    times = {a: min(seconds[a]) for a in budgets}
     ok = all(r <= 0.1 for r in ratios.values()) and all(s >= and_s for s in times.values())
     report(
         f"C10 {name} and vs baselines", ok,
         "(and/baseline final error "
         + ", ".join(f"{a} {r:.2e}" for a, r in ratios.items()) + " [need <= 0.1]; "
-        + f"wall s and {and_s:.2f}, "
+        + f"minimum wall s and {and_s:.2f}, "
         + ", ".join(f"{a} {s:.2f}" for a, s in times.items()) + " [need >= and])",
     )
 
@@ -285,7 +289,7 @@ def test_c6_noise_plateau():
     """Common random numbers across gamma levels: same weights and unit noise,
     scaled per level, so plateau monotonicity is not washed out by draws."""
     gt = generate_ground_truth(W, D, kind="nonneg", seed=601)
-    x = sample_weights(WeightSpec("logistic_normal", D, seed=602, **CTM_WEIGHTS), N)
+    x = sample_weights(WeightSpec("logistic_normal", D, rho=0.5, seed=602), N)
     unit = np.random.default_rng(603).standard_normal((W, N)) / np.sqrt(W)
     init = generate_initialization(gt, InitSpec(r_l=1.0, seed=604))
     plateaus, changes = {}, {}

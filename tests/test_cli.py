@@ -53,7 +53,7 @@ def every_kind_config(weights):
 WEIGHTS = {
     "sparse_binary": {"family": "sparse_binary", "s": 2},
     "dirichlet": {"family": "dirichlet", "concentration": 0.4},
-    "logistic_normal": {"family": "logistic_normal", "rho": 0.3, "cov_scale": 4},
+    "logistic_normal": {"family": "logistic_normal", "rho": 0.3},
 }
 
 
@@ -120,6 +120,7 @@ class TestConfigValidation:
         ("hals", "seed", 4),
         ("init", "seed", 11),
         ("init", "zero_diag", False),
+        ("weights", "cov_scale", 25.0),
     ])
     def test_constant_is_not_a_key(self, tmp_path, capsys, section, key, value):
         # each of these is a constant, a seed derived from dataset.seed, or a
@@ -127,10 +128,14 @@ class TestConfigValidation:
         raw = tiny_config()
         raw["solvers"].append({"name": "hals", "outer_iters": 3})
         target = {"and": raw["solvers"][0], "hals": raw["solvers"][1], "init": raw["init"],
-                  "schedule": raw["solvers"][0].setdefault("schedule", {})}
+                  "schedule": raw["solvers"][0].setdefault("schedule", {}),
+                  "weights": {"family": "logistic_normal", "rho": 0.5}}
+        if section == "weights":
+            raw["dataset"]["weights"] = target["weights"]
         target[section][key] = value
         path = {"and": "config.solvers[0]", "hals": "config.solvers[1]",
-                "init": "config.init", "schedule": "config.solvers[0].schedule"}[section]
+                "init": "config.init", "schedule": "config.solvers[0].schedule",
+                "weights": "config.dataset.weights"}[section]
         cfg_path = write_config(tmp_path, raw)
         assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
         assert f"{path}.{key}: unknown key" in capsys.readouterr().err
@@ -200,7 +205,7 @@ class TestConfigValidation:
     def test_preset_defaults(self):
         cfg = validate_config(preset_config("CTM"))
         assert cfg.dataset.weights.family == "logistic_normal"
-        assert cfg.dataset.weights.cov_scale == 25.0
+        assert cfg.dataset.weights.rho == 0.5
         cfg = validate_config(preset_config("NEG"))
         assert cfg.dataset.kind == "signed"
         cfg = validate_config(preset_config("NOISE"))

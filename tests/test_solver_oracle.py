@@ -172,26 +172,40 @@ def test_run_matches_reference_loop(d, extra_w, n, seed, weights, batch_kind, wi
         assert _close(got.a, ref.a, floor)
 
 
-@pytest.mark.parametrize("batch", ["full", "n", 7, 10])
-def test_one_decode_per_full_batch_stage(monkeypatch, batch):
-    # each distinct window is decoded once per stage: windows start at
-    # (t * b) mod n, so a stage of T iterations visits min(T, n / gcd(n, b))
+@pytest.mark.parametrize("batch, iters", [
+    pytest.param("full", 5, id="full"),
+    pytest.param("n", 5, id="n"),
+    pytest.param(7, 5, id="7"),
+    pytest.param(10, 12, id="10"),
+    pytest.param(7, 1, id="7-one-iteration"),
+])
+def test_one_decode_per_full_batch_stage(monkeypatch, batch, iters):
+    # every stage decodes the whole of Y once, whatever its window; b = 10
+    # cycles through all 4 windows of n = 40 at T = 12, b = 7 visits 5 of 40
+    # windows, and at T = 1 it visits one window, so the stage runs in closed
+    # form, which forms its W x D iterate once, at the stage end
     gt, y, a0 = _problem(24, 4, 40, seed=3)
     n = y.shape[1]
     batch = n if batch == "n" else batch
-    b = n if batch == "full" else batch
-    iters = 12 if b == 10 else 5
     cfg = AndConfig(stages=3, iters_per_stage=iters, batch=batch)
-    calls = []
-    original = solver.decode
+    decodes, formed = [], []
+    original_decode, original_iterate = solver.decode, solver._iterate
 
-    def counting_decode(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting_decode(pinv, y_, alpha):
+        decodes.append(y_.shape)
+        return original_decode(pinv, y_, alpha)
+
+    def counting_iterate(m, *args):
+        if len(m) == len(y):  # a W-row iterate, not coordinates
+            formed.append(1)
+        return original_iterate(m, *args)
 
     monkeypatch.setattr(solver, "decode", counting_decode)
+    monkeypatch.setattr(solver, "_iterate", counting_iterate)
     got = run(a0, y, cfg, truth=gt)
-    assert len(calls) == cfg.stages * min(iters, n // math.gcd(n, b))
+    assert decodes == [y.shape] * cfg.stages
+    closed_form = batch in ("full", n) or iters == 1
+    assert len(formed) == (cfg.stages if closed_form else 0)
     ref = reference_run(a0, y, cfg, truth=gt)
     floor = spectral_norm(gt.a_star)
     assert [(r.stage, r.iteration) for r in got.trace.rows] == \

@@ -18,7 +18,6 @@ NAN_SPECS = {
     "c": lambda: ThresholdSchedule(start=NAN, ratio=1.0),
     "concentration": lambda: WeightSpec("dirichlet", 4, concentration=NAN),
     "rho": lambda: WeightSpec("logistic_normal", 4, rho=NAN),
-    "cov_scale": lambda: WeightSpec("logistic_normal", 4, cov_scale=NAN),
     "gamma": lambda: NoiseSpec(gamma=NAN),
     "r_l": lambda: InitSpec(r_l=NAN),
     "r_n": lambda: InitSpec(r_n=NAN),
