@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, spectral_norm
-from .solver import RunTrace, TraceRecorder, divergence_limit
+from .solver import RunTrace, TraceRecorder
 
 ALGORITHMS = ("mu", "hals", "anls")
 _EPS = 1e-12  # denominator floor of every update
@@ -110,7 +110,7 @@ def run_baseline(cfg: BaselineConfig, y, a0, truth=None, eval_every: int = 1, on
     X starts at seeded Unif[0, 1). Multiplicative updates require nonnegative
     data; Y with negative entries is rejected up front, and a0 is clipped at
     zero for MU since its iterations cannot leave the nonnegative orthant.
-    A NaN or an entry beyond `divergence_limit(y)` in A or X raises DivergenceError.
+    A NaN or an entry beyond `TraceRecorder.limit` in A or X raises DivergenceError.
     """
     y = as_matrix(y, "y")
     a = as_matrix(a0, "a0").copy()
@@ -126,8 +126,7 @@ def run_baseline(cfg: BaselineConfig, y, a0, truth=None, eval_every: int = 1, on
     d = a.shape[1]
     rng = np.random.default_rng(cfg.seed)
     x = rng.random((d, y.shape[1]))
-    recorder = TraceRecorder(a.shape, truth, on_row=on_row, eval_every=eval_every)
-    limit = divergence_limit(y)
+    recorder = TraceRecorder(y, a.shape, truth, on_row=on_row, eval_every=eval_every)
 
     for it in range(cfg.outer_iters):
         if cfg.algorithm == "mu":
@@ -136,7 +135,7 @@ def run_baseline(cfg: BaselineConfig, y, a0, truth=None, eval_every: int = 1, on
             a, x = hals_step(a, x, y)
         else:
             a, x = anls_step(a, x, y)
-        recorder.check_divergence(limit, 0, it, 0.0, a, x)
+        recorder.check_divergence(0, it, 0.0, a, x)
         if recorder.due(it, cfg.outer_iters):
             recorder.record(0, it, 0.0, a, lambda: np.linalg.norm(y - a @ x))
             recorder.flush()  # a baseline's rows stream one by one

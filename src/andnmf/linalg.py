@@ -9,8 +9,8 @@ across threads.
 column rank; the stage pseudo-inverse, the evaluator's ground truth and the
 generated ground truth all go through it, and get numpy's (u, s, vt) tuple.
 `spectral_norms` is the one spectral-norm routine (`spectral_norm` is its
-one-matrix case): step sizes, initialization levels and the evaluator's
-||E||_2 and ||N||_2 all come from it.
+one-matrix case): the ANLS step sizes, initialization levels and the
+evaluator's ||E||_2 and ||N||_2 all come from it.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 One run is `stages` blocks of `iters_per_stage` (T) gradient iterations.
 Within a stage the decoding matrix is the pseudo-inverse of the stage-start
 working matrix (computed once per stage), the threshold is
-alpha_j = start * ratio^j, and the step eta = 0.5 / (||Z0 Z0^T||_2 + 1e-12)
-comes from the decode Z0 of the stage's first window:
+alpha_j = start * ratio^j, and the step eta = 0.5 / (lambda_max(G0) + 1e-12)
+comes from the one `eigh` per stage of G0 = Z0 Z0^T, the Gram of the decode
+Z0 of the stage's first window:
 
     decode   Z = phi_alpha(Pinv @ Y)
     update   A <- A + eta * (Y_w - A @ Z_w) @ Z_w.T
@@ -19,7 +20,7 @@ B_w = Y_w Z_w^T. Every iteration is then
     update   A <- A + eta * (B_w - A @ G_w)
 
 A stage that visits one window (b = n, or T = 1) runs one fixed linear map,
-in closed form. With G = V diag(lambda) V^T from one `eigh` per stage,
+in closed form. With G = V diag(lambda) V^T from that same `eigh`,
 A~ = A V and B~ = B V, an update scales the columns: A~ <- A~ * mu + eta * B~
 with mu = 1 - eta * lambda, so k updates are
 
@@ -48,10 +49,10 @@ keeps the per-iteration loop in Gram form, at O(W D^2) an iteration.
 
 `run` checks its inputs once at entry; the stages and `decode` do arithmetic.
 `TraceRecorder.check_divergence` guards the stages and the baselines: an entry
-that is NaN or beyond DIVERGENCE_LIMIT * max(1, max|Y|) in magnitude diverges,
-a limit that scales with Y and A0 as the iterates do. A stage of several
-windows checks every iterate; a one-window stage checks the iterates of its
-trace rows (see `_closed_form`).
+that is NaN or beyond its `limit`, DIVERGENCE_LIMIT * max(1, max|Y|), in
+magnitude diverges, a limit that scales with Y and A0 as the iterates do. A
+stage of several windows checks every iterate; a one-window stage checks the
+iterates of its trace rows (see `_closed_form`).
 """
 
 from __future__ import annotations
@@ -67,12 +68,11 @@ from .linalg import (
     SvdConvergenceError,
     as_matrix,
     full_rank_pseudo_inverse,
-    spectral_norm,
     threshold_elementwise,
 )
 
 DIVERGENCE_LIMIT = 1e12
-# numerator of the curvature-scaled step eta = _ETA_SCALE / (||G||_2 + 1e-12)
+# numerator of the curvature-scaled step eta = _ETA_SCALE / (lambda_max(G0) + 1e-12)
 _ETA_SCALE = 0.5
 
 
@@ -87,11 +87,6 @@ class DivergenceError(RuntimeError):
         self.stage = stage
         self.iteration = iteration
         self.trace = trace
-
-
-def divergence_limit(y) -> float:
-    """DIVERGENCE_LIMIT * max(1, max|Y|) of checked data y, without an |Y| copy."""
-    return DIVERGENCE_LIMIT * float(max(1.0, y.max(), -y.min()))
 
 
 @dataclass(frozen=True)
@@ -125,13 +120,13 @@ class AndConfig:
 
     `batch` is "full" or a positive window size b; iteration t of a stage
     reads the b columns from (t * b) mod n on, cyclically. Each stage's step
-    is curvature-scaled, set at the stage start: 0.5 / (||Z0 Z0^T||_2 + 1e-12)
-    with Z0 the decode of the stage's first window, the whole dataset at full
-    batch. A Z0 of all zeros has no curvature, and `run` refuses it
-    (ValueError). A stage that visits one window (full batch, or
-    `iters_per_stage` 1) is one fixed linear map, which `run` applies in
-    closed form in the eigenbasis of Z0 Z0^T; any other stage updates every
-    iteration.
+    is curvature-scaled, set at the stage start from its one `eigh` of
+    G0 = Z0 Z0^T: 0.5 / (lambda_max(G0) + 1e-12), with Z0 the decode of the
+    stage's first window, the whole dataset at full batch. A Z0 of all zeros
+    has no curvature, and `run` refuses it (ValueError). A stage that visits
+    one window (full batch, or `iters_per_stage` 1) is one fixed linear map,
+    which `run` applies in closed form in that eigenbasis of G0; any other
+    stage updates every iteration.
 
     What a window smaller than the dataset leaves as it is: the step comes
     from the first window alone, so a later window of more curvature can
@@ -193,6 +188,9 @@ class TraceRecorder:
     `eval_every` iterations and at the last iteration of each stage. `shape`
     is that of the run's estimates, checked once against the truth's.
 
+    `limit`, DIVERGENCE_LIMIT * max(1, max|Y|) of the checked data `y` when
+    built, is the run's one divergence limit; `check_divergence` reads it.
+
     With a ground truth, a row is kept as its iterate's coordinates [X; Y]
     (see `metrics`): `record` splits an explicit iterate into
     [u^T A; A - u u^T A], and `record_coordinates` takes those of a
@@ -202,10 +200,11 @@ class TraceRecorder:
     `on_row` in order.
     """
 
-    def __init__(self, shape, truth=None, on_row=None, eval_every: int = 1):
+    def __init__(self, y, shape, truth=None, on_row=None, eval_every: int = 1):
         if not eval_every >= 1:
             raise ValueError(f"eval_every must be >= 1, got {eval_every}")
         self.eval_every = eval_every
+        self.limit = DIVERGENCE_LIMIT * float(max(1.0, y.max(), -y.min()))  # no |Y| copy
         self.evaluator = None
         if truth is not None:
             self.evaluator = metrics.Evaluator(getattr(truth, "a_star", truth))
@@ -248,15 +247,15 @@ class TraceRecorder:
         for ((stage, iteration, alpha, seconds), _), err, e, n in zip(pending, *values):
             self._emit(stage, iteration, seconds, alpha, float(err), float(e), float(n))
 
-    def check_divergence(self, limit, stage, iteration, alpha, *iterates):
+    def check_divergence(self, stage, iteration, alpha, *iterates):
         """Raise DivergenceError if an iterate has a NaN or |entry| > `limit`, after
         emitting the stacked rows and an unevaluated row with total_error = inf."""
         # no |m| copy; a NaN maximum fails the comparison, so NaN counts as diverged
-        if all(m.max() <= limit and -m.min() <= limit for m in iterates):
+        if all(m.max() <= self.limit and -m.min() <= self.limit for m in iterates):
             return
         self.flush()
         self._emit(stage, iteration, time.perf_counter() - self._t0, alpha, math.inf, None, None)
-        raise DivergenceError(stage, iteration, self.trace, limit)
+        raise DivergenceError(stage, iteration, self.trace, self.limit)
 
     def _emit(self, stage, iteration, seconds, alpha, err, e_norm, n_norm):
         row = TraceRow(
@@ -316,16 +315,16 @@ def _iterate(m, mu_k, phi_k, vt) -> np.ndarray:
     return (m[:, :d] * mu_k + m[:, d:] * phi_k) @ vt
 
 
-def _stage(a, y, pinv, alpha, j, iters, b, recorder, limit):
+def _stage(a, y, pinv, alpha, j, iters, b, recorder):
     """One stage from `a` over cyclic windows of `b` columns; returns its last
     iterate.
 
     Y is decoded once. Iteration t reads the window starting at column
     (t * b) mod n; each window the stage visits is sliced out of Y and Z once,
-    in visit order, as (Y_w, Z_w, G_w, B_w), and the step is set from the
-    first; a window that wraps past column n keeps its W x b copy of Y for the
-    stage. A stage that visits one window advances in closed form
-    (`_closed_form`); any other takes one update per iteration."""
+    in visit order, as (Y_w, Z_w, G_w, B_w); a window that wraps past column n
+    keeps its W x b copy of Y for the stage. One `eigh` of the first G_w sets
+    the step; a stage that visits one window advances in closed form in its
+    eigenbasis (`_closed_form`), any other by one update per iteration."""
     z = decode(pinv, y, alpha)
     n = y.shape[1]
     windows = []
@@ -333,38 +332,39 @@ def _stage(a, y, pinv, alpha, j, iters, b, recorder, limit):
         start = t * b % n
         y_w, z_w = _window(y, start, b), _window(z, start, b)
         windows.append((y_w, z_w, z_w @ z_w.T, y_w @ z_w.T))
-    curvature = spectral_norm(windows[0][2])
-    if curvature == 0:
+    try:
+        lam, v = np.linalg.eigh(windows[0][2])
+    except np.linalg.LinAlgError as exc:
+        raise SvdConvergenceError(f"eigenvalues did not converge: {exc}") from exc
+    if lam[-1] <= 0:
         raise ValueError(
             f"stage {j} decodes its first window to all zeros at "
             f"alpha={alpha:g}: no curvature to set the step from")
-    eta = _ETA_SCALE / (curvature + 1e-12)
+    eta = _ETA_SCALE / (lam[-1] + 1e-12)
     if len(windows) == 1:
-        return _closed_form(a, *windows[0], eta, alpha, j, iters, recorder, limit)
+        y_w, z_w, _, bm = windows[0]
+        return _closed_form(a, y_w, z_w, bm, lam, v, eta, alpha, j, iters, recorder)
     for t in range(iters):
         y_w, z_w, g, bm = windows[t % len(windows)]
         a_prev = a
         a = a + eta * (bm - a @ g)
-        recorder.check_divergence(limit, j, t, alpha, a)
+        recorder.check_divergence(j, t, alpha, a)
         if recorder.due(t, iters):
             # the residual of the state entering this iteration, not of `a`
             recorder.record(j, t, alpha, a, lambda: np.linalg.norm(y_w - a_prev @ z_w))
     return a
 
 
-def _closed_form(a, y, z, g, bm, eta, alpha, j, iters, recorder, limit):
-    """`iters` updates A <- A + eta (B - A G) of one window (Y, Z, G, B) from
-    `a`, in G's eigenbasis; returns the last iterate.
+def _closed_form(a, y, z, bm, lam, v, eta, alpha, j, iters, recorder):
+    """`iters` updates A <- A + eta (B - A G) of one window (Y, Z, B) from
+    `a`, in the eigenbasis G = V diag(lam) V^T that the stage took; returns
+    the last iterate.
 
     Without a ground truth each row forms its iterate. With one, a row is
     evaluated from the iterate's coordinates, and passes the divergence check
-    when every column norm is within `limit`, since no entry exceeds its
-    column's norm; only a row that fails that bound forms its iterate for the
-    entrywise check."""
-    try:
-        lam, v = np.linalg.eigh(g)
-    except np.linalg.LinAlgError as exc:
-        raise SvdConvergenceError(f"eigenvalues did not converge: {exc}") from exc
+    when every column norm is within the recorder's `limit`, since no entry
+    exceeds its column's norm; only a row that fails that bound forms its
+    iterate for the entrywise check."""
     mu = 1.0 - eta * lam
     vt = np.ascontiguousarray(v.T)  # a transposed view multiplies slower
     m = np.hstack([a @ v, bm @ v])  # [A~ B~]
@@ -381,12 +381,12 @@ def _closed_form(a, y, z, g, bm, eta, alpha, j, iters, recorder, limit):
             continue
         if evaluator is not None:
             x = _iterate(coords, mu_k, phi_k, vt)
-            if not _columns_within(x, limit):
-                recorder.check_divergence(limit, j, t, alpha, _iterate(m, mu_k, phi_k, vt))
+            if not _columns_within(x, recorder.limit):
+                recorder.check_divergence(j, t, alpha, _iterate(m, mu_k, phi_k, vt))
             recorder.record_coordinates(j, t, alpha, x)
         else:
             a = _iterate(m, mu_k, phi_k, vt)
-            recorder.check_divergence(limit, j, t, alpha, a)
+            recorder.check_divergence(j, t, alpha, a)
             # the row records the residual of the state entering t
             recorder.record(j, t, alpha, a,
                             lambda: np.linalg.norm(y - _iterate(m, mu_t, phi_t, vt) @ z))
@@ -412,7 +412,7 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
     A stage of several windows updates A every iteration. The iterates agree
     up to rounding.
 
-    An iterate with a NaN entry, or one beyond `divergence_limit(y)` in
+    An iterate with a NaN entry, or one beyond `TraceRecorder.limit` in
     magnitude, is not evaluated: its row records total_error = inf, and
     DivergenceError carries the partial trace. A stage of several windows
     checks every iterate, so `iteration` is the first that diverged. A
@@ -429,15 +429,14 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
     w, n = y.shape
     if a.shape[0] != w:
         raise ValueError(f"a0 has {a.shape[0]} rows but y has {w}")
-    recorder = TraceRecorder(a.shape, truth, on_row, eval_every)
+    recorder = TraceRecorder(y, a.shape, truth, on_row, eval_every)
     trace = recorder.trace
-    limit = divergence_limit(y)
     batch = n if cfg.batch == "full" else min(cfg.batch, n)
 
     for j in range(cfg.stages):
         pinv = full_rank_pseudo_inverse(a, name="working matrix")
         trace.pinv_count += 1
         alpha = stage_threshold(cfg.schedule, j)
-        a = _stage(a, y, pinv, alpha, j, cfg.iters_per_stage, batch, recorder, limit)
+        a = _stage(a, y, pinv, alpha, j, cfg.iters_per_stage, batch, recorder)
         recorder.flush()
     return AndResult(a=a, trace=trace)

@@ -671,6 +671,27 @@ class TestRun:
         assert statuses[1]["status"] == "ok"
         assert (out / "hals_A_final.mat").exists()
 
+    @pytest.mark.parametrize("batch", ["full", 20], ids=["one-window", "several-windows"])
+    def test_stage_eigendecomposition_failure_is_an_error_status(self, tmp_path, monkeypatch,
+                                                                  batch):
+        # a stage's one `eigh` that does not converge ends the solver as
+        # SvdConvergenceError, whether the stage runs in closed form or not
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        raw = tiny_config()
+        raw["solvers"][0]["batch"] = batch
+        cfg_path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        status = json.loads((out / "summary.json").read_text())["solvers"][0]
+        assert status["status"] == "error"
+        assert "SvdConvergenceError" in status["detail"]
+        assert "eigenvalues did not converge" in status["detail"]
+        assert not (out / "and_A_final.mat").exists()
+
     def test_paper_scale_short_run(self, tmp_path):
         # D = 100 > 50, so the default evaluates every 10th iteration plus
         # the last of each stage: iterations 0 and 4 of both stages

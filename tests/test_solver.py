@@ -309,6 +309,23 @@ class TestRun:
         with pytest.raises(ValueError, match=r"stage 0 .* alpha=0\.1\b"):
             run(init.a0, y, cfg, truth=gt)
 
+    @pytest.mark.parametrize("batch", ["full", 40])
+    def test_one_eigendecomposition_per_stage(self, monkeypatch, batch):
+        # the step and the closed form's eigenbasis come from one `eigh` of the
+        # first window's Gram; without a truth no row evaluation takes one, so
+        # every call counted here is a stage's
+        gt, ds, init = make_problem(w=40, d=5, n=400)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def spy(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        cfg = AndConfig(stages=3, iters_per_stage=5, batch=batch)
+        run(init.a0, ds.y, cfg)
+        assert calls == ["eigh"] * cfg.stages
+
 
 class TestTraceStreaming:
     """A stage's rows are evaluated together, yet keep the time their iterate
