@@ -137,6 +137,7 @@ def run_baseline(cfg: BaselineConfig, y, a0, truth=None, eval_every: int = 1, on
             a, x = anls_step(a, x, y)
         recorder.check_divergence(0, it, 0.0, a, x)
         if recorder.due(it, cfg.outer_iters):
-            recorder.record(0, it, 0.0, a, lambda: np.linalg.norm(y - a @ x))
+            recorder.record(0, it, 0.0, recorder.coordinates(a),
+                            lambda: np.linalg.norm(y - a @ x))
             recorder.flush()  # a baseline's rows stream one by one
     return BaselineResult(a=a, x=x, trace=recorder.trace)

@@ -22,9 +22,10 @@ r_i = s_i vt[:, i] the coordinates of a*_i,
 
     ||a*_i - sigma A_j||^2 = ||r_i - sigma X_j||^2 + sigma^2 ||Y_j||^2.
 
-An explicit estimate takes Y = A - u X, whose W rows are coordinates in the
-standard basis (`Evaluator.coordinates`); a one-window stage of the solver
-supplies a D-sized Y of its own, with no W-sized work.
+`Evaluator.coordinates` is the one split: the stack [X; R] of a matrix M,
+with R the R factor of M - u X. For every S, [X; R] S are coordinates of
+M S, so a W x c matrix is split once into D + min(W, c) rows and any
+estimate M S is evaluated from them with no W-sized work.
 """
 
 from __future__ import annotations
@@ -151,28 +152,28 @@ class Evaluator:
     def error_report(self, a) -> ErrorReport:
         return total_correlation_error(a, self.a_star)
 
-    def coordinates(self, a):
-        """(X, N) of an estimate or a stack of them: X = u^T A in the truth's
-        column basis, and N = A - u X = A - A* C, the part out of it."""
-        x = self.basis.T @ a
-        return x, a - self.basis @ x
+    def coordinates(self, m):
+        """[X; R] of a W-row matrix M, or of each in a stack of them:
+        X = u^T M in the truth's column basis u, over the R factor of
+        M - u X, the part out of it (R^T R = N^T N for N = M - u X)."""
+        x = self.basis.T @ m
+        return np.concatenate([x, np.linalg.qr(m - self.basis @ x, mode="r")], axis=-2)
 
-    def evaluate_coordinates(self, inspan, perp):
-        """(total, E_norm, N_norm) of each estimate A = basis @ X + N, as
-        length-k arrays: `total` and the two norms of `decompose`, batched.
-        The estimates are given by the (k, D, D) stack `inspan` of
-        X = basis^T A and a (k, p, D) stack `perp` of coordinates Y of
-        N = A - A* C in any orthonormal basis (so that Y^T Y = N^T N); an
-        explicit stack's are `coordinates(stack)`."""
-        k, d = len(inspan), self.a_star.shape[1]
-        if np.shape(inspan) != (k, d, d) or np.ndim(perp) != 3 or \
-                (len(perp), np.shape(perp)[2]) != (k, d):
+    def evaluate_coordinates(self, stack):
+        """(total, E_norm, N_norm) of each estimate A, as length-k arrays:
+        `total` and the two norms of `decompose`, batched. The (k, D + p, D)
+        `stack` holds each estimate's coordinates: X = basis^T A, then p rows
+        Y of N = A - A* C in any orthonormal basis (Y^T Y = N^T N), as
+        `coordinates` gives them."""
+        d = self.a_star.shape[1]
+        if np.ndim(stack) != 3 or np.shape(stack)[1] < d or np.shape(stack)[2] != d:
             raise ValueError(
-                f"shape mismatch: {inspan.shape} and {perp.shape} are not coordinate "
-                f"stacks of a {self.a_star.shape} estimate"
+                f"shape mismatch: {np.shape(stack)} is not a coordinate stack "
+                f"of a {self.a_star.shape} estimate"
             )
-        if not (np.all(np.isfinite(inspan)) and np.all(np.isfinite(perp))):
+        if not np.all(np.isfinite(stack)):
             raise ValueError("estimate contains a non-finite entry")
+        inspan, perp = stack[:, :d], stack[:, d:]
         off = _off_diagonal(self._mix @ inspan)
         eps = _correlation_errors(inspan, self._star, perp)[0]
         return eps.sum(axis=1), spectral_norms(off), spectral_norms(perp)
@@ -181,15 +182,16 @@ class Evaluator:
         a = as_matrix(a, "estimate")
         if a.shape != self.a_star.shape:
             raise ValueError(f"shape mismatch: {a.shape} != {self.a_star.shape}")
-        x, residual = self.coordinates(a[None])
+        x = self.basis.T @ a
+        residual = a - self.basis @ x
         c = self._mix @ x
-        off = _off_diagonal(c)
-        sigma = np.diagonal(c[0]).copy()
+        off = _off_diagonal(c[None])
+        sigma = np.diagonal(c).copy()
         return Decomposition(
             sigma=sigma,
             off_diag=off[0],
-            residual=residual[0],
+            residual=residual,
             sigma_min=float(sigma.min()),
             off_diag_norm=float(spectral_norms(off)[0]),
-            residual_norm=float(spectral_norms(residual)[0]),
+            residual_norm=float(spectral_norms(residual[None])[0]),
         )

@@ -32,17 +32,16 @@ phi_k = k * eta), and no pseudo-inverse of G is taken. Every A_k is formed
 from the stage-start [A~ B~], so the stage-end A does not depend on which
 rows were recorded.
 
-A_k is formed only where it is read. Without a ground truth that is at each
-trace row. With one, a trace row reads A only through its coordinates: with
-u the orthonormal basis of the truth's column space, the stage takes
-P = u^T [A~ B~] and the R factor [R_X R_Y] of [A~ B~] - u P once, and forms
-them by the same scaling, so that at step k
+A trace row keeps its iterate as `TraceRecorder.coordinates`: with a ground
+truth, the split [u^T A; R] of `metrics.Evaluator.coordinates`, u the
+orthonormal basis of the truth's column space; without one, A itself. For
+any S, coordinates(M) S are coordinates of M S, so the stage splits
+M = [A~ B~] once and forms each row's by the same scaling,
 
-    in span      u^T A = (P_A * mu^k + P_B * phi_k) V^T          (D x D)
-    out of span  R     = (R_X * mu^k + R_Y * phi_k) V^T          (min(W, 2D) x D)
+    (X_A * mu^k + X_B * phi_k) V^T,   [X_A X_B] = coordinates(M),
 
-with R^T R = N^T N for N = A - u u^T A. `metrics.Evaluator.evaluate_coordinates`
-evaluates a row from these in O(D^3), and A is formed once, at the stage end.
+With a truth these are D + min(W, 2D) rows, evaluated in O(D^3), and A is
+formed once, at the stage end; without one they are the iterate itself.
 
 A stage that visits several windows cycles through different G_w, so it
 keeps the per-iteration loop in Gram form, at O(W D^2) an iteration.
@@ -184,20 +183,19 @@ class TraceRecorder:
 
     With a ground truth a row records the total correlation error and the
     in-span/out-of-span norms of the decomposition; without one it records the
-    no-truth residual norm that the caller supplies. A row is due every
-    `eval_every` iterations and at the last iteration of each stage. `shape`
-    is that of the run's estimates, checked once against the truth's.
+    residual norm of the row's iterate, which the caller supplies. A row is
+    due every `eval_every` iterations and at the last iteration of each stage.
+    `shape` is that of the run's estimates, checked once against the truth's.
 
     `limit`, DIVERGENCE_LIMIT * max(1, max|Y|) of the checked data `y` when
     built, is the run's one divergence limit; `check_divergence` reads it.
 
-    With a ground truth, a row is kept as its iterate's coordinates [X; Y]
-    (see `metrics`): `record` splits an explicit iterate into
-    [u^T A; A - u u^T A], and `record_coordinates` takes those of a
-    one-window stage. The kept rows are evaluated by one `Evaluator.evaluate_coordinates`
-    call at `flush()` (the caller's stage end) and before a divergence row. A
-    row's `seconds` is the time its iterate was recorded, and rows reach
-    `on_row` in order.
+    With a ground truth, `record` keeps a row as its iterate's `coordinates`
+    [X; R] (see `metrics`), D + min(W, D) rows for an explicit iterate. The
+    kept rows are evaluated by one `Evaluator.evaluate_coordinates` call at
+    `flush()` (the caller's stage end) and before a divergence row. A row's
+    `seconds` is the time its iterate was recorded, and rows reach `on_row`
+    in order.
     """
 
     def __init__(self, y, shape, truth=None, on_row=None, eval_every: int = 1):
@@ -219,31 +217,27 @@ class TraceRecorder:
         """Whether iteration `t` of a stage of `stage_length` iterations gets a row."""
         return t % self.eval_every == 0 or t == stage_length - 1
 
-    def record(self, stage, iteration, alpha, a, residual_norm):
-        """Record the row of estimate `a`; `residual_norm()` is called only
-        without a ground truth, whose rows are emitted at once."""
+    def coordinates(self, m):
+        """What a row keeps of the W-row matrix `m`: its split
+        `Evaluator.coordinates(m)` with a ground truth, `m` itself without."""
+        return m if self.evaluator is None else self.evaluator.coordinates(m)
+
+    def record(self, stage, iteration, alpha, x, residual_norm):
+        """Record the row of the estimate whose `coordinates` are `x`;
+        `residual_norm()`, that estimate's, is called only without a ground
+        truth, whose rows are emitted at once."""
         seconds = time.perf_counter() - self._t0
         if self.evaluator is None:
             self._emit(stage, iteration, seconds, alpha, float(residual_norm()), None, None)
             return
-        self._pending.append(((stage, iteration, alpha, seconds),
-                              np.vstack(self.evaluator.coordinates(a))))
-
-    def record_coordinates(self, stage, iteration, alpha, x):
-        """Record the row of the estimate whose coordinates are `x`: D rows in
-        the ground truth's column basis, then those of the part out of it, as
-        the closed form of a one-window stage gives them (see `_closed_form`).
-        Needs a ground truth."""
-        self._pending.append(((stage, iteration, alpha, time.perf_counter() - self._t0), x))
+        self._pending.append(((stage, iteration, alpha, seconds), x))
 
     def flush(self):
         """Evaluate the kept rows and emit them in order."""
         if not self._pending:
             return
         pending, self._pending = self._pending, []
-        stack = np.stack([x for _, x in pending])
-        d = self.evaluator.a_star.shape[1]
-        values = self.evaluator.evaluate_coordinates(stack[:, :d], stack[:, d:])
+        values = self.evaluator.evaluate_coordinates(np.stack([x for _, x in pending]))
         for ((stage, iteration, alpha, seconds), _), err, e, n in zip(pending, *values):
             self._emit(stage, iteration, seconds, alpha, float(err), float(e), float(n))
 
@@ -310,7 +304,7 @@ def _columns_within(x, limit) -> bool:
 def _iterate(m, mu_k, phi_k, vt) -> np.ndarray:
     """(M_A * mu^k + M_B * phi_k) V^T for M = [M_A M_B] of D columns each: the
     iterate A_k of a one-window stage from M = [A~ B~], or its coordinates
-    from M = [P; R] (see the module docstring)."""
+    from M = coordinates([A~ B~]) (see the module docstring)."""
     d = len(mu_k)
     return (m[:, :d] * mu_k + m[:, d:] * phi_k) @ vt
 
@@ -346,12 +340,11 @@ def _stage(a, y, pinv, alpha, j, iters, b, recorder):
         return _closed_form(a, y_w, z_w, bm, lam, v, eta, alpha, j, iters, recorder)
     for t in range(iters):
         y_w, z_w, g, bm = windows[t % len(windows)]
-        a_prev = a
         a = a + eta * (bm - a @ g)
         recorder.check_divergence(j, t, alpha, a)
         if recorder.due(t, iters):
-            # the residual of the state entering this iteration, not of `a`
-            recorder.record(j, t, alpha, a, lambda: np.linalg.norm(y_w - a_prev @ z_w))
+            recorder.record(j, t, alpha, recorder.coordinates(a),
+                            lambda: np.linalg.norm(y_w - a @ z_w))
     return a
 
 
@@ -360,36 +353,25 @@ def _closed_form(a, y, z, bm, lam, v, eta, alpha, j, iters, recorder):
     `a`, in the eigenbasis G = V diag(lam) V^T that the stage took; returns
     the last iterate.
 
-    Without a ground truth each row forms its iterate. With one, a row is
-    evaluated from the iterate's coordinates, and passes the divergence check
-    when every column norm is within the recorder's `limit`, since no entry
-    exceeds its column's norm; only a row that fails that bound forms its
-    iterate for the entrywise check."""
+    A row forms its iterate's `coordinates` (the iterate itself without a
+    ground truth) and passes the divergence check when every column norm is
+    within the recorder's `limit`, since no entry exceeds its column's norm;
+    only a row that fails that bound forms its iterate for the entrywise
+    check."""
     mu = 1.0 - eta * lam
     vt = np.ascontiguousarray(v.T)  # a transposed view multiplies slower
     m = np.hstack([a @ v, bm @ v])  # [A~ B~]
-    evaluator = recorder.evaluator
-    if evaluator is not None:
-        p = evaluator.basis.T @ m
-        coords = np.vstack([p, np.linalg.qr(m - evaluator.basis @ p, mode="r")])
+    coords = recorder.coordinates(m)
     mu_k, phi_k = np.ones_like(mu), np.zeros_like(mu)
     for t in range(iters):
-        mu_t, phi_t = mu_k, phi_k  # the state entering iteration t
         phi_k = phi_k + eta * mu_k
         mu_k = mu_k * mu
         if not recorder.due(t, iters):
             continue
-        if evaluator is not None:
-            x = _iterate(coords, mu_k, phi_k, vt)
-            if not _columns_within(x, recorder.limit):
-                recorder.check_divergence(j, t, alpha, _iterate(m, mu_k, phi_k, vt))
-            recorder.record_coordinates(j, t, alpha, x)
-        else:
-            a = _iterate(m, mu_k, phi_k, vt)
-            recorder.check_divergence(j, t, alpha, a)
-            # the row records the residual of the state entering t
-            recorder.record(j, t, alpha, a,
-                            lambda: np.linalg.norm(y - _iterate(m, mu_t, phi_t, vt) @ z))
+        x = _iterate(coords, mu_k, phi_k, vt)
+        if not _columns_within(x, recorder.limit):
+            recorder.check_divergence(j, t, alpha, _iterate(m, mu_k, phi_k, vt))
+        recorder.record(j, t, alpha, x, lambda: np.linalg.norm(y - x @ z))
     return _iterate(m, mu_k, phi_k, vt)
 
 
@@ -398,8 +380,8 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
 
     With a ground truth the trace records the total correlation error (and the
     in-span/out-of-span norms from the decomposition); without one it records
-    the residual ||Y_w - A Z_w||_F of the iteration's window and of the state
-    entering the iteration.
+    the residual ||Y_w - A Z_w||_F of the iteration's window and of the
+    row's iterate, the A that the iteration produced.
     Rows are recorded every `eval_every` iterations plus the last iteration of
     each stage, and stream to `on_row` in order: with a ground truth, a
     stage's rows in one evaluation at the stage end (see TraceRecorder), and

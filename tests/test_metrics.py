@@ -119,7 +119,7 @@ class TestTotalError:
             warnings.simplefilter("error")
             big = total_correlation_error(scale * a, star)
             ev = Evaluator(star)
-            totals = ev.evaluate_coordinates(*ev.coordinates(np.stack([a, scale * a])))[0]
+            totals = ev.evaluate_coordinates(ev.coordinates(np.stack([a, scale * a])))[0]
         assert ref.matches == [3, 1, 4, 0, 5, 2]
         assert big.matches == ref.matches
         assert big.total == pytest.approx(ref.total, rel=1e-12, abs=0)
@@ -226,29 +226,19 @@ def _estimates(star, k, rng, scale=1.0):
     return star @ mix + scale * rng.standard_normal((k, w, d))
 
 
-def _coordinates(ev, stack):
-    """(inspan, perp) of each estimate in `stack`: u^T A in the truth's column
-    basis u, and the R factor of A - u u^T A."""
-    inspan = ev.basis.T @ stack
-    perp = np.stack([np.linalg.qr(a - ev.basis @ x, mode="r") for a, x in zip(stack, inspan)])
-    return inspan, perp
-
-
 def _assert_matches_per_row_oracle(star, stack, rel_only=False):
-    """Evaluator.evaluate_coordinates of the estimates' explicit coordinates,
-    and of their QR coordinates, against the exact-SVD per-row path, within
-    1e-12 * max(|ref|, ||A*||_2) (or 1e-12 * |ref| with `rel_only`); returns
-    the values from the explicit coordinates."""
+    """Evaluator.evaluate_coordinates of the estimates' coordinates against
+    the exact-SVD per-row path, within 1e-12 * max(|ref|, ||A*||_2) (or
+    1e-12 * |ref| with `rel_only`); returns the values."""
     ev = Evaluator(star)
-    got = ev.evaluate_coordinates(*ev.coordinates(stack))
+    got = ev.evaluate_coordinates(ev.coordinates(stack))
     pinv = full_rank_pseudo_inverse(star)
     ref = np.array([per_row_oracle.row_values(a, star, pinv) for a in stack]).T
     floor = 0.0 if rel_only else spectral_norm(star)
-    for values in (got, ev.evaluate_coordinates(*_coordinates(ev, stack))):
-        for g, r in zip(values, ref):
-            assert g.shape == (len(stack),)
-            assert np.all(np.isfinite(g)) and np.all(g >= 0)
-            assert np.all(np.abs(g - r) <= 1e-12 * np.maximum(np.abs(r), floor))
+    for g, r in zip(got, ref):
+        assert g.shape == (len(stack),)
+        assert np.all(np.isfinite(g)) and np.all(g >= 0)
+        assert np.all(np.abs(g - r) <= 1e-12 * np.maximum(np.abs(r), floor))
     return got
 
 
@@ -310,46 +300,60 @@ class TestBatchedEvaluate:
     def test_huge_estimates_are_rescaled(self):
         # squares of entries near 2^600 overflow; the error search divides an
         # estimate beyond 2^256 by a power of two first, which moves no bit of
-        # the explicit total, and both norms scale with the estimate
+        # the total, and both norms scale with the estimate
         rng = np.random.default_rng(24)
         star = rng.random((12, 3))
         stack = _estimates(star, 4, rng, 0.01)
         ev = Evaluator(star)
-        base = ev.evaluate_coordinates(*ev.coordinates(stack))
-        base_coordinates = ev.evaluate_coordinates(*_coordinates(ev, stack))
+        base = ev.evaluate_coordinates(ev.coordinates(stack))
         for m in (300, 600):
             huge = np.ldexp(stack, m)
             with np.errstate(over="raise", invalid="raise"):
-                got = ev.evaluate_coordinates(*ev.coordinates(huge))
-                got_coordinates = ev.evaluate_coordinates(*_coordinates(ev, huge))
+                got = ev.evaluate_coordinates(ev.coordinates(huge))
             assert np.array_equal(got[0], base[0])
-            assert np.allclose(got_coordinates[0], base_coordinates[0], rtol=1e-14, atol=0)
-            for values in (got, got_coordinates):
-                for g, b in zip(values[1:], base[1:]):
-                    assert np.allclose(g, np.ldexp(b, m), rtol=1e-12, atol=0)
+            for g, b in zip(got[1:], base[1:]):
+                assert np.allclose(g, np.ldexp(b, m), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("w", [4, 5, 8, 12, 64], ids=["W=D", "W=D+1", "W=2D", "W=3D", "W=16D"])
+    def test_split_commutes_with_a_right_factor(self, w):
+        # a one-window stage splits M = [A~ B~] (2D columns) once and reads
+        # each row as coordinates(M) S; that must evaluate as the split of
+        # M S itself, at every height: R has min(W, 2D) rows against
+        # min(W, D), and at W = D nothing is out of span
+        d = 4
+        rng = np.random.default_rng(w)
+        star = rng.random((w, d))
+        ev = Evaluator(star)
+        m = np.concatenate([_estimates(star, 3, rng, 0.1), rng.random((3, w, d))], axis=2)
+        s = rng.standard_normal((3, 2 * d, d))
+        got = ev.evaluate_coordinates(ev.coordinates(m) @ s)
+        ref = ev.evaluate_coordinates(ev.coordinates(m @ s))
+        floor = spectral_norm(star)
+        for g, r in zip(got, ref):
+            assert np.all(np.abs(g - r) <= 1e-12 * np.maximum(np.abs(r), floor))
 
     def test_coordinates_reject_wrong_shape_and_non_finite(self):
         star = np.random.default_rng(25).random((10, 3))
         ev = Evaluator(star)
-        inspan, perp = _coordinates(ev, np.stack([star, 2 * star]))
-        for bad in ((inspan[:, :2], perp), (inspan, perp[:, :, :2]), (inspan, perp[:1])):
+        coords = ev.coordinates(np.stack([star, 2 * star]))
+        for bad in (coords[0], coords[:, :2], coords[:, :, :2]):
             with pytest.raises(ValueError, match="shape"):
-                ev.evaluate_coordinates(*bad)
-        perp[1, 0, 0] = np.inf
+                ev.evaluate_coordinates(bad)
+        coords[1, -1, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            ev.evaluate_coordinates(inspan, perp)
+            ev.evaluate_coordinates(coords)
 
     def test_rejects_wrong_shape_and_non_finite(self):
         star = np.random.default_rng(23).random((10, 3))
         ev = Evaluator(star)
         with pytest.raises(ValueError, match="shape"):
-            ev.evaluate_coordinates(*ev.coordinates(star))
+            ev.evaluate_coordinates(ev.coordinates(star))
         with pytest.raises(ValueError, match="shape"):
-            ev.evaluate_coordinates(*ev.coordinates(np.zeros((2, 10, 4))))
+            ev.evaluate_coordinates(ev.coordinates(np.zeros((2, 10, 4))))
         bad = np.stack([star, star])
         bad[1, 2, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            ev.evaluate_coordinates(*ev.coordinates(bad))
+            ev.evaluate_coordinates(ev.coordinates(bad))
 
     @given(
         d=st.integers(1, 6),

@@ -350,9 +350,9 @@ class TestTraceStreaming:
         monkeypatch.setattr(solver, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
         evaluate, pinv = metrics.Evaluator.evaluate_coordinates, solver.full_rank_pseudo_inverse
 
-        def logged_evaluate(ev, inspan, perp):
-            events.append(("eval", len(inspan)))
-            return evaluate(ev, inspan, perp)
+        def logged_evaluate(ev, stack):
+            events.append(("eval", len(stack)))
+            return evaluate(ev, stack)
 
         def logged_pinv(*args, **kwargs):
             events.append(("pinv",))
@@ -421,13 +421,14 @@ class TestTraceStreaming:
 def test_every_row_is_evaluated_from_coordinates(monkeypatch):
     """Explicit iterates, those of a mini-batch stage and of a baseline, are
     evaluated as coordinates too: every row with a ground truth comes from
-    `Evaluator.evaluate_coordinates`, the one evaluation path."""
+    `Evaluator.evaluate_coordinates`, the one evaluation path, as the
+    D + min(W, D) rows of its QR split."""
     evaluated = []
     evaluate = metrics.Evaluator.evaluate_coordinates
 
-    def logged_evaluate(ev, inspan, perp):
-        evaluated.append(len(inspan))
-        return evaluate(ev, inspan, perp)
+    def logged_evaluate(ev, stack):
+        evaluated.append(stack.shape)
+        return evaluate(ev, stack)
 
     monkeypatch.setattr(metrics.Evaluator, "evaluate_coordinates", logged_evaluate)
     gt, ds, init = make_problem(w=40, d=5, n=400, seed=3)
@@ -439,7 +440,8 @@ def test_every_row_is_evaluated_from_coordinates(monkeypatch):
         evaluated.clear()
         rows = solve().trace.rows
         assert rows and all(row.e_norm is not None for row in rows)
-        assert sum(evaluated) == len(rows)
+        assert sum(k for k, _, _ in evaluated) == len(rows)
+        assert {shape[1:] for shape in evaluated} == {(5 + 5, 5)}
 
 
 def test_run_rejects_bad_config():

@@ -83,7 +83,7 @@ def reference_run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1) -> And
                 raise DivergenceError(j, t, trace, limit)
             if t % eval_every == 0 or t == cfg.iters_per_stage - 1:
                 if truth is None:
-                    row(j, t, alpha, float(np.linalg.norm(resid)))
+                    row(j, t, alpha, float(np.linalg.norm(y_batch - a @ z)))
                 else:
                     row(j, t, alpha, *per_row_oracle.row_values(a, a_star, pinv_star))
     return AndResult(a=a, trace=trace)
@@ -217,9 +217,9 @@ def test_one_decode_per_full_batch_stage(monkeypatch, batch, iters):
 
 
 @pytest.mark.parametrize("batch", ["full", 9])
-def test_no_truth_residual_is_of_the_entering_state(batch):
-    # each row's residual is ||Y - A_prev Z||_F with A_prev the matrix entering
-    # that iteration; the update moves A by far more than the tolerance here
+def test_no_truth_residual_is_of_the_row_iterate(batch):
+    # each row's residual is ||Y - A Z||_F with A the matrix that iteration
+    # produced; the update moves A by far more than the tolerance here
     gt, y, a0 = _problem(30, 5, 60, seed=11)
     cfg = AndConfig(stages=3, iters_per_stage=7, batch=batch)
     ref = reference_run(a0, y, cfg, eval_every=3)
@@ -229,6 +229,31 @@ def test_no_truth_residual_is_of_the_entering_state(batch):
            [(s, t) for s in range(3) for t in (0, 3, 6)]
     for g, r in zip(got.trace.rows, ref.trace.rows):
         assert g.total_error == pytest.approx(r.total_error, rel=REL_TOL, abs=0)
+
+
+@pytest.mark.parametrize("batch", ["full", 9])
+def test_no_truth_last_row_is_the_final_residual(monkeypatch, batch):
+    # the last row of a run without a truth is ||Y_w - A Z_w||_F of the final
+    # matrix A, on the last iteration's window Y_w and its decode Z_w by the
+    # last stage's pseudo-inverse
+    gt, y, a0 = _problem(30, 5, 60, seed=11)
+    cfg = AndConfig(stages=3, iters_per_stage=7, batch=batch)
+    pinvs = []
+    original = solver.full_rank_pseudo_inverse
+
+    def recording_pinv(*args, **kwargs):
+        pinvs.append(original(*args, **kwargs))
+        return pinvs[-1]
+
+    monkeypatch.setattr(solver, "full_rank_pseudo_inverse", recording_pinv)
+    got = run(a0, y, cfg, eval_every=3)
+    n = y.shape[1]
+    b = n if batch == "full" else batch
+    y_w = y[:, ((cfg.iters_per_stage - 1) * b + np.arange(b)) % n]
+    last = got.trace.rows[-1]
+    z_w = decode(pinvs[-1], y_w, last.alpha)
+    assert (last.stage, last.iteration) == (cfg.stages - 1, cfg.iters_per_stage - 1)
+    assert last.total_error == pytest.approx(np.linalg.norm(y_w - got.a @ z_w), rel=REL_TOL, abs=0)
 
 
 def _edge_problem(kind, w=12, d=4, n=40, seed=0):
