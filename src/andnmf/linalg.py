@@ -3,7 +3,9 @@
 Everything operates on plain 2-D float64 numpy arrays, or on (k, p, q)
 stacks of them. Inputs are validated once at the boundary (finite entries,
 nonempty shape) and the operations are pure, so results can be shared freely
-across threads.
+across threads. `first_non_finite` is the one finiteness scan, shared with the
+NMF1 reader: it checks blocks of about `BLOCK_BYTES`, so validating a matrix
+adds a small temporary, not a boolean mask the size of the matrix.
 
 `full_rank_svd` is the one place that decides whether a matrix has full
 column rank; the stage pseudo-inverse, the evaluator's ground truth and the
@@ -19,9 +21,29 @@ import numpy as np
 
 _RANK_TOL = 1e-12
 
+# Large arrays are scanned and written in blocks of about this many bytes.
+BLOCK_BYTES = 1 << 20
+
 
 class SvdConvergenceError(RuntimeError):
     """SVD failed to converge; distinct from input-validation failures."""
+
+
+def first_non_finite(a: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first non-finite entry of `a` in row-major order, or None.
+
+    `a` is scanned in blocks of whole rows (of entries, for 1-D `a`) of about
+    BLOCK_BYTES, at least one row, so the scan holds one block's boolean mask
+    at a time; an array that fits in one block takes one `np.isfinite` call.
+    """
+    step = max(1, BLOCK_BYTES // (a.itemsize * (a.size // a.shape[0])))
+    for start in range(0, a.shape[0], step):
+        finite = np.isfinite(a[start:start + step])
+        if not finite.all():
+            bad = np.argwhere(~finite)[0]
+            bad[0] += start
+            return tuple(map(int, bad))
+    return None
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -33,8 +55,10 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"{name} must be nonempty, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        bad = np.argwhere(~np.isfinite(m))[0]
+    # Scan in memory order, which is fast; a column-major matrix is rescanned
+    # row by row only to name its first non-finite entry.
+    if first_non_finite(m.T if m.strides[0] < m.strides[1] else m) is not None:
+        bad = first_non_finite(m)
         raise ValueError(
             f"{name} contains non-finite entry at ({bad[0]}, {bad[1]})"
         )

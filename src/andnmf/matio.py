@@ -7,6 +7,12 @@ NMF1 layout (little-endian throughout):
     offset 8   uint32    cols
     offset 12  float64 * rows * cols, column-major
 
+A matrix is written in column blocks of about `linalg.BLOCK_BYTES`, each
+made column-major on its own, so writing a row-major matrix adds one block,
+not a full column-major copy. It is validated before the file is opened: a
+non-finite matrix leaves no partial file. A read fills one array straight
+from the file and checks it with the same block-wise scan.
+
 Trace values are written with 17 significant digits so a write/read round
 trip is exact.
 """
@@ -20,7 +26,7 @@ import struct
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import BLOCK_BYTES, as_matrix, first_non_finite
 from .solver import TraceRow
 
 MAGIC = b"NMF1"
@@ -37,9 +43,12 @@ class MatrixFormatError(ValueError):
 def write_matrix(path, a) -> None:
     a = as_matrix(a, "matrix")
     rows, cols = a.shape
+    width = max(1, BLOCK_BYTES // (8 * rows))
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, rows, cols))
-        fh.write(np.asfortranarray(a).T.data)  # column-major, without a second copy
+        for c in range(0, cols, width):
+            # a copy of one block, or a view of it when `a` is column-major
+            fh.write(np.asfortranarray(a[:, c:c + width]).T.data)
 
 
 def read_matrix(path) -> np.ndarray:
@@ -61,10 +70,10 @@ def read_matrix(path) -> np.ndarray:
                 f"{path}: payload at offset {_HEADER.size} has {got} bytes, expected {expect}"
             )
         flat = np.fromfile(fh, dtype="<f8", count=rows * cols)
-    if not np.all(np.isfinite(flat)):
-        bad = int(np.flatnonzero(~np.isfinite(flat))[0])
+    bad = first_non_finite(flat)
+    if bad is not None:
         raise MatrixFormatError(
-            f"{path}: non-finite value at offset {_HEADER.size + 8 * bad}"
+            f"{path}: non-finite value at offset {_HEADER.size + 8 * bad[0]}"
         )
     return flat.reshape((rows, cols), order="F")
 

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from andnmf.linalg import (
+    BLOCK_BYTES,
+    as_matrix,
     full_rank_pseudo_inverse,
     full_rank_svd,
     spectral_norm,
@@ -165,3 +169,34 @@ def test_threshold_monotone(v, alpha, bump):
     lo = threshold_elementwise(v, alpha)
     hi = threshold_elementwise(w, alpha)
     assert np.all(lo <= hi)
+
+
+# a matrix of two columns, each taller than one scan block
+TALL = BLOCK_BYTES // 8 + 3
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("entries, named", [
+    ({(0, 1): np.inf, (TALL - 1, 0): np.nan}, (0, 1)),
+    ({(TALL - 1, 0): np.nan}, (TALL - 1, 0)),
+    ({(TALL - 2, 1): -np.inf, (TALL - 1, 0): np.nan}, (TALL - 2, 1)),
+])
+def test_as_matrix_names_the_first_non_finite_entry_in_row_major_order(order, entries, named):
+    m = np.zeros((TALL, 2), order=order)
+    for at, value in entries.items():
+        m[at] = value
+    with pytest.raises(ValueError, match=rf"contains non-finite entry at \({named[0]}, {named[1]}\)$"):
+        as_matrix(m)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_as_matrix_peak_memory_is_a_small_fraction_of_the_matrix(order):
+    # the finiteness check holds one block's mask at a time, not one bool per entry
+    m = np.asarray(np.random.default_rng(2).random((2000, 2000)), order=order)
+    tracemalloc.start()
+    try:
+        as_matrix(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m.nbytes / 16

@@ -1,10 +1,12 @@
 import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from andnmf.linalg import BLOCK_BYTES
 from andnmf.matio import (
     MAGIC,
     MatrixFormatError,
@@ -49,6 +51,59 @@ def test_binary_layout_does_not_depend_on_memory_order(tmp_path, layout):
     assert np.frombuffer(buf, "<f8", offset=12).tolist() == expect.ravel(order="F").tolist()
 
 
+def _layouts(expect):
+    strided = np.empty((2 * expect.shape[0], 3 * expect.shape[1]))[::2, ::3]
+    strided[...] = expect
+    return {"c": np.ascontiguousarray(expect), "fortran": np.asfortranarray(expect),
+            "strided": strided, "transposed": np.ascontiguousarray(expect.T).T}
+
+
+# rows and columns around the write's block width: columns of k = BLOCK_BYTES //
+# (8 * rows) per block; a one-row matrix; and a column taller than one block
+_ROWS = 4096
+_WIDTH = BLOCK_BYTES // (8 * _ROWS)
+
+
+@pytest.mark.parametrize("layout", ["c", "fortran", "strided", "transposed"])
+@pytest.mark.parametrize("shape", [
+    (_ROWS, _WIDTH - 1), (_ROWS, _WIDTH), (_ROWS, _WIDTH + 1), (_ROWS, 2 * _WIDTH + 1),
+    (1, BLOCK_BYTES // 8 + 1), (BLOCK_BYTES // 8 + 1, 2),
+])
+def test_binary_layout_does_not_depend_on_block_boundaries(tmp_path, layout, shape):
+    expect = np.random.default_rng(shape[1]).random(shape)
+    m = _layouts(expect)[layout]
+    path = tmp_path / "m.mat"
+    write_matrix(path, m)
+    buf = path.read_bytes()
+    assert struct.unpack_from("<II", buf, 4) == shape
+    assert buf[12:] == expect.ravel(order="F").astype("<f8").tobytes()
+
+
+def test_non_finite_write_leaves_an_existing_file_unchanged(tmp_path):
+    # the whole matrix is validated before the file is opened, so a NaN in
+    # the last column block never leaves earlier blocks on disk
+    path = tmp_path / "m.mat"
+    write_matrix(path, np.ones((3, 2)))
+    before = path.read_bytes()
+    m = np.random.default_rng(3).random((1000, 300))
+    m[5, -1] = np.nan
+    with pytest.raises(ValueError, match=r"non-finite entry at \(5, 299\)"):
+        write_matrix(path, m)
+    assert path.read_bytes() == before
+
+
+def test_write_peak_memory_is_one_column_block(tmp_path):
+    # a row-major matrix is made column-major one ~1 MB block at a time
+    m = np.random.default_rng(4).random((1000, 2000))
+    tracemalloc.start()
+    try:
+        write_matrix(tmp_path / "m.mat", m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m.nbytes / 8
+
+
 def test_read_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.mat"
     path.write_bytes(b"XXXX" + b"\x00" * 16)
@@ -91,6 +146,40 @@ def test_read_peak_memory_is_about_the_payload(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1.2 * m.nbytes
+
+
+def test_read_peak_memory_is_the_payload_and_one_block(tmp_path):
+    m = np.random.default_rng(5).random((1000, 2000))
+    path = tmp_path / "m.mat"
+    write_matrix(path, m)
+    tracemalloc.start()
+    try:
+        read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.02 * m.nbytes
+
+
+def test_read_names_a_non_finite_value_past_the_first_block(tmp_path):
+    rows = BLOCK_BYTES // 8 + 3
+    m = np.zeros((rows, 2))
+    m[0, -1] = np.inf
+    m[-1, 0] = np.nan  # first in the column-major payload, past its first block
+    path = tmp_path / "nan.mat"
+    path.write_bytes(struct.pack("<4sII", MAGIC, rows, 2) + m.ravel(order="F").tobytes())
+    with pytest.raises(MatrixFormatError, match=rf"non-finite value at offset {12 + 8 * (rows - 1)}$"):
+        read_matrix(path)
+
+
+def test_extreme_finite_values_round_trip_without_warning(tmp_path):
+    m = np.full((BLOCK_BYTES // 8 + 3, 2), 1e308)
+    m[::2] = -1e308
+    path = tmp_path / "m.mat"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_matrix(path, m)
+        assert np.array_equal(read_matrix(path), m)
 
 
 def test_trace_round_trip(tmp_path):
