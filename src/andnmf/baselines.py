@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, spectral_norm
+from .linalg import as_matrix, frobenius_norm, spectral_norm
 from .solver import RunTrace, TraceRecorder
 
 ALGORITHMS = ("mu", "hals", "anls")
@@ -138,6 +138,6 @@ def run_baseline(cfg: BaselineConfig, y, a0, truth=None, eval_every: int = 1, on
         recorder.check_divergence(0, it, 0.0, a, x)
         if recorder.due(it, cfg.outer_iters):
             recorder.record(0, it, 0.0, recorder.coordinates(a),
-                            lambda: np.linalg.norm(y - a @ x))
+                            lambda: frobenius_norm(y - a @ x))
             recorder.flush()  # a baseline's rows stream one by one
     return BaselineResult(a=a, x=x, trace=recorder.trace)

@@ -25,7 +25,7 @@ import sys
 # the user set wins. It must run before the imports below load numpy.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
-from .config import load_config, preset_config, validate_config
+from .config import PRESETS, load_config, preset_config, validate_config
 from .harness import evaluate, gcc_report, generate, run
 from .matio import MatrixFormatError
 
@@ -57,8 +57,7 @@ def _build_parser():
         p = sub.add_parser(name, help=help_)
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--config", help="path to a JSON experiment config")
-        source.add_argument("--preset",
-                            help="dataset preset (DIR, CTM, NEG, NOISE, BINARY, paper-scale)")
+        source.add_argument("--preset", help=f"dataset preset ({', '.join(PRESETS)})")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the dataset seed")
         if name == "run":

@@ -2,10 +2,12 @@
 
 Configs are plain JSON with exhaustive validation: unknown keys anywhere are
 errors, so typos in experiment definitions fail loudly, and so are the keys
-of another weight family. A key set to `null` counts as absent. A dataset
-`preset` fills in family defaults (weight distribution, ground-truth kind,
-noise level and solver tweaks); explicit keys always win over preset
-defaults.
+of another weight family. A key set to `null` counts as absent.
+
+`PRESETS` is the one preset table: the dataset keys and `and` solver keys a
+dataset `preset` sets, merged under the config's own by a shallow merge, so
+explicit keys win. The one computed default is DIR's Dirichlet
+concentration, 5 / D at the resolved D.
 
 Each section is one table of JSON key -> type. The parser hands the keys a
 config sets to the section's spec (`WeightSpec`, `ThresholdSchedule`,
@@ -41,10 +43,6 @@ class ConfigError(ValueError):
     """Invalid configuration; message carries the JSON path of the offense."""
 
 
-PRESET_NAMES = ("DIR", "CTM", "NEG", "NOISE", "BINARY", "paper-scale")
-
-_DEF_D = 20
-
 # JSON key -> type of each section. `object` passes the value through for the
 # spec to check.
 _DATASET_KEYS = {"W": int, "D": int, "n": int, "kind": str, "gamma": float, "seed": int}
@@ -60,35 +58,19 @@ _INIT_KEYS = {"r_l": float, "r_n": float}
 # a label names the solver's output files, so it must be a plain file stem
 _LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
-
-def _dataset_defaults(preset, d):
-    base = {"W": 200, "D": _DEF_D, "n": 2000, "kind": "nonneg", "seed": 0}
-    # the CTM-style prior: softmax of a Toeplitz-correlated Gaussian
-    ctm_weights = {"family": "logistic_normal", "rho": 0.5}
-    if preset == "DIR":
-        base["weights"] = {"family": "dirichlet", "concentration": 5.0 / d}
-    elif preset == "CTM":
-        base["weights"] = dict(ctm_weights)
-    elif preset == "NEG":
-        base["kind"] = "signed"
-        base["weights"] = dict(ctm_weights)
-    elif preset == "NOISE":
-        base["gamma"] = 0.01
-        base["weights"] = dict(ctm_weights)
-    elif preset == "BINARY":
-        base["weights"] = {"family": "sparse_binary", "s": 3}
-    elif preset == "paper-scale":
-        base.update({"W": 1000, "D": 100, "n": 5000})
-        base["weights"] = {"family": "dirichlet", "concentration": 0.05}
-    return base
-
-
-def _solver_defaults(preset):
-    if preset == "NOISE":
-        return {"iters_per_stage": 100}
-    if preset == "BINARY":
-        return {"stages": 16, "schedule": {"start": 0.25, "ratio": 1.0}}
-    return {}
+_BASE = {"W": 200, "D": 20, "n": 2000, "kind": "nonneg", "seed": 0}  # with or without a preset
+# the CTM-style prior: softmax of a Toeplitz-correlated Gaussian
+_CTM = {**_BASE, "weights": {"family": "logistic_normal", "rho": 0.5}}
+PRESETS = {  # name -> (dataset keys, `and` solver keys)
+    "DIR": ({**_BASE, "weights": {"family": "dirichlet"}}, {}),  # concentration 5 / D
+    "CTM": (_CTM, {}),
+    "NEG": ({**_CTM, "kind": "signed"}, {}),
+    "NOISE": ({**_CTM, "gamma": 0.01}, {"iters_per_stage": 100}),
+    "BINARY": ({**_BASE, "weights": {"family": "sparse_binary", "s": 3}},
+               {"stages": 16, "schedule": {"start": 0.25, "ratio": 1.0}}),
+    "paper-scale": ({**_BASE, "W": 1000, "D": 100, "n": 5000,
+                     "weights": {"family": "dirichlet", "concentration": 0.05}}, {}),
+}
 
 
 @dataclass
@@ -150,12 +132,6 @@ def _section(obj, path) -> dict:
     return {k: v for k, v in obj.items() if v is not None}
 
 
-def _require_keys(obj, allowed, path):
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown key (allowed: {sorted(allowed)})")
-
-
 def _typed(val, kind, path):
     if kind is int:
         if isinstance(val, bool) or not isinstance(val, int):
@@ -175,7 +151,10 @@ def _typed(val, kind, path):
 def _fields(obj, table, path, extra=()):
     """Spec keyword arguments from the keys of `table` that `obj` sets; a key
     outside `table` and `extra` is an error."""
-    _require_keys(obj, table.keys() | set(extra), path)
+    allowed = table.keys() | set(extra)
+    for key in obj:
+        if key not in allowed:
+            raise ConfigError(f"{path}.{key}: unknown key (allowed: {sorted(allowed)})")
     return {k: _typed(obj[k], kind, f"{path}.{k}")
             for k, kind in table.items() if k in obj}
 
@@ -249,14 +228,14 @@ def validate_config(raw: dict, seed_override: int | None = None) -> ExperimentCo
     top = _fields(raw, {"eval_every": int}, "config",
                   {"dataset", "init", "solvers"})
     ds_raw = _section(raw.get("dataset"), "config.dataset")
-    preset = None
-    if "preset" in ds_raw:
-        preset = _choice(ds_raw, "preset", PRESET_NAMES, "config.dataset")
-    d = _typed(ds_raw.get("D", 100 if preset == "paper-scale" else _DEF_D), int,
-               "config.dataset.D")
+    preset = _choice(ds_raw, "preset", PRESETS, "config.dataset") if "preset" in ds_raw else None
+    defaults, and_defaults = PRESETS.get(preset, (_BASE, {}))
+    d = _typed(ds_raw.get("D", defaults["D"]), int, "config.dataset.D")
     if d < 1:
         raise ConfigError(f"config.dataset.D: must be >= 1, got {d}")
-    merged = {**_dataset_defaults(preset, d), **ds_raw}
+    merged = {**defaults, **ds_raw}
+    if preset == "DIR" and "weights" not in ds_raw:  # total Dirichlet mass 5
+        merged["weights"] = {**merged["weights"], "concentration": 5.0 / d}
     if "weights" not in merged:
         raise ConfigError("config.dataset.weights: required when no preset is given")
     ds = _fields(merged, _DATASET_KEYS, "config.dataset", {"preset", "weights"})
@@ -305,7 +284,7 @@ def validate_config(raw: dict, seed_override: int | None = None) -> ExperimentCo
             raise ConfigError(f"{path}.label: duplicate label {label!r}; set explicit labels")
         labels.add(label)
         if name == "and":
-            cfg = _parse_and_solver(sobj, _solver_defaults(preset), path)
+            cfg = _parse_and_solver(sobj, and_defaults, path)
         else:
             cfg = _parse_baseline_solver(sobj, name, children[4 + i], path)
         entries.append(SolverEntry(name=name, label=label, config=cfg))
@@ -344,6 +323,4 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
 
 def preset_config(preset: str) -> dict:
     """A raw config dict for a named preset, ready for validate_config."""
-    if preset not in PRESET_NAMES:
-        raise ConfigError(f"unknown preset {preset!r} (known: {PRESET_NAMES})")
-    return {"dataset": {"preset": preset}, "solvers": [{"name": "and"}]}
+    return {"dataset": {"preset": preset}}

@@ -23,6 +23,8 @@ _RANK_TOL = 1e-12
 
 # Large arrays are scanned and written in blocks of about this many bytes.
 BLOCK_BYTES = 1 << 20
+# An array with an |entry| >= 2^HUGE_EXP is scaled by a power of two to be squared.
+HUGE_EXP = 256
 
 
 class SvdConvergenceError(RuntimeError):
@@ -121,9 +123,23 @@ def spectral_norm(m) -> float:
     return float(spectral_norms(as_matrix(m)[None])[0])
 
 
+def huge_exponent(top):
+    """The e with 2^(e-1) <= top < 2^e where `top` (a max |entry|, or an array
+    of them) reaches 2^HUGE_EXP, else 0: dividing by 2^e is exact."""
+    e = np.frexp(top)[1]
+    return np.where(e > HUGE_EXP, e, 0)
+
+
+def frobenius_norm(m) -> float:
+    """||m||_F of a finite array, squared after division by 2^huge_exponent(max|m|):
+    no overflow on the way, and np.linalg.norm's bits while max|m| < 2^HUGE_EXP."""
+    e = int(huge_exponent(max(m.max(), -m.min())))  # no |m| copy
+    return float(np.ldexp(np.linalg.norm(np.ldexp(m, -e) if e else m), e))
+
+
 def threshold_elementwise(v, alpha: float) -> np.ndarray:
-    """Keep entries >= alpha (inclusive), zero all others including negatives."""
+    """Keep entries >= alpha (inclusive), zero all others including negatives.
+    Arithmetic on an array the caller checked: a NaN entry becomes 0."""
     if not alpha >= 0:  # negated so that NaN fails it
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    v = as_matrix(v, "input")
     return np.where(v >= alpha, v, 0.0)

@@ -34,12 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, full_rank_svd, spectral_norms
+from .linalg import as_matrix, full_rank_svd, huge_exponent, spectral_norms
 
 _ZERO_COL_TOL = 1e-24  # squared-norm cutoff below which a column is "zero"
-# Below 2^_HUGE_EXP an estimate's squared entries, and h^2 = <A_j, a*_i>^2
-# while W max|a*| < 2^256, stay inside the float64 range.
-_HUGE_EXP = 256
 
 
 @dataclass
@@ -82,17 +79,20 @@ def _correlation_errors(stack, a_star, perp):
     column norms and to the error of the winning column (see the module
     docstring).
 
-    An estimate whose largest |coordinate| reaches 2^_HUGE_EXP is searched
-    divided by 2^e, the power of two just above that entry, so that squaring
-    it cannot overflow. The winners do not depend on the scale of the
-    estimate, and a power-of-two scaling is exact."""
+    An estimate whose largest |coordinate| reaches 2^HUGE_EXP, and a_star
+    when m max|a*| does, is searched divided by 2^e, the power of two just
+    above that value (`linalg.huge_exponent`), so that no square and no
+    h^2 = <U_j, a*_i>^2 overflows. The winners depend on the scale of
+    neither, errors and scales are linear in a_star, and a power-of-two
+    scaling is exact."""
     top = np.maximum(np.abs(stack).max(axis=(1, 2)),
                      np.abs(perp).max(axis=(1, 2), initial=0.0))
-    e = np.frexp(top)[1]
-    e = np.where(e > _HUGE_EXP, e, 0)                    # (k,)
+    e = huge_exponent(top)                               # (k,)
     if e.any():
         stack = np.ldexp(stack, -e[:, None, None])
         perp = np.ldexp(perp, -e[:, None, None])
+    f = int(huge_exponent(a_star.shape[0] * np.abs(a_star).max()))
+    a_star = np.ldexp(a_star, -f)                        # a copy of a_star when f = 0
     h = np.swapaxes(stack, 1, 2) @ a_star                # h[k, j, i] = <U_j, a*_i>
     perp2 = np.einsum("kpj,kpj->kj", perp, perp)
     cn = np.einsum("kwj,kwj->kj", stack, stack) + perp2  # ||U_j||^2
@@ -111,7 +111,7 @@ def _correlation_errors(stack, a_star, perp):
     # the out-of-basis term is a sum of squares, so it cancels nothing either
     resid = a_star.T - stack[kk, :, js] * sigmas[:, :, None]   # (k, Ds, m)
     eps2 = np.einsum("kiw,kiw->ki", resid, resid) + sigmas**2 * perp2[kk, js]
-    return np.sqrt(eps2), np.where(any_ok, js, -1), np.ldexp(sigmas, -e[:, None])
+    return np.ldexp(np.sqrt(eps2), f), np.where(any_ok, js, -1), np.ldexp(sigmas, f - e[:, None])
 
 
 def total_correlation_error(a, a_star) -> ErrorReport:

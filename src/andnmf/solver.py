@@ -46,7 +46,9 @@ formed once, at the stage end; without one they are the iterate itself.
 A stage that visits several windows cycles through different G_w, so it
 keeps the per-iteration loop in Gram form, at O(W D^2) an iteration.
 
-`run` checks its inputs once at entry; the stages and `decode` do arithmetic.
+`run` checks its inputs once at entry; the stages do arithmetic, and `decode`
+checks its product P Y once: from finite inputs, a non-finite one diverges
+at the stage's iteration 0 (the limit below is not applied to Z).
 `TraceRecorder.check_divergence` guards the stages and the baselines: an entry
 that is NaN or beyond its `limit`, DIVERGENCE_LIMIT * max(1, max|Y|), in
 magnitude diverges, a limit that scales with Y and A0 as the iterates do. A
@@ -63,12 +65,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .linalg import (
-    SvdConvergenceError,
-    as_matrix,
-    full_rank_pseudo_inverse,
-    threshold_elementwise,
-)
+from .linalg import (SvdConvergenceError, as_matrix, first_non_finite, frobenius_norm,
+                     full_rank_pseudo_inverse, threshold_elementwise)
 
 DIVERGENCE_LIMIT = 1e12
 # numerator of the curvature-scaled step eta = _ETA_SCALE / (lambda_max(G0) + 1e-12)
@@ -76,13 +74,12 @@ _ETA_SCALE = 0.5
 
 
 class DivergenceError(RuntimeError):
-    """An iterate entry was NaN or exceeded the run's divergence limit."""
+    """An iterate entry was NaN or exceeded the run's divergence limit, or
+    `cause` happened (a decode that overflowed)."""
 
-    def __init__(self, stage, iteration, trace, limit):
-        super().__init__(
-            f"solver diverged at stage {stage}, iteration {iteration} "
-            f"(NaN or |entry| > {limit:g})"
-        )
+    def __init__(self, stage, iteration, trace, limit, cause=None):
+        super().__init__(f"solver diverged at stage {stage}, iteration {iteration} "
+                         f"({cause or f'NaN or |entry| > {limit:g}'})")
         self.stage = stage
         self.iteration = iteration
         self.trace = trace
@@ -242,14 +239,16 @@ class TraceRecorder:
             self._emit(stage, iteration, seconds, alpha, float(err), float(e), float(n))
 
     def check_divergence(self, stage, iteration, alpha, *iterates):
-        """Raise DivergenceError if an iterate has a NaN or |entry| > `limit`, after
-        emitting the stacked rows and an unevaluated row with total_error = inf."""
+        """`diverge` if an iterate has a NaN or |entry| > `limit`."""
         # no |m| copy; a NaN maximum fails the comparison, so NaN counts as diverged
-        if all(m.max() <= self.limit and -m.min() <= self.limit for m in iterates):
-            return
+        if not all(m.max() <= self.limit and -m.min() <= self.limit for m in iterates):
+            self.diverge(stage, iteration, alpha)
+
+    def diverge(self, stage, iteration, alpha, cause=None):
+        """Emit the kept rows and an unevaluated total_error = inf row; raise DivergenceError."""
         self.flush()
         self._emit(stage, iteration, time.perf_counter() - self._t0, alpha, math.inf, None, None)
-        raise DivergenceError(stage, iteration, self.trace, self.limit)
+        raise DivergenceError(stage, iteration, self.trace, self.limit, cause)
 
     def _emit(self, stage, iteration, seconds, alpha, err, e_norm, n_norm):
         row = TraceRow(
@@ -274,8 +273,12 @@ class AndResult:
 
 
 def decode(pinv, y, alpha: float) -> np.ndarray:
-    """Z = phi_alpha(pinv @ y), columnwise; output entries are >= alpha or 0."""
-    return threshold_elementwise(pinv @ y, alpha)
+    """Z = phi_alpha(pinv @ y), columnwise; output entries are >= alpha or 0.
+    A product that overflowed to a non-finite entry raises FloatingPointError."""
+    v = pinv @ y
+    if first_non_finite(v) is not None:
+        raise FloatingPointError("the decode pinv @ y has a non-finite entry")
+    return threshold_elementwise(v, alpha)
 
 
 def _window(m, start: int, b: int) -> np.ndarray:
@@ -319,7 +322,10 @@ def _stage(a, y, pinv, alpha, j, iters, b, recorder):
     keeps its W x b copy of Y for the stage. One `eigh` of the first G_w sets
     the step; a stage that visits one window advances in closed form in its
     eigenbasis (`_closed_form`), any other by one update per iteration."""
-    z = decode(pinv, y, alpha)
+    try:
+        z = decode(pinv, y, alpha)
+    except FloatingPointError as exc:  # no limit applies to Z, only finiteness
+        recorder.diverge(j, 0, alpha, str(exc))
     n = y.shape[1]
     windows = []
     for t in range(min(iters, n // math.gcd(n, b))):
@@ -344,7 +350,7 @@ def _stage(a, y, pinv, alpha, j, iters, b, recorder):
         recorder.check_divergence(j, t, alpha, a)
         if recorder.due(t, iters):
             recorder.record(j, t, alpha, recorder.coordinates(a),
-                            lambda: np.linalg.norm(y_w - a @ z_w))
+                            lambda: frobenius_norm(y_w - a @ z_w))
     return a
 
 
@@ -371,7 +377,7 @@ def _closed_form(a, y, z, bm, lam, v, eta, alpha, j, iters, recorder):
         x = _iterate(coords, mu_k, phi_k, vt)
         if not _columns_within(x, recorder.limit):
             recorder.check_divergence(j, t, alpha, _iterate(m, mu_k, phi_k, vt))
-        recorder.record(j, t, alpha, x, lambda: np.linalg.norm(y - x @ z))
+        recorder.record(j, t, alpha, x, lambda: frobenius_norm(y - x @ z))
     return _iterate(m, mu_k, phi_k, vt)
 
 

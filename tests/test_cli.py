@@ -12,7 +12,7 @@ import pytest
 
 from andnmf import harness, solver
 from andnmf.cli import main
-from andnmf.config import PRESET_NAMES, ConfigError, preset_config, validate_config
+from andnmf.config import PRESETS, ConfigError, preset_config, validate_config
 from andnmf.linalg import SvdConvergenceError
 from andnmf.matio import read_matrix, read_trace, write_matrix
 from andnmf.weights import WeightSpec, sample_weights
@@ -69,6 +69,52 @@ def readme_example():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = text[text.index("Minimal example:"):]
     return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+# Each preset's resolution as shipped, at D 8 and with an explicit `weights`:
+# (preset, dataset override, (W, D, n, kind, gamma, weights), and solver
+# (stages, iters_per_stage, schedule start, schedule ratio))
+_LN = {"family": "logistic_normal", "rho": 0.5}
+_BIN = {"family": "sparse_binary", "s": 3}
+_EXPLICIT = {"weights": {"family": "dirichlet", "concentration": 0.4}}
+_AND = (30, 50, 0.1, 0.9090909090909091)
+_NOISE_AND = (30, 100, 0.1, 0.9090909090909091)
+_BINARY_AND = (16, 50, 0.25, 1.0)
+PRESET_CASES = [
+    ("DIR", {}, (200, 20, 2000, "nonneg", 0.0,
+                 {"family": "dirichlet", "concentration": 0.25}), _AND),
+    ("DIR", {"D": 8}, (200, 8, 2000, "nonneg", 0.0,
+                       {"family": "dirichlet", "concentration": 0.625}), _AND),
+    ("DIR", _EXPLICIT, (200, 20, 2000, "nonneg", 0.0, _EXPLICIT["weights"]), _AND),
+    ("CTM", {}, (200, 20, 2000, "nonneg", 0.0, _LN), _AND),
+    ("CTM", {"D": 8}, (200, 8, 2000, "nonneg", 0.0, _LN), _AND),
+    ("CTM", _EXPLICIT, (200, 20, 2000, "nonneg", 0.0, _EXPLICIT["weights"]), _AND),
+    ("NEG", {}, (200, 20, 2000, "signed", 0.0, _LN), _AND),
+    ("NEG", {"D": 8}, (200, 8, 2000, "signed", 0.0, _LN), _AND),
+    ("NEG", _EXPLICIT, (200, 20, 2000, "signed", 0.0, _EXPLICIT["weights"]), _AND),
+    ("NOISE", {}, (200, 20, 2000, "nonneg", 0.01, _LN), _NOISE_AND),
+    ("NOISE", {"D": 8}, (200, 8, 2000, "nonneg", 0.01, _LN), _NOISE_AND),
+    ("NOISE", _EXPLICIT, (200, 20, 2000, "nonneg", 0.01, _EXPLICIT["weights"]), _NOISE_AND),
+    ("BINARY", {}, (200, 20, 2000, "nonneg", 0.0, _BIN), _BINARY_AND),
+    ("BINARY", {"D": 8}, (200, 8, 2000, "nonneg", 0.0, _BIN), _BINARY_AND),
+    ("BINARY", _EXPLICIT, (200, 20, 2000, "nonneg", 0.0, _EXPLICIT["weights"]), _BINARY_AND),
+    ("paper-scale", {}, (1000, 100, 5000, "nonneg", 0.0,
+                         {"family": "dirichlet", "concentration": 0.05}), _AND),
+    ("paper-scale", {"D": 8}, (1000, 8, 5000, "nonneg", 0.0,
+                               {"family": "dirichlet", "concentration": 0.05}), _AND),
+    ("paper-scale", _EXPLICIT, (1000, 100, 5000, "nonneg", 0.0, _EXPLICIT["weights"]), _AND),
+]
+
+
+def readme_presets():
+    """README's preset table: row name -> (dataset keys, `and` solver keys)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text[text.index("### Presets"):]
+    rows = {}
+    for line in section.split("\n| --- |", 1)[1].split("\n\n", 1)[0].splitlines()[1:]:
+        name, dataset, solver = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        rows[name] = (json.loads(dataset), json.loads(solver or "{}"))
+    return rows
 
 
 def write_config(tmp_path, raw, name="config.json"):
@@ -202,27 +248,26 @@ class TestConfigValidation:
         for key in ("ground_truth", "weights", "noise", "init"):
             assert seeds_a[key] != seeds_b[key]
 
-    def test_preset_defaults(self):
-        cfg = validate_config(preset_config("CTM"))
-        assert cfg.dataset.weights.family == "logistic_normal"
-        assert cfg.dataset.weights.rho == 0.5
-        cfg = validate_config(preset_config("NEG"))
-        assert cfg.dataset.kind == "signed"
-        cfg = validate_config(preset_config("NOISE"))
-        assert cfg.dataset.noise.gamma == 0.01
-        assert cfg.solvers[0].config.iters_per_stage == 100
-        cfg = validate_config(preset_config("BINARY"))
-        schedule = cfg.solvers[0].config.schedule
-        assert (schedule.start, schedule.ratio) == (0.25, 1.0)
-        cfg = validate_config(preset_config("paper-scale"))
-        assert (cfg.dataset.w, cfg.dataset.d, cfg.dataset.n) == (1000, 100, 5000)
+    @pytest.mark.parametrize("preset, override, dataset, solver", PRESET_CASES,
+                             ids=[f"{p}-{v}" for p in PRESETS for v in ("shipped", "D8", "weights")])
+    def test_preset_defaults(self, preset, override, dataset, solver):
+        raw = preset_config(preset)
+        raw["dataset"].update(override)
+        resolved = validate_config(raw).raw
+        w, d, n, kind, gamma, weights = dataset
+        assert resolved["dataset"] == {"preset": preset, "W": w, "D": d, "n": n, "kind": kind,
+                                       "gamma": gamma, "seed": 0, "weights": weights}
+        stages, iters, start, ratio = solver
+        assert resolved["solvers"] == [{"name": "and", "label": "and", "stages": stages,
+                                        "iters_per_stage": iters, "batch": "full",
+                                        "schedule": {"start": start, "ratio": ratio}}]
 
     @pytest.mark.parametrize(
         "raw",
-        [preset_config(p) for p in PRESET_NAMES]
+        [preset_config(p) for p in PRESETS]
         + [every_kind_config(w) for w in WEIGHTS.values()]
         + [readme_config()],
-        ids=[*PRESET_NAMES, *(f"every-kind-{f}" for f in WEIGHTS), "README"],
+        ids=[*PRESETS, *(f"every-kind-{f}" for f in WEIGHTS), "README"],
     )
     def test_resolved_config_loads_back(self, raw):
         cfg = validate_config(raw)
@@ -388,8 +433,11 @@ class TestUsageErrors:
          "andnmf generate: argument --preset: not allowed with argument --config"),
         (["run", "--preset", "CTM", "--config", "c.json", "--out", "o"],
          "andnmf run: argument --config: not allowed with argument --preset"),
+        (["generate", "--preset", "TOPICS", "--out", "o"],
+         "config.dataset.preset: unknown preset 'TOPICS' "
+         "(known: ['BINARY', 'CTM', 'DIR', 'NEG', 'NOISE', 'paper-scale'])"),
     ], ids=["jobs-not-int", "bogus", "bogus-with-out", "no-subcommand", "no-out",
-            "generate-config-and-preset", "run-config-and-preset"])
+            "generate-config-and-preset", "run-config-and-preset", "unknown-preset"])
     def test_exits_one(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 1
@@ -642,19 +690,63 @@ class TestRun:
     def test_baseline_overflow_status(self, tmp_path, algorithm, with_truth):
         raw = tiny_config()
         raw["solvers"] = [{"name": algorithm, "outer_iters": 3}]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc, status, rows = self.scaled_run(
+                tmp_path, raw, {"Y.mat": 1e160, "A0.mat": 1e160}, with_truth)
+        assert (rc, status["status"]) == (2, "diverged")
+        assert rows[-1].total_error == math.inf
+        assert not (tmp_path / "out" / f"{algorithm}_A_final.mat").exists()
+
+    def scaled_run(self, tmp_path, raw, scales, with_truth=True):
+        """Exit code, summary status and trace of `raw` run on its dataset
+        files, each file in `scales` multiplied by its scale."""
+        tmp_path.mkdir(exist_ok=True)
         cfg_path = write_config(tmp_path, raw)
         out = tmp_path / "out"
         assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
-        for name in ("Y.mat", "A0.mat"):
-            write_matrix(out / name, read_matrix(out / name) * 1e160)
+        for name, scale in scales.items():
+            write_matrix(out / name, read_matrix(out / name) * scale)
         if not with_truth:
             (out / "A_star.mat").unlink()
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        rc = main(["run", "--config", str(cfg_path), "--out", str(out)])
         status = json.loads((out / "summary.json").read_text())["solvers"][0]
+        return rc, status, read_trace(out / f"{status['label']}_trace.csv")
+
+    @pytest.mark.parametrize("with_truth", [True, False])
+    def test_decode_overflow_diverges(self, tmp_path, with_truth):
+        # every input is finite, but P Y overflows: a numeric failure, not bad input
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc, status, rows = self.scaled_run(
+                tmp_path, tiny_config(), {"Y.mat": 1e300, "A0.mat": 1e-10}, with_truth)
         assert (rc, status["status"]) == (2, "diverged")
-        assert read_trace(out / f"{algorithm}_trace.csv")[-1].total_error == math.inf
-        assert not (out / f"{algorithm}_A_final.mat").exists()
+        assert (status["stage"], status["iteration"]) == (0, 0)
+        assert status["detail"] == ("solver diverged at stage 0, iteration 0 "
+                                    "(the decode pinv @ y has a non-finite entry)")
+        assert [(r.stage, r.iteration, r.total_error) for r in rows] == [(0, 0, math.inf)]
+        assert not (tmp_path / "out" / "and_A_final.mat").exists()
+
+    def test_decode_beyond_the_divergence_limit_runs(self, tmp_path):
+        # a tiny A0 decodes to entries near 9e12, past the 1e12 limit that
+        # applies to iterates only
+        rc, status, rows = self.scaled_run(tmp_path, tiny_config(), {"A0.mat": 1e-13})
+        assert (rc, status["status"]) == (0, "ok")
+        assert len(rows) == 6 and all(math.isfinite(r.total_error) for r in rows)
+
+    @pytest.mark.parametrize("scale", [1e160, 2.0**600], ids=["1e160", "2^600"])
+    @pytest.mark.parametrize("batch", ["full", 40], ids=["one-window", "several-windows"])
+    def test_residual_rows_at_a_huge_scale_are_finite(self, tmp_path, scale, batch):
+        # without a truth a row is ||Y_w - A Z_w||_F, which scales with Y and A0
+        raw = tiny_config()
+        raw["solvers"][0]["batch"] = batch
+        runs = [self.scaled_run(tmp_path / str(s), raw, {"Y.mat": s, "A0.mat": s}, False)
+                for s in (1.0, scale)]
+        (rc1, status1, base), (rc, status, rows) = runs
+        assert (rc1, status1["status"], rc, status["status"]) == (0, "ok", 0, "ok")
+        assert len(rows) == len(base) == 6
+        for row, ref in zip(rows, base):
+            assert math.isfinite(row.total_error)
+            assert row.total_error == pytest.approx(scale * ref.total_error, rel=1e-12, abs=0)
+        assert math.isfinite(status["final_error"])
 
     def test_solver_runtime_error_recorded(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
@@ -939,6 +1031,16 @@ sys.meta_path.insert(0, Hook())
         assert fresh_python(code, OPENBLAS_THREAD_TIMEOUT=None) == [[None], None]
 
 
+def test_readme_preset_table_is_the_preset_table():
+    rows = readme_presets()
+    base, _ = rows.pop("base")
+    assert list(rows) == list(PRESETS)
+    for name, (keys, and_keys) in rows.items():
+        if name == "DIR":  # the one computed default, which the table leaves out
+            assert keys["weights"].pop("concentration") == "5 / D"
+        assert PRESETS[name] == ({**base, **keys}, and_keys), name
+
+
 def test_readme_minimal_example_prints_a_finite_error():
     error = fresh_python(readme_example())
     assert isinstance(error, float) and math.isfinite(error)
@@ -966,22 +1068,27 @@ class TestEvalAndGcc:
         assert main(["eval", str(pe), str(pa), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["total"] <= 1e-7
 
-    @pytest.mark.parametrize("scale", [1e160, 1e170])
-    def test_eval_huge_estimate_keeps_its_winners(self, tmp_path, scale):
+    @pytest.mark.parametrize("scale, truth_scale", [
+        (1e160, 1.0), (1e170, 1.0), (1e160, 1e160), (1e170, 1e170),
+    ], ids=["1e+160", "1e+170", "both-1e+160", "both-1e+170"])
+    def test_eval_huge_estimate_keeps_its_winners(self, tmp_path, scale, truth_scale):
+        # errors are invariant to the estimate's scale and linear in the truth's
         rng = np.random.default_rng(2)
         a = rng.random((12, 4))
         est = (a @ (np.eye(4) + 0.1 * rng.standard_normal((4, 4))))[:, [2, 0, 3, 1]]
-        paths = {name: tmp_path / f"{name}.mat" for name in ("a", "est", "big")}
-        for name, m in (("a", a), ("est", est), ("big", scale * est)):
+        paths = {name: tmp_path / f"{name}.mat" for name in ("a", "est", "big_a", "big")}
+        for name, m in (("a", a), ("est", est), ("big_a", truth_scale * a),
+                        ("big", scale * est)):
             write_matrix(paths[name], m)
         reports = {}
-        for name in ("est", "big"):
+        for name, truth in (("est", "a"), ("big", "big_a")):
             out = tmp_path / f"{name}.json"
-            assert main(["eval", str(paths[name]), str(paths["a"]), "--out", str(out)]) == 0
+            assert main(["eval", str(paths[name]), str(paths[truth]), "--out", str(out)]) == 0
             reports[name] = json.loads(out.read_text())
         assert reports["est"]["matches"] == [1, 3, 0, 2]
         assert reports["big"]["matches"] == reports["est"]["matches"]
-        assert reports["big"]["total"] == pytest.approx(reports["est"]["total"], rel=1e-12, abs=0)
+        assert reports["big"]["total"] == pytest.approx(truth_scale * reports["est"]["total"],
+                                                        rel=1e-12, abs=0)
 
     def test_eval_shape_mismatch_is_validation_error(self, tmp_path):
         pa, pb = tmp_path / "a.mat", tmp_path / "b.mat"

@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 
 from andnmf.linalg import (
     BLOCK_BYTES,
+    HUGE_EXP,
     as_matrix,
+    frobenius_norm,
     full_rank_pseudo_inverse,
     full_rank_svd,
     spectral_norm,
@@ -155,6 +157,20 @@ def test_threshold_rejects_negative_alpha():
         threshold_elementwise(np.zeros((1, 1)), -0.1)
     with pytest.raises(ValueError):
         threshold_elementwise(np.zeros((1, 1)), float("nan"))
+
+
+@pytest.mark.parametrize("top", [1.0, 2.0**HUGE_EXP * (1 - 2**-52)])
+def test_frobenius_norm_is_numpys_below_the_threshold(top):
+    m = np.random.default_rng(0).standard_normal((30, 7))
+    m *= top / np.abs(m).max()
+    assert frobenius_norm(m) == np.linalg.norm(m)
+
+
+@pytest.mark.parametrize("scale", [2.0**HUGE_EXP, 1e160, 2.0**600, 1e300])
+def test_frobenius_norm_of_a_huge_matrix_does_not_overflow(scale):
+    m = np.random.default_rng(1).standard_normal((30, 7))
+    assert frobenius_norm(scale * m) == pytest.approx(scale * np.linalg.norm(m),
+                                                      rel=1e-15, abs=0)
 
 
 @given(finite_arrays, st.floats(min_value=0, max_value=5))

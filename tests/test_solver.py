@@ -72,6 +72,13 @@ class TestDecodeUpdate:
         z = decode(full_rank_pseudo_inverse(gt.a_star), ds.y, 0.25)
         assert z == pytest.approx(ds.x, abs=1e-9)
 
+    @pytest.mark.parametrize("pinv", [[[1e300, 0.0]], [[1e300, -1e300]]], ids=["inf", "nan"])
+    def test_decode_overflow_is_a_floating_point_error(self, pinv):
+        # every input is finite; the product that overflows is no bad input
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="non-finite"):
+            decode(np.array(pinv), np.array([[1e300], [1e300]]), 0.1)
+
 
 class TestRun:
     def test_ground_truth_is_fixed_point_binary(self):
