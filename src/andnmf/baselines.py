@@ -6,8 +6,14 @@ ALS (cyclic exact single-column/row minimization, clipped at zero), and
 alternating NNLS approximated by projected gradient with step 1/L per block.
 All three are monotone per (half-)step up to the 1e-12 denominator floor.
 
-`run_baseline` checks Y and A0 once; the steps do arithmetic on checked arrays.
-After each step the solver's divergence rule checks A and X (see `solver`).
+`run_baseline` checks Y and A0 once and factors Y once, Y = Q R
+(`linalg.factor_columns`); the steps do arithmetic on checked arrays, take Y
+as `r, q` (R and Q, or Y and None) and read it only as A^T Y = (A^T Q) R and
+Y X^T = Q (R X^T). Where Y has full rank
+(noise, real data) the factor is refused, Q stands for the identity and
+R = Y, with no speedup. The residual ||Y - A X||_F of a row without a ground
+truth reads Y itself. After each step the solver's divergence rule checks A
+and X (see `solver`).
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius_norm, spectral_norm
+from .linalg import as_matrix, factor_columns, frobenius_norm, q_times, spectral_norm, times_q
 from .solver import RunTrace, TraceRecorder
 
 ALGORITHMS = ("mu", "hals", "anls")
@@ -47,14 +53,17 @@ class BaselineResult:
     trace: RunTrace
 
 
-def mu_step(a, x, y):
-    """One multiplicative update of X then A; takes arrays run_baseline checked."""
-    x2 = x * (a.T @ y) / (a.T @ a @ x + _EPS)
-    a2 = a * (y @ x2.T) / (a @ (x2 @ x2.T) + _EPS)
+def mu_step(a, x, r, q=None):
+    """One multiplicative update of X then A; takes arrays run_baseline checked.
+
+    A^T Y and Y X^T are clamped at 0: A, Y >= 0 make them nonnegative, and
+    only the rounding of the factored (A^T Q) R and Q (R X^T) can leave it."""
+    x2 = x * np.maximum(times_q(a.T, q) @ r, 0.0) / (a.T @ a @ x + _EPS)
+    a2 = a * np.maximum(q_times(q, r @ x2.T), 0.0) / (a @ (x2 @ x2.T) + _EPS)
     return a2, x2
 
 
-def hals_step(a, x, y):
+def hals_step(a, x, r, q=None):
     """One sweep of cyclic column updates of A, then row updates of X.
 
     Each block solves its single-variable least squares exactly and clips at
@@ -65,12 +74,12 @@ def hals_step(a, x, y):
     x = x.copy()
     d = a.shape[1]
     xxt = x @ x.T
-    yxt = y @ x.T
+    yxt = q_times(q, r @ x.T)
     for j in range(d):
         num = yxt[:, j] - a @ xxt[:, j]
         a[:, j] = np.maximum(0.0, a[:, j] + num / (xxt[j, j] + _EPS))
     ata = a.T @ a
-    aty = a.T @ y
+    aty = times_q(a.T, q) @ r
     for j in range(d):
         num = aty[j] - ata[j] @ x
         x[j] = np.maximum(0.0, x[j] + num / (ata[j, j] + _EPS))
@@ -85,18 +94,18 @@ def _pg_step(gram):
     return 1.0 / (spectral_norm(gram) + _EPS)
 
 
-def anls_step(a, x, y, inner_iters: int = 10):
+def anls_step(a, x, r, q=None, inner_iters: int = 10):
     """Approximate alternating NNLS: `inner_iters` projected-gradient steps on
     X with step 1/||A^T A||_2, then the same for A; takes arrays run_baseline checked."""
     if inner_iters == 0:
         return a, x
     ata = a.T @ a
-    aty = a.T @ y
+    aty = times_q(a.T, q) @ r
     step = _pg_step(ata)
     for _ in range(inner_iters):
         x = np.maximum(0.0, x - step * (ata @ x - aty))
     xxt = x @ x.T
-    yxt = y @ x.T
+    yxt = q_times(q, r @ x.T)
     step = _pg_step(xxt)
     for _ in range(inner_iters):
         a = np.maximum(0.0, a - step * (a @ xxt - yxt))
@@ -127,14 +136,15 @@ def run_baseline(cfg: BaselineConfig, y, a0, truth=None, eval_every: int = 1, on
     rng = np.random.default_rng(cfg.seed)
     x = rng.random((d, y.shape[1]))
     recorder = TraceRecorder(y, a.shape, truth, on_row=on_row, eval_every=eval_every)
+    q, r = factor_columns(y, d) or (None, y)
 
     for it in range(cfg.outer_iters):
         if cfg.algorithm == "mu":
-            a, x = mu_step(a, x, y)
+            a, x = mu_step(a, x, r, q)
         elif cfg.algorithm == "hals":
-            a, x = hals_step(a, x, y)
+            a, x = hals_step(a, x, r, q)
         else:
-            a, x = anls_step(a, x, y)
+            a, x = anls_step(a, x, r, q)
         recorder.check_divergence(0, it, 0.0, a, x)
         if recorder.due(it, cfg.outer_iters):
             recorder.record(0, it, 0.0, recorder.coordinates(a),

@@ -13,18 +13,28 @@ generated ground truth all go through it, and get numpy's (u, s, vt) tuple.
 `spectral_norms` is the one spectral-norm routine (`spectral_norm` is its
 one-matrix case): the ANLS step sizes, initialization levels and the
 evaluator's ||E||_2 and ||N||_2 all come from it.
+
+`factor_columns` is the one low-rank test of the data: a run factors Y = Q R
+once, and `q_times` / `times_q` apply Q, or nothing when the factor was
+refused and R is Y itself.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _RANK_TOL = 1e-12
+# `factor_columns` accepts a factor whose residual is within this share of ||R||_F.
+_FACTOR_TOL = 1e-12
 
 # Large arrays are scanned and written in blocks of about this many bytes.
 BLOCK_BYTES = 1 << 20
 # An array with an |entry| >= 2^HUGE_EXP is scaled by a power of two to be squared.
 HUGE_EXP = 256
+# `factor_columns` checks its residual in column blocks of about this many bytes.
+FACTOR_BLOCK_BYTES = 1 << 18
 
 
 class SvdConvergenceError(RuntimeError):
@@ -138,8 +148,60 @@ def frobenius_norm(m) -> float:
 
 
 def threshold_elementwise(v, alpha: float) -> np.ndarray:
-    """Keep entries >= alpha (inclusive), zero all others including negatives.
+    """Keep entries >= alpha (inclusive), zero all others including negatives,
+    in `v` itself, which is returned: no second array of v's size.
     Arithmetic on an array the caller checked: a NaN entry becomes 0."""
     if not alpha >= 0:  # negated so that NaN fails it
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    return np.where(v >= alpha, v, 0.0)
+    np.copyto(v, 0.0, where=~(v >= alpha))
+    return v
+
+
+def factor_columns(y, d: int):
+    """(Q, R) with Y = Q R to rounding, Q W x r with orthonormal columns and
+    R = Q^T Y, or None when Y has no such factor of height r <= W / 2.
+
+    Q is the left singular basis of a sketch of k = min(2d, n) evenly spaced
+    columns of Y, cut at singular values above 1e-13 sigma_1. It is accepted
+    only if r <= W / 2 and ||Y - Q R||_F <= 1e-12 ||R||_F (<= 1e-12 ||Y||_F),
+    so a sketch that misses a direction of Y is refused, never accepted. A
+    sketch of full rank k shows no deficiency (noisy data; or all n columns,
+    where the factored products cost more than Y's) and is refused before R
+    is formed. The sketch and the residual are divided by 2^e, e the
+    exponent of max|Y| (an exact rescale, as in `frobenius_norm`), so c Y for
+    c a power of two gets the same decision, the same Q and c R, and no
+    square overflows or underflows for the scale of Y. The residual streams
+    column blocks of about FACTOR_BLOCK_BYTES. Takes a checked `y`.
+    """
+    w, n = y.shape
+    e = int(np.frexp(max(y.max(), -y.min()))[1])  # no |Y| copy
+    k = min(2 * d, n)
+    u, s, _ = svd_factors(np.ldexp(y[:, np.arange(k) * n // k], -e))
+    r = int(np.count_nonzero(s > 1e-13 * s[0]))
+    if r in (0, k) or 2 * r > w:
+        return None
+    q = np.ascontiguousarray(u[:, :r])
+    rm = q.T @ y
+    step = max(1, FACTOR_BLOCK_BYTES // (y.itemsize * w))
+    resid2 = kept2 = 0.0
+    for start in range(0, n, step):
+        rb = rm[:, start:start + step]
+        diff = q @ rb
+        diff -= y[:, start:start + step]
+        np.ldexp(diff, -e, out=diff)
+        resid2 += np.vdot(diff, diff)
+        rb = np.ldexp(rb, -e)
+        kept2 += np.vdot(rb, rb)
+    if not math.sqrt(resid2) <= _FACTOR_TOL * math.sqrt(kept2):  # NaN refuses
+        return None
+    return q, rm
+
+
+def q_times(q, m) -> np.ndarray:
+    """Q m for a factor's Q, or m itself when q is None (a refused factor)."""
+    return m if q is None else q @ m
+
+
+def times_q(m, q) -> np.ndarray:
+    """m Q for a factor's Q, or m itself when q is None (a refused factor)."""
+    return m if q is None else m @ q

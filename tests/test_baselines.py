@@ -5,9 +5,12 @@ import pytest
 
 from andnmf import baselines
 from andnmf.baselines import BaselineConfig, anls_step, hals_step, mu_step, run_baseline
+from andnmf.linalg import factor_columns
 from andnmf.solver import DivergenceError
 from andnmf.synth import InitSpec, NoiseSpec, generate_dataset, generate_ground_truth, generate_initialization
 from andnmf.weights import WeightSpec
+
+from preset_data import SMALL, preset_problem
 
 
 def objective(a, x, y):
@@ -123,6 +126,28 @@ class TestRunBaseline:
         with pytest.raises(ValueError, match="shape mismatch"):
             run_baseline(BaselineConfig("hals", outer_iters=outer_iters), y, a0, truth=gt)
         assert steps == []
+
+    def test_mu_iterates_stay_nonnegative_on_binary_data(self, monkeypatch):
+        # BINARY's weights with the first 10 words used by no document: those
+        # rows of Y are 0, and so are the entries of Y X^T in them, which the
+        # factored Q (R X^T) rounds to about +-1e-16; unclamped, that leaves
+        # entries of A near -1e-16 after nearly every step of this run
+        _, gt, ds, init = preset_problem("BINARY", **SMALL)
+        a_star = gt.a_star.copy()
+        a_star[:10] = 0.0
+        y = a_star @ ds.x
+        assert factor_columns(y, SMALL["D"]) is not None
+        iterates = []
+        step = baselines.mu_step
+
+        def recording_step(*args):
+            iterates.append(step(*args))
+            return iterates[-1]
+
+        monkeypatch.setattr(baselines, "mu_step", recording_step)
+        run_baseline(BaselineConfig("mu", outer_iters=50), y, init.a0)
+        assert len(iterates) == 50
+        assert all(np.all(a >= 0) and np.all(x >= 0) for a, x in iterates)
 
     def test_mu_refuses_negative_data(self):
         gt, ds, init = self.make_problem(kind="signed")

@@ -8,6 +8,7 @@ from andnmf.linalg import (
     BLOCK_BYTES,
     HUGE_EXP,
     as_matrix,
+    factor_columns,
     frobenius_norm,
     full_rank_pseudo_inverse,
     full_rank_svd,
@@ -16,6 +17,8 @@ from andnmf.linalg import (
     svd_factors,
     threshold_elementwise,
 )
+
+from preset_data import SMALL, preset_problem
 
 finite_arrays = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=1, max_size=40
@@ -145,7 +148,7 @@ def test_threshold_basic():
 
 def test_threshold_zero_alpha_keeps_nonneg():
     v = np.array([[0.5, 0.0, 1.0]])
-    assert np.array_equal(threshold_elementwise(v, 0.0), v)
+    assert np.array_equal(threshold_elementwise(v.copy(), 0.0), v)
 
 
 def test_threshold_boundary_inclusive():
@@ -175,8 +178,18 @@ def test_frobenius_norm_of_a_huge_matrix_does_not_overflow(scale):
 
 @given(finite_arrays, st.floats(min_value=0, max_value=5))
 def test_threshold_idempotent(v, alpha):
-    once = threshold_elementwise(v, alpha)
-    assert np.array_equal(threshold_elementwise(once, alpha), once)
+    once = threshold_elementwise(v, alpha).copy()
+    assert np.array_equal(threshold_elementwise(v, alpha), once)
+
+
+@given(finite_arrays, st.floats(min_value=0, max_value=5))
+def test_threshold_in_place_is_the_where_form(v, alpha):
+    # the same bits, signs of zeros too, as np.where, which made a new array
+    v[0, 0] = np.nan  # a NaN entry becomes 0
+    expected = np.where(v >= alpha, v, 0.0)
+    assert threshold_elementwise(v, alpha) is v
+    assert np.array_equal(v, expected)
+    assert np.array_equal(np.signbit(v), np.signbit(expected))
 
 
 @given(finite_arrays, st.floats(min_value=0, max_value=5), st.floats(min_value=0, max_value=3))
@@ -216,3 +229,84 @@ def test_as_matrix_peak_memory_is_a_small_fraction_of_the_matrix(order):
     finally:
         tracemalloc.stop()
     assert peak < m.nbytes / 16
+
+
+def _sketched(n, d):
+    """The columns `factor_columns` sketches: min(2d, n) evenly spaced ones."""
+    k = min(2 * d, n)
+    return np.arange(k) * n // k
+
+
+@pytest.mark.parametrize("name", ["DIR", "CTM", "NEG", "BINARY", "paper-scale"])
+def test_factor_columns_accepts_a_noiseless_preset_at_rank_d(name):
+    # at D = 8; BINARY's sparse columns can leave a 2D-column sketch short of
+    # rank D at smaller D, and the factor is then refused (3 of 50 seeds at D = 6)
+    _, _, ds, _ = preset_problem(name, **SMALL)
+    w, d, n = SMALL["W"], SMALL["D"], SMALL["n"]
+    q, r = factor_columns(ds.y, d)
+    assert q.shape == (w, d) and r.shape == (d, n)
+    assert np.abs(q.T @ q - np.eye(d)).max() <= 1e-14
+    assert np.array_equal(r, q.T @ ds.y)
+    assert np.linalg.norm(ds.y - q @ r) <= 1e-12 * np.linalg.norm(ds.y)
+
+
+def test_factor_columns_refuses_noisy_data():
+    _, _, ds, _ = preset_problem("NOISE", **SMALL)
+    assert factor_columns(ds.y, SMALL["D"]) is None
+
+
+def test_factor_columns_refuses_a_rank_d_matrix_plus_a_perturbation():
+    _, _, ds, _ = preset_problem("DIR", **SMALL)
+    y = ds.y + 1e-10 * np.abs(ds.y).max() * np.random.default_rng(0).standard_normal(ds.y.shape)
+    assert factor_columns(y, SMALL["D"]) is None
+
+
+@pytest.mark.parametrize("missing", ["all", "one-direction"])
+def test_factor_columns_refuses_a_sketch_that_misses_a_direction(missing):
+    # Y = A* X has rank D, but its sketched columns are zero, or span only
+    # D - 1 directions: the residual check refuses the sketch's basis
+    _, gt, ds, _ = preset_problem("DIR", **SMALL)
+    x = ds.x.copy()
+    cols = _sketched(SMALL["n"], SMALL["D"])
+    if missing == "all":
+        x[:, cols] = 0.0
+    else:
+        x[-1, cols] = 0.0
+    y = gt.a_star @ x
+    assert np.linalg.matrix_rank(y) == SMALL["D"]
+    assert factor_columns(y, SMALL["D"]) is None
+
+
+def test_factor_columns_refuses_a_rank_above_half_the_height():
+    # an exact factor of rank 6 > W / 2 = 5 saves nothing and is refused
+    rng = np.random.default_rng(3)
+    y = rng.random((10, 6)) @ rng.random((6, 40))
+    assert factor_columns(y, 4) is None
+
+
+@pytest.mark.parametrize("k", [-600, -3, 5, 600])
+@pytest.mark.parametrize("name", ["DIR", "NOISE"])
+def test_factor_columns_decides_alike_at_a_power_of_two_scale(name, k):
+    # Y / 2^e is the same array at every power-of-two scale of Y, so the
+    # decision and Q are the same and R scales with Y; 2^600 Y squares past
+    # the float range and 2^-600 Y below it
+    _, _, ds, _ = preset_problem(name, **SMALL)
+    base = factor_columns(ds.y, SMALL["D"])
+    scaled = factor_columns(np.ldexp(ds.y, k), SMALL["D"])
+    assert (base is None) == (scaled is None) == (name == "NOISE")
+    if base is not None:
+        assert np.array_equal(scaled[0], base[0])
+        assert np.array_equal(scaled[1], np.ldexp(base[1], k))
+
+
+def test_factor_columns_peak_memory_is_a_small_fraction_of_the_matrix():
+    # the residual is checked in column blocks, not formed whole
+    rng = np.random.default_rng(4)
+    y = rng.random((2000, 10)) @ rng.random((10, 2000))
+    tracemalloc.start()
+    try:
+        assert factor_columns(y, 10) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < y.nbytes / 16

@@ -4,17 +4,21 @@
 form: every iteration decodes its batch and takes the gradient step through
 `(Y - A Z) Z^T`, and every trace row is evaluated on its own by the exact-SVD
 `per_row_oracle`. The production path must give the same rows and the same
-final matrix up to rounding.
+final matrix up to rounding. On noiseless data `run` reads Y through its
+factor Y = Q R, and the reference loop reads Y itself; the baselines'
+factored runs are checked against their runs with the factor refused.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from andnmf import solver
-from andnmf.linalg import as_matrix, full_rank_pseudo_inverse, spectral_norm
+from andnmf import baselines, solver
+from andnmf.baselines import BaselineConfig, run_baseline
+from andnmf.linalg import as_matrix, factor_columns, full_rank_pseudo_inverse, spectral_norm
 from andnmf.solver import (
     AndConfig,
     AndResult,
@@ -30,6 +34,7 @@ from andnmf.synth import InitSpec, NoiseSpec, generate_dataset, generate_ground_
 from andnmf.weights import WeightSpec
 
 import per_row_oracle
+from preset_data import SMALL, preset_problem
 
 DIVERGENCE_LIMIT = solver.DIVERGENCE_LIMIT
 REL_TOL = 1e-12
@@ -180,7 +185,8 @@ def test_run_matches_reference_loop(d, extra_w, n, seed, weights, batch_kind, wi
     pytest.param(7, 1, id="7-one-iteration"),
 ])
 def test_one_decode_per_full_batch_stage(monkeypatch, batch, iters):
-    # every stage decodes the whole of Y once, whatever its window; b = 10
+    # every stage decodes the whole of R once, whatever its window, where
+    # Y = Q R is the run's factor, D = 4 rows high since rank Y = D; b = 10
     # cycles through all 4 windows of n = 40 at T = 12, b = 7 visits 5 of 40
     # windows, and at T = 1 it visits one window, so the stage runs in closed
     # form, which forms its W x D iterate once, at the stage end
@@ -203,7 +209,7 @@ def test_one_decode_per_full_batch_stage(monkeypatch, batch, iters):
     monkeypatch.setattr(solver, "decode", counting_decode)
     monkeypatch.setattr(solver, "_iterate", counting_iterate)
     got = run(a0, y, cfg, truth=gt)
-    assert decodes == [y.shape] * cfg.stages
+    assert decodes == [(4, n)] * cfg.stages
     closed_form = batch in ("full", n) or iters == 1
     assert len(formed) == (cfg.stages if closed_form else 0)
     ref = reference_run(a0, y, cfg, truth=gt)
@@ -350,3 +356,81 @@ def test_full_batch_stage_forms_its_iterate_once(monkeypatch):
     assert len(got.trace.rows) == cfg.stages * cfg.iters_per_stage
     assert len(formed) == cfg.stages
     assert formed[-1] is got.a
+
+
+def _rows_close(got_rows, ref_rows, y):
+    """Row by row, |got - ref| <= max(1e-12 |ref|, 1e-14 ||Y||_F), for each
+    recorded value; the absolute floor covers rows at round-off (BINARY's)."""
+    floor = 1e-14 * np.linalg.norm(y)
+    assert [(g.stage, g.iteration, g.alpha) for g in got_rows] == \
+           [(r.stage, r.iteration, r.alpha) for r in ref_rows]
+    for g, r in zip(got_rows, ref_rows):
+        for got, ref in ((g.total_error, r.total_error), (g.e_norm, r.e_norm),
+                         (g.n_norm, r.n_norm)):
+            assert (got is None) == (ref is None)
+            if ref is not None:
+                assert abs(got - ref) <= max(REL_TOL * abs(ref), floor)
+
+
+def _final_close(got, ref):
+    assert np.abs(got - ref).max() <= REL_TOL * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("with_truth", [True, False], ids=["truth", "no-truth"])
+@pytest.mark.parametrize("batch", ["full", 60])
+@pytest.mark.parametrize("name", ["DIR", "NEG", "BINARY"])
+def test_factored_run_matches_the_explicit_reference_loop(name, batch, with_truth):
+    # noiseless data has rank D, so `run` decodes R of Y = Q R; the reference
+    # loop decodes Y itself, every iteration
+    cfg, gt, ds, init = preset_problem(name, **SMALL)
+    assert factor_columns(ds.y, SMALL["D"]) is not None
+    shipped = cfg.solvers[0].config
+    and_cfg = AndConfig(stages=4, iters_per_stage=6, schedule=shipped.schedule, batch=batch)
+    truth = gt if with_truth else None
+    got = run(init.a0, ds.y, and_cfg, truth=truth, eval_every=2)
+    ref = reference_run(init.a0, ds.y, and_cfg, truth=truth, eval_every=2)
+    _rows_close(got.trace.rows, ref.trace.rows, ds.y)
+    _final_close(got.a, ref.a)
+
+
+def _explicit(monkeypatch):
+    """Make every run refuse its factor, so it reads Y itself."""
+    monkeypatch.setattr(solver, "factor_columns", lambda y, d: None)
+    monkeypatch.setattr(baselines, "factor_columns", lambda y, d: None)
+
+
+@pytest.mark.parametrize("with_truth", [True, False], ids=["truth", "no-truth"])
+@pytest.mark.parametrize("algorithm", baselines.ALGORITHMS)
+def test_factored_baseline_matches_the_explicit_path(monkeypatch, algorithm, with_truth):
+    _, gt, ds, init = preset_problem("DIR", **SMALL)
+    assert factor_columns(ds.y, SMALL["D"]) is not None
+    cfg = BaselineConfig(algorithm, outer_iters=30, seed=4)
+    truth = gt if with_truth else None
+    got = run_baseline(cfg, ds.y, init.a0, truth=truth, eval_every=4)
+    _explicit(monkeypatch)
+    ref = run_baseline(cfg, ds.y, init.a0, truth=truth, eval_every=4)
+    _rows_close(got.trace.rows, ref.trace.rows, ds.y)
+    _final_close(got.a, ref.a)
+
+
+@pytest.mark.parametrize("with_truth", [True, False], ids=["truth", "no-truth"])
+def test_noisy_data_runs_the_explicit_arithmetic(monkeypatch, with_truth):
+    # the NOISE preset's Y has full rank: its factor is refused, and every
+    # solver ends on the explicit path's bits
+    cfg, gt, ds, init = preset_problem("NOISE", **SMALL)
+    assert factor_columns(ds.y, SMALL["D"]) is None
+    truth = gt if with_truth else None
+    and_cfg = AndConfig(stages=3, iters_per_stage=5, batch=60)
+
+    def solve():
+        return [run(init.a0, ds.y, and_cfg, truth=truth, eval_every=2)] + [
+            run_baseline(BaselineConfig(algorithm, outer_iters=8), ds.y, init.a0,
+                         truth=truth, eval_every=3)
+            for algorithm in ("hals", "anls")]  # MU refuses NOISE's negative entries
+
+    got = solve()
+    _explicit(monkeypatch)
+    for g, r in zip(got, solve()):
+        assert np.array_equal(g.a, r.a)
+        assert [dataclasses.replace(row, seconds=0.0) for row in g.trace.rows] == \
+               [dataclasses.replace(row, seconds=0.0) for row in r.trace.rows]
