@@ -6,14 +6,11 @@ ALS (cyclic exact single-column/row minimization, clipped at zero), and
 alternating NNLS approximated by projected gradient with step 1/L per block.
 All three are monotone per (half-)step up to the 1e-12 denominator floor.
 
-`run_baseline` checks Y and A0 once and factors Y once, Y = Q R
-(`linalg.factor_columns`); the steps do arithmetic on checked arrays, take Y
-as `r, q` (R and Q, or Y and None) and read it only as A^T Y = (A^T Q) R and
-Y X^T = Q (R X^T). Where Y has full rank
-(noise, real data) the factor is refused, Q stands for the identity and
-R = Y, with no speedup. The residual ||Y - A X||_F of a row without a ground
-truth reads Y itself. After each step the solver's divergence rule checks A
-and X (see `solver`).
+`run_baseline` checks Y and A0 once; the steps do arithmetic on checked
+arrays and read Y only as A^T Y and Y X^T, through the operand that
+`linalg.factor_columns` makes of it once per run. The residual ||Y - A X||_F
+of a row without a ground truth reads Y itself. After each step the
+solver's divergence rule checks A and X (see `solver`).
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, factor_columns, frobenius_norm, q_times, spectral_norm, times_q
+from .linalg import as_matrix, factor_columns, frobenius_norm, spectral_norm
 from .solver import RunTrace, TraceRecorder
 
 ALGORITHMS = ("mu", "hals", "anls")
@@ -53,17 +50,17 @@ class BaselineResult:
     trace: RunTrace
 
 
-def mu_step(a, x, r, q=None):
+def mu_step(a, x, y):
     """One multiplicative update of X then A; takes arrays run_baseline checked.
 
     A^T Y and Y X^T are clamped at 0: A, Y >= 0 make them nonnegative, and
-    only the rounding of the factored (A^T Q) R and Q (R X^T) can leave it."""
-    x2 = x * np.maximum(times_q(a.T, q) @ r, 0.0) / (a.T @ a @ x + _EPS)
-    a2 = a * np.maximum(q_times(q, r @ x2.T), 0.0) / (a @ (x2 @ x2.T) + _EPS)
+    only the rounding of a factored Y (`linalg.LowRank`) can leave it."""
+    x2 = x * np.maximum(a.T @ y, 0.0) / (a.T @ a @ x + _EPS)
+    a2 = a * np.maximum(y @ x2.T, 0.0) / (a @ (x2 @ x2.T) + _EPS)
     return a2, x2
 
 
-def hals_step(a, x, r, q=None):
+def hals_step(a, x, y):
     """One sweep of cyclic column updates of A, then row updates of X.
 
     Each block solves its single-variable least squares exactly and clips at
@@ -74,12 +71,12 @@ def hals_step(a, x, r, q=None):
     x = x.copy()
     d = a.shape[1]
     xxt = x @ x.T
-    yxt = q_times(q, r @ x.T)
+    yxt = y @ x.T
     for j in range(d):
         num = yxt[:, j] - a @ xxt[:, j]
         a[:, j] = np.maximum(0.0, a[:, j] + num / (xxt[j, j] + _EPS))
     ata = a.T @ a
-    aty = times_q(a.T, q) @ r
+    aty = a.T @ y
     for j in range(d):
         num = aty[j] - ata[j] @ x
         x[j] = np.maximum(0.0, x[j] + num / (ata[j, j] + _EPS))
@@ -94,18 +91,18 @@ def _pg_step(gram):
     return 1.0 / (spectral_norm(gram) + _EPS)
 
 
-def anls_step(a, x, r, q=None, inner_iters: int = 10):
+def anls_step(a, x, y, inner_iters: int = 10):
     """Approximate alternating NNLS: `inner_iters` projected-gradient steps on
     X with step 1/||A^T A||_2, then the same for A; takes arrays run_baseline checked."""
     if inner_iters == 0:
         return a, x
     ata = a.T @ a
-    aty = times_q(a.T, q) @ r
+    aty = a.T @ y
     step = _pg_step(ata)
     for _ in range(inner_iters):
         x = np.maximum(0.0, x - step * (ata @ x - aty))
     xxt = x @ x.T
-    yxt = q_times(q, r @ x.T)
+    yxt = y @ x.T
     step = _pg_step(xxt)
     for _ in range(inner_iters):
         a = np.maximum(0.0, a - step * (a @ xxt - yxt))
@@ -126,7 +123,7 @@ def run_baseline(cfg: BaselineConfig, y, a0, truth=None, eval_every: int = 1, on
     if a.shape[0] != y.shape[0]:
         raise ValueError(f"a0 has {a.shape[0]} rows but y has {y.shape[0]}")
     if cfg.algorithm == "mu":
-        if np.any(y < 0):
+        if y.min() < 0:  # no W x n mask
             raise ValueError(
                 "multiplicative updates require nonnegative data; "
                 "this dataset has negative entries"
@@ -136,15 +133,15 @@ def run_baseline(cfg: BaselineConfig, y, a0, truth=None, eval_every: int = 1, on
     rng = np.random.default_rng(cfg.seed)
     x = rng.random((d, y.shape[1]))
     recorder = TraceRecorder(y, a.shape, truth, on_row=on_row, eval_every=eval_every)
-    q, r = factor_columns(y, d) or (None, y)
+    yf = factor_columns(y, d)
 
     for it in range(cfg.outer_iters):
         if cfg.algorithm == "mu":
-            a, x = mu_step(a, x, r, q)
+            a, x = mu_step(a, x, yf)
         elif cfg.algorithm == "hals":
-            a, x = hals_step(a, x, r, q)
+            a, x = hals_step(a, x, yf)
         else:
-            a, x = anls_step(a, x, r, q)
+            a, x = anls_step(a, x, yf)
         recorder.check_divergence(0, it, 0.0, a, x)
         if recorder.due(it, cfg.outer_iters):
             recorder.record(0, it, 0.0, recorder.coordinates(a),

@@ -14,9 +14,10 @@ generated ground truth all go through it, and get numpy's (u, s, vt) tuple.
 one-matrix case): the ANLS step sizes, initialization levels and the
 evaluator's ||E||_2 and ||N||_2 all come from it.
 
-`factor_columns` is the one low-rank test of the data: a run factors Y = Q R
-once, and `q_times` / `times_q` apply Q, or nothing when the factor was
-refused and R is Y itself.
+`factor_columns` is the one low-rank test of the data and the one place that
+knows how Y is held: a run factors Y = Q R once, Q W x r with orthonormal
+columns and R = Q^T Y, and gets a `LowRank` operand, or Y itself when the
+factor is refused. Either is read only as m @ Y, Y @ m and Y[:, cols].
 """
 
 from __future__ import annotations
@@ -157,9 +158,41 @@ def threshold_elementwise(v, alpha: float) -> np.ndarray:
     return v
 
 
+class LowRank:
+    """Y = Q R held as its factors (see `factor_columns`), read only as
+    m @ Y = (m @ Q) @ R, Y @ m = Q @ (R @ m), and Y[:, cols] = the LowRank of
+    Q and R[:, cols] for a slice or a 1-D index array; `shape` is Y's. Any
+    other use raises TypeError: with `__array_ufunc__ = None` numpy's ufuncs
+    and operators refuse it (and ndarray @ defers to `__rmatmul__`), and
+    `__array__` refuses a dense copy."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, q, r):
+        self.q, self.r = q, r
+        self.shape = (q.shape[0], r.shape[1])
+
+    def __matmul__(self, m):
+        return self.q @ (self.r @ m)
+
+    def __rmatmul__(self, m):
+        return (m @ self.q) @ self.r
+
+    def __getitem__(self, key):
+        rows, cols = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
+        if not (isinstance(rows, slice) and rows == slice(None)
+                and (isinstance(cols, slice) or np.ndim(cols) == 1)):
+            raise TypeError(f"a LowRank operand takes only [:, cols], got {key!r}")
+        return LowRank(self.q, self.r[:, cols])
+
+    def __array__(self, dtype=None, copy=None):
+        raise TypeError("a LowRank operand is read through @ and [:, cols], not as an array")
+
+
 def factor_columns(y, d: int):
-    """(Q, R) with Y = Q R to rounding, Q W x r with orthonormal columns and
-    R = Q^T Y, or None when Y has no such factor of height r <= W / 2.
+    """A `LowRank` operand for Y = Q R to rounding, Q W x r with orthonormal
+    columns and R = Q^T Y, or `y` itself (the same object) when Y has no such
+    factor of height r <= W / 2.
 
     Q is the left singular basis of a sketch of k = min(2d, n) evenly spaced
     columns of Y, cut at singular values above 1e-13 sigma_1. It is accepted
@@ -179,7 +212,7 @@ def factor_columns(y, d: int):
     u, s, _ = svd_factors(np.ldexp(y[:, np.arange(k) * n // k], -e))
     r = int(np.count_nonzero(s > 1e-13 * s[0]))
     if r in (0, k) or 2 * r > w:
-        return None
+        return y
     q = np.ascontiguousarray(u[:, :r])
     rm = q.T @ y
     step = max(1, FACTOR_BLOCK_BYTES // (y.itemsize * w))
@@ -193,15 +226,5 @@ def factor_columns(y, d: int):
         rb = np.ldexp(rb, -e)
         kept2 += np.vdot(rb, rb)
     if not math.sqrt(resid2) <= _FACTOR_TOL * math.sqrt(kept2):  # NaN refuses
-        return None
-    return q, rm
-
-
-def q_times(q, m) -> np.ndarray:
-    """Q m for a factor's Q, or m itself when q is None (a refused factor)."""
-    return m if q is None else q @ m
-
-
-def times_q(m, q) -> np.ndarray:
-    """m Q for a factor's Q, or m itself when q is None (a refused factor)."""
-    return m if q is None else m @ q
+        return y
+    return LowRank(q, rm)

@@ -15,15 +15,9 @@ from column (t * b) mod n; the default batch is the whole dataset, b = n.
 Pinv, alpha and Y are fixed within a stage and the threshold acts columnwise,
 so `_stage` decodes Y once and slices each window it visits, min(T, n /
 gcd(n, b)) of them, out of Y and Z once, with G_w = Z_w Z_w^T and
-B_w = Y_w Z_w^T.
-
-`run` factors Y once, Y = Q R with Q W x r orthonormal and R = Q^T Y
-(`linalg.factor_columns`), and a stage reads Y only through it: the decode
-is phi_alpha((Pinv Q) R) and B_w = Q (R_w Z_w^T), so a stage decodes all of
-R. Noiseless data Y = A* X has rank D and is factored at r = D; data of
-full rank (noise, real data) has its factor refused, and Q stands for the
-identity with R = Y: the same arithmetic as without the factor, and no
-speedup. The residual of a row without a ground truth reads Y itself.
+B_w = Y_w Z_w^T. The decode and B_w read Y only through @ and column
+windows, as the operand `linalg.factor_columns` makes of it once per run;
+the residual of a row without a ground truth reads Y itself.
 Every iteration is then
 
     update   A <- A + eta * (B_w - A @ G_w)
@@ -75,8 +69,7 @@ import numpy as np
 
 from . import metrics
 from .linalg import (SvdConvergenceError, as_matrix, factor_columns, first_non_finite,
-                     frobenius_norm, full_rank_pseudo_inverse, q_times, threshold_elementwise,
-                     times_q)
+                     frobenius_norm, full_rank_pseudo_inverse, threshold_elementwise)
 
 DIVERGENCE_LIMIT = 1e12
 # numerator of the curvature-scaled step eta = _ETA_SCALE / (lambda_max(G0) + 1e-12)
@@ -138,9 +131,9 @@ class AndConfig:
     from the first window alone, so a later window of more curvature can
     make the stage diverge; and every stage restarts at column 0, so with
     iters_per_stage * b < n no stage reads the columns from
-    iters_per_stage * b on, although each stage decodes all of R (of the
-    run's factor Y = Q R, see `run`), about n / (iters_per_stage * b) times
-    the columns it reads. Fixing either changes the mini-batch iterates.
+    iters_per_stage * b on, although each stage decodes all n columns,
+    about n / (iters_per_stage * b) times the columns it reads. Fixing
+    either changes the mini-batch iterates.
     """
 
     stages: int = 30
@@ -322,30 +315,30 @@ def _iterate(m, mu_k, phi_k, vt) -> np.ndarray:
     return (m[:, :d] * mu_k + m[:, d:] * phi_k) @ vt
 
 
-def _stage(a, y, q, r, pinv, alpha, j, iters, b, recorder):
+def _stage(a, y, yf, pinv, alpha, j, iters, b, recorder):
     """One stage from `a` over cyclic windows of `b` columns; returns its last
-    iterate. `q`, `r` are the run's factor Y = Q R, or None, Y (see `run`).
+    iterate. `yf` is the run's operand for Y (`linalg.factor_columns`).
 
-    The decode is (P Q) R, taken once. Iteration t reads the window starting
-    at column (t * b) mod n; each window the stage visits is sliced out of R
-    and Z once, in visit order, as (start, Z_w, G_w, B_w) with
-    B_w = Q (R_w Z_w^T). Z_w is kept only for the residual of a row without
-    a ground truth, which slices Y_w when it is taken. One `eigh` of the
+    The decode P Y is taken once, from `yf`. Iteration t reads the window
+    starting at column (t * b) mod n; each window the stage visits is sliced
+    out of `yf` and Z once, in visit order, as (start, Z_w, G_w, B_w) with
+    B_w = Y_w Z_w^T. Z_w is kept only for the residual of a row without a
+    ground truth, which slices Y_w of `y` when it is taken. One `eigh` of the
     first G_w sets the step; a stage that visits one window advances in
     closed form in its eigenbasis (`_closed_form`), any other by one update
     per iteration."""
     try:
-        z = decode(times_q(pinv, q), r, alpha)
+        z = decode(pinv, yf, alpha)
     except FloatingPointError as exc:  # no limit applies to Z, only finiteness
         recorder.diverge(j, 0, alpha, str(exc))
     n = y.shape[1]
     windows = []
     for t in range(min(iters, n // math.gcd(n, b))):
         start = t * b % n
-        r_w, z_w = _window(r, start, b), _window(z, start, b)
+        z_w = _window(z, start, b)
         # with a truth no row reads Z_w again, and Z is released below
         windows.append((start, z_w if recorder.evaluator is None else None,
-                        z_w @ z_w.T, q_times(q, r_w @ z_w.T)))
+                        z_w @ z_w.T, _window(yf, start, b) @ z_w.T))
     del z, z_w
     try:
         lam, v = np.linalg.eigh(windows[0][2])
@@ -409,12 +402,12 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
     stage's rows in one evaluation at the stage end (see TraceRecorder), and
     every row of a stage before the next stage starts.
 
-    Y is factored once, Y = Q R (`linalg.factor_columns`; Q is the identity
-    and R = Y where Y has full rank), and each stage decodes all of R once
-    and builds the windows it visits once (`_stage`). A stage that visits
-    one window advances in closed form (the module docstring gives the
-    form) and forms its stage-end A from the stage start alone, so the final
-    matrix is the same bits at every `eval_every`.
+    Y is read through one operand per run (`linalg.factor_columns`), and
+    each stage decodes all of it once and builds the windows it visits once
+    (`_stage`). A stage that visits one window advances in closed form (the
+    module docstring gives the form) and forms its stage-end A from the
+    stage start alone, so the final matrix is the same bits at every
+    `eval_every`.
     A stage of several windows updates A every iteration. The iterates agree
     up to rounding.
 
@@ -438,12 +431,12 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
     recorder = TraceRecorder(y, a.shape, truth, on_row, eval_every)
     trace = recorder.trace
     batch = n if cfg.batch == "full" else min(cfg.batch, n)
-    q, r = factor_columns(y, a.shape[1]) or (None, y)
+    yf = factor_columns(y, a.shape[1])
 
     for j in range(cfg.stages):
         pinv = full_rank_pseudo_inverse(a, name="working matrix")
         trace.pinv_count += 1
         alpha = stage_threshold(cfg.schedule, j)
-        a = _stage(a, y, q, r, pinv, alpha, j, cfg.iters_per_stage, batch, recorder)
+        a = _stage(a, y, yf, pinv, alpha, j, cfg.iters_per_stage, batch, recorder)
         recorder.flush()
     return AndResult(a=a, trace=trace)

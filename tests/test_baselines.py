@@ -136,7 +136,7 @@ class TestRunBaseline:
         a_star = gt.a_star.copy()
         a_star[:10] = 0.0
         y = a_star @ ds.x
-        assert factor_columns(y, SMALL["D"]) is not None
+        assert factor_columns(y, SMALL["D"]) is not y
         iterates = []
         step = baselines.mu_step
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from andnmf.linalg import (
     BLOCK_BYTES,
     HUGE_EXP,
+    LowRank,
     as_matrix,
     factor_columns,
     frobenius_norm,
@@ -17,6 +18,7 @@ from andnmf.linalg import (
     svd_factors,
     threshold_elementwise,
 )
+from andnmf.solver import _window
 
 from preset_data import SMALL, preset_problem
 
@@ -243,7 +245,9 @@ def test_factor_columns_accepts_a_noiseless_preset_at_rank_d(name):
     # rank D at smaller D, and the factor is then refused (3 of 50 seeds at D = 6)
     _, _, ds, _ = preset_problem(name, **SMALL)
     w, d, n = SMALL["W"], SMALL["D"], SMALL["n"]
-    q, r = factor_columns(ds.y, d)
+    yf = factor_columns(ds.y, d)
+    q, r = yf.q, yf.r
+    assert yf.shape == (w, n)
     assert q.shape == (w, d) and r.shape == (d, n)
     assert np.abs(q.T @ q - np.eye(d)).max() <= 1e-14
     assert np.array_equal(r, q.T @ ds.y)
@@ -252,13 +256,13 @@ def test_factor_columns_accepts_a_noiseless_preset_at_rank_d(name):
 
 def test_factor_columns_refuses_noisy_data():
     _, _, ds, _ = preset_problem("NOISE", **SMALL)
-    assert factor_columns(ds.y, SMALL["D"]) is None
+    assert factor_columns(ds.y, SMALL["D"]) is ds.y
 
 
 def test_factor_columns_refuses_a_rank_d_matrix_plus_a_perturbation():
     _, _, ds, _ = preset_problem("DIR", **SMALL)
     y = ds.y + 1e-10 * np.abs(ds.y).max() * np.random.default_rng(0).standard_normal(ds.y.shape)
-    assert factor_columns(y, SMALL["D"]) is None
+    assert factor_columns(y, SMALL["D"]) is y
 
 
 @pytest.mark.parametrize("missing", ["all", "one-direction"])
@@ -274,14 +278,14 @@ def test_factor_columns_refuses_a_sketch_that_misses_a_direction(missing):
         x[-1, cols] = 0.0
     y = gt.a_star @ x
     assert np.linalg.matrix_rank(y) == SMALL["D"]
-    assert factor_columns(y, SMALL["D"]) is None
+    assert factor_columns(y, SMALL["D"]) is y
 
 
 def test_factor_columns_refuses_a_rank_above_half_the_height():
     # an exact factor of rank 6 > W / 2 = 5 saves nothing and is refused
     rng = np.random.default_rng(3)
     y = rng.random((10, 6)) @ rng.random((6, 40))
-    assert factor_columns(y, 4) is None
+    assert factor_columns(y, 4) is y
 
 
 @pytest.mark.parametrize("k", [-600, -3, 5, 600])
@@ -291,12 +295,13 @@ def test_factor_columns_decides_alike_at_a_power_of_two_scale(name, k):
     # decision and Q are the same and R scales with Y; 2^600 Y squares past
     # the float range and 2^-600 Y below it
     _, _, ds, _ = preset_problem(name, **SMALL)
+    y = np.ldexp(ds.y, k)
     base = factor_columns(ds.y, SMALL["D"])
-    scaled = factor_columns(np.ldexp(ds.y, k), SMALL["D"])
-    assert (base is None) == (scaled is None) == (name == "NOISE")
-    if base is not None:
-        assert np.array_equal(scaled[0], base[0])
-        assert np.array_equal(scaled[1], np.ldexp(base[1], k))
+    scaled = factor_columns(y, SMALL["D"])
+    assert (base is ds.y) == (scaled is y) == (name == "NOISE")
+    if base is not ds.y:
+        assert np.array_equal(scaled.q, base.q)
+        assert np.array_equal(scaled.r, np.ldexp(base.r, k))
 
 
 def test_factor_columns_peak_memory_is_a_small_fraction_of_the_matrix():
@@ -305,8 +310,53 @@ def test_factor_columns_peak_memory_is_a_small_fraction_of_the_matrix():
     y = rng.random((2000, 10)) @ rng.random((10, 2000))
     tracemalloc.start()
     try:
-        assert factor_columns(y, 10) is not None
+        assert factor_columns(y, 10) is not y
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < y.nbytes / 16
+
+
+def _operand():
+    _, _, ds, _ = preset_problem("DIR", **SMALL)
+    yf = factor_columns(ds.y, SMALL["D"])
+    assert isinstance(yf, LowRank) and yf.shape == ds.y.shape
+    return ds.y, yf
+
+
+def test_low_rank_products_are_the_factored_products_bitwise():
+    y, yf = _operand()
+    rng = np.random.default_rng(5)
+    left, right = rng.random((SMALL["D"], y.shape[0])), rng.random((y.shape[1], SMALL["D"]))
+    assert np.array_equal(left @ yf, (left @ yf.q) @ yf.r)
+    assert np.array_equal(yf @ right, yf.q @ (yf.r @ right))
+
+
+@pytest.mark.parametrize("start", [0, 380], ids=["slice", "wrap-around"])
+def test_low_rank_window_is_the_factor_of_those_columns(start):
+    # `solver._window` slices a window, or indexes one that wraps past column n
+    y, yf = _operand()
+    b = 40
+    cols = (start + np.arange(b)) % y.shape[1]
+    win = _window(yf, start, b)
+    assert isinstance(win, LowRank) and win.shape == (y.shape[0], b)
+    right = np.random.default_rng(6).random((b, SMALL["D"]))
+    # I Q is Q exactly, so I @ win is the window as the product Q R_w
+    assert np.array_equal(np.eye(y.shape[0]) @ win, yf.q @ yf.r[:, cols])
+    assert np.array_equal(win @ right, yf.q @ (yf.r[:, cols] @ right))
+
+
+@pytest.mark.parametrize("use", [
+    lambda y: y - np.ones(y.shape),
+    lambda y: np.ones(y.shape) - y,
+    lambda y: np.maximum(y, 0.0),
+    lambda y: np.asarray(y),
+    lambda y: y[0],
+    lambda y: y[0, :],
+    lambda y: y[:2, :],
+    lambda y: y[:, 0],
+], ids=["y-m", "m-y", "maximum", "asarray", "row", "row-all-columns", "row-slice", "one-column"])
+def test_low_rank_refuses_every_other_use(use):
+    _, yf = _operand()
+    with pytest.raises(TypeError):
+        use(yf)

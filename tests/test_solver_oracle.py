@@ -185,8 +185,8 @@ def test_run_matches_reference_loop(d, extra_w, n, seed, weights, batch_kind, wi
     pytest.param(7, 1, id="7-one-iteration"),
 ])
 def test_one_decode_per_full_batch_stage(monkeypatch, batch, iters):
-    # every stage decodes the whole of R once, whatever its window, where
-    # Y = Q R is the run's factor, D = 4 rows high since rank Y = D; b = 10
+    # every stage decodes the whole of Y once, whatever its window, through
+    # the run's factor Y = Q R, R D = 4 rows high since rank Y = D; b = 10
     # cycles through all 4 windows of n = 40 at T = 12, b = 7 visits 5 of 40
     # windows, and at T = 1 it visits one window, so the stage runs in closed
     # form, which forms its W x D iterate once, at the stage end
@@ -198,7 +198,7 @@ def test_one_decode_per_full_batch_stage(monkeypatch, batch, iters):
     original_decode, original_iterate = solver.decode, solver._iterate
 
     def counting_decode(pinv, y_, alpha):
-        decodes.append(y_.shape)
+        decodes.append((y_.shape, y_.r.shape))
         return original_decode(pinv, y_, alpha)
 
     def counting_iterate(m, *args):
@@ -209,7 +209,7 @@ def test_one_decode_per_full_batch_stage(monkeypatch, batch, iters):
     monkeypatch.setattr(solver, "decode", counting_decode)
     monkeypatch.setattr(solver, "_iterate", counting_iterate)
     got = run(a0, y, cfg, truth=gt)
-    assert decodes == [(4, n)] * cfg.stages
+    assert decodes == [(y.shape, (4, n))] * cfg.stages
     closed_form = batch in ("full", n) or iters == 1
     assert len(formed) == (cfg.stages if closed_form else 0)
     ref = reference_run(a0, y, cfg, truth=gt)
@@ -383,7 +383,7 @@ def test_factored_run_matches_the_explicit_reference_loop(name, batch, with_trut
     # noiseless data has rank D, so `run` decodes R of Y = Q R; the reference
     # loop decodes Y itself, every iteration
     cfg, gt, ds, init = preset_problem(name, **SMALL)
-    assert factor_columns(ds.y, SMALL["D"]) is not None
+    assert factor_columns(ds.y, SMALL["D"]) is not ds.y
     shipped = cfg.solvers[0].config
     and_cfg = AndConfig(stages=4, iters_per_stage=6, schedule=shipped.schedule, batch=batch)
     truth = gt if with_truth else None
@@ -395,15 +395,15 @@ def test_factored_run_matches_the_explicit_reference_loop(name, batch, with_trut
 
 def _explicit(monkeypatch):
     """Make every run refuse its factor, so it reads Y itself."""
-    monkeypatch.setattr(solver, "factor_columns", lambda y, d: None)
-    monkeypatch.setattr(baselines, "factor_columns", lambda y, d: None)
+    monkeypatch.setattr(solver, "factor_columns", lambda y, d: y)
+    monkeypatch.setattr(baselines, "factor_columns", lambda y, d: y)
 
 
 @pytest.mark.parametrize("with_truth", [True, False], ids=["truth", "no-truth"])
 @pytest.mark.parametrize("algorithm", baselines.ALGORITHMS)
 def test_factored_baseline_matches_the_explicit_path(monkeypatch, algorithm, with_truth):
     _, gt, ds, init = preset_problem("DIR", **SMALL)
-    assert factor_columns(ds.y, SMALL["D"]) is not None
+    assert factor_columns(ds.y, SMALL["D"]) is not ds.y
     cfg = BaselineConfig(algorithm, outer_iters=30, seed=4)
     truth = gt if with_truth else None
     got = run_baseline(cfg, ds.y, init.a0, truth=truth, eval_every=4)
@@ -418,7 +418,7 @@ def test_noisy_data_runs_the_explicit_arithmetic(monkeypatch, with_truth):
     # the NOISE preset's Y has full rank: its factor is refused, and every
     # solver ends on the explicit path's bits
     cfg, gt, ds, init = preset_problem("NOISE", **SMALL)
-    assert factor_columns(ds.y, SMALL["D"]) is None
+    assert factor_columns(ds.y, SMALL["D"]) is ds.y
     truth = gt if with_truth else None
     and_cfg = AndConfig(stages=3, iters_per_stage=5, batch=60)
 
