@@ -31,6 +31,10 @@ import platform
 import time
 from pathlib import Path
 
+# one OpenBLAS thread per process, as the `andnmf` command runs it (see
+# `andnmf.cli`); OpenBLAS reads this once, when numpy loads it
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from andnmf import __version__

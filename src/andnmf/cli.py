@@ -10,6 +10,11 @@ Exit codes: 0 success, 1 validation error (a usage error such as an unknown
 option, a bad config, bad values, a solver refusing its preconditions), 2
 runtime error or solver divergence (including a solver's "error" status), 3
 I/O or file-format error. `--help` exits 0.
+
+Every `andnmf` process runs OpenBLAS on one thread: the command sets
+`OPENBLAS_NUM_THREADS=1` before numpy loads, unless the environment already
+sets it, in which case the user's value wins. At one thread, `run` writes
+the same bits at every `--jobs`.
 """
 
 from __future__ import annotations
@@ -19,11 +24,9 @@ import json
 import os
 import sys
 
-# OpenBLAS reads this once, when numpy loads it. Its default keeps each idle
-# worker thread busy-waiting for 2**28 cycles after start-up and after every
-# threaded call; 4 (the minimum, 2**4 cycles) lets them sleep at once. A value
-# the user set wins. It must run before the imports below load numpy.
-os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+# OpenBLAS reads this once, when numpy loads it, so it must run before the
+# imports below load numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .config import PRESETS, load_config, preset_config, validate_config
 from .harness import evaluate, gcc_report, generate, run

@@ -13,42 +13,15 @@ error is recorded in summary.json rather than crashing the other solvers. The ma
 hash, every derived seed, and library versions: enough to reproduce each file
 bitwise on the same machine.
 
-`run` makes one OpenBLAS thread decision per run (`_blas_threads`). A run
-of `and` solvers alone runs on one thread: its per-iteration product `A @ G`
-is too small to thread, and only its stage GEMMs (decode `P @ Y`, `Y Zᵀ`)
-are large enough to gain. At `paper-scale`, the largest preset, one thread
-cost 7% of the CLI's wall time and saved 15% of its CPU time (benchmark, 10
-pairs on a 2-core Xeon, OpenBLAS 0.3.31). The solve's output is then the
-same bits whatever the host's count. Not measured: hosts with more than
-2 CPUs, and `n` far above a preset's 5000, whose stage GEMMs would likely
-gain from threads. A run with a baseline, whose products are threaded, caps
-the count at `ncpu // workers`, `workers` being the number of solvers run at
-a time. The count changes the order of BLAS sums, so outputs at one `jobs`
-value are reproducible, and agree within rounding with those at another.
-`summary.json` records the count as `blas_threads`.
-
-No thread count decides how long an idle OpenBLAS worker spins. By default
-each one busy-waits for `2**28` cycles (about 0.1 s) after it starts and
-after every threaded call, whether or not more work comes; the timeout is
-read once, when numpy loads OpenBLAS. The `andnmf` command therefore sets
-`OPENBLAS_THREAD_TIMEOUT=4` (the minimum, `2**4` cycles) before numpy loads,
-unless the environment already sets it (`cli`); this module, imported as a
-library, changes no environment. Measured with the benchmark on a 2-core
-Xeon (10 alternating pairs with and without it), `andnmf run`'s CPU time
-fell from 1.11 to 0.81 s on `paper-scale` and by 10-17% on the other
-workloads, with the same outputs. Wall times held, except that serial
-baselines, whose threaded products now each wake a sleeping worker, took 9%
-longer (`compare` at `--jobs 1`, 0.76 -> 0.84 s).
+This module sets no BLAS thread count and changes no environment. A
+caller that runs solvers in parallel sets `OPENBLAS_NUM_THREADS` before
+numpy loads, as the `andnmf` command does (`cli`).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
-import ctypes
-import functools
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -62,14 +35,6 @@ from .matio import TraceWriter, read_matrix, write_matrix
 from .solver import DivergenceError, run as run_and
 from .synth import generate_dataset, generate_ground_truth, generate_initialization
 from .weights import gcc_from_samples
-
-# (set, get) thread-count entry points of OpenBLAS builds, newest first: the
-# scipy-openblas of numpy >= 2 wheels, 64-bit-integer builds, then plain ones
-_OPENBLAS_THREAD_FUNCS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
 
 
 def generate(cfg: ExperimentConfig, out_dir) -> dict:
@@ -103,57 +68,6 @@ def generate(cfg: ExperimentConfig, out_dir) -> dict:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest
-
-
-@functools.cache
-def _openblas():
-    """The (set, get) thread-count functions of the OpenBLAS loaded in this
-    process, or None when none is found (another OS, MKL, Accelerate)."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
-                            if "openblas" in line.rsplit("/", 1)[-1]})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)  # the copy already loaded, not a second one
-        except OSError:  # e.g. a file replaced on disk since it was loaded
-            continue
-        for set_name, get_name in _OPENBLAS_THREAD_FUNCS:
-            if hasattr(lib, set_name) and hasattr(lib, get_name):
-                set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                return set_threads, get_threads
-    return None
-
-
-@contextlib.contextmanager
-def _blas_threads(limit):
-    """Run the block with OpenBLAS at `max(1, min(current, limit))` threads.
-
-    The current count is restored after the block, also when it raises; at
-    a limit at or above the count, it is only read.
-    Yields the count the block runs with, or None when no OpenBLAS is found,
-    in which case nothing is capped. The count is process-global: callers
-    in a thread pool share one block around the whole pool.
-    """
-    found = _openblas()
-    if found is None:
-        yield None
-        return
-    set_threads, get_threads = found
-    before = get_threads()
-    capped = max(1, min(before, limit))
-    if capped == before:
-        yield before
-        return
-    set_threads(capped)
-    try:
-        yield capped
-    finally:
-        set_threads(before)
 
 
 def _run_one(entry, y, a0, truth, eval_every, out):
@@ -201,10 +115,7 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
 
     `workers = min(jobs, len(cfg.solvers))` solvers run at a time: in a
     thread pool, or on the calling thread when `workers` is 1, so that an
-    interrupt stops the run at once. OpenBLAS runs on one thread when every
-    solver is `and`, else on `ncpu // workers` threads (`_blas_threads`),
-    until the last solver finishes. The summary records that count as
-    `blas_threads` (None when no OpenBLAS is found).
+    interrupt stops the run at once.
     """
     out = Path(out_dir)
     for path in (out / "summary.json",
@@ -234,19 +145,13 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
         return _run_one(entry, y, a0, truth, eval_every, out)
 
     workers = min(jobs, len(cfg.solvers))
-    if all(e.name == "and" for e in cfg.solvers):
-        limit = 1
+    if workers == 1:
+        statuses = list(map(solve, cfg.solvers))
     else:
-        limit = len(os.sched_getaffinity(0)) // workers
-    with _blas_threads(limit) as count:
-        if workers == 1:
-            statuses = list(map(solve, cfg.solvers))
-        else:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                statuses = list(pool.map(solve, cfg.solvers))
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            statuses = list(pool.map(solve, cfg.solvers))
 
-    summary = {"blas_threads": count, "config_sha256": cfg.config_hash(),
-               "solvers": statuses}
+    summary = {"config_sha256": cfg.config_hash(), "solvers": statuses}
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

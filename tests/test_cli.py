@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -542,13 +541,21 @@ class TestRun:
             a = serial_finals[label]
             assert np.max(np.abs(finals[label] - a)) <= 1e-8 * np.max(np.abs(a))
 
-        found = harness._openblas()
-        current = found[1]() if found else None
-        # with a baseline, the run shares the CPUs between its workers
-        for run_summary, workers in ((serial, 1), (summary, 2)):
-            assert run_summary["blas_threads"] == (
-                None if found is None
-                else max(1, min(current, len(os.sched_getaffinity(0)) // workers)))
+    def test_interrupted_solver_stops_the_run(self, tmp_path, monkeypatch):
+        # a solver that raises what `run` does not record stops the run, and
+        # no summary claims the solvers finished
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness, "run_and", interrupted)
+        raw = tiny_config()
+        raw["solvers"].append({"name": "hals", "outer_iters": 3})
+        cfg = validate_config(raw)
+        harness.generate(cfg, tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            harness.run(cfg, tmp_path)
+        assert not (tmp_path / "summary.json").exists()
+        assert not (tmp_path / "hals_trace.csv").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_validation_error(self, tmp_path, capsys, jobs):
@@ -797,190 +804,6 @@ class TestRun:
         assert [(r.stage, r.iteration) for r in rows] == [(0, 0), (0, 4), (1, 0), (1, 4)]
 
 
-class TestBlasThreads:
-    @pytest.fixture
-    def openblas(self):
-        """The loaded OpenBLAS's (set, get) pair, set to 2 threads for the test."""
-        found = harness._openblas()
-        if found is None:
-            pytest.skip("no OpenBLAS loaded in this process")
-        set_threads, get_threads = found
-        before = get_threads()
-        set_threads(2)
-        yield found
-        set_threads(before)
-
-    def test_caps_inside_and_restores_after(self, openblas):
-        _, get_threads = openblas
-        with harness._blas_threads(1) as count:
-            assert count == get_threads() == 1
-        assert get_threads() == 2
-
-    def test_restores_when_the_block_raises(self, openblas):
-        _, get_threads = openblas
-        with pytest.raises(ZeroDivisionError), harness._blas_threads(1):
-            assert get_threads() == 1
-            1 / 0
-        assert get_threads() == 2
-
-    def test_never_raises_the_count(self, openblas):
-        _, get_threads = openblas
-        for limit in (4, math.inf):
-            with harness._blas_threads(limit) as count:
-                assert count == get_threads() == 2
-            assert get_threads() == 2
-
-    def test_numpys_openblas_is_found(self):
-        # the one-thread rule for `and`-only runs rests on this lookup; the
-        # `openblas` fixture skips without it, so a broken lookup must fail here
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        if "openblas" not in blas["name"].lower():
-            pytest.skip(f"numpy's BLAS is {blas['name']}, not OpenBLAS")
-        assert harness._openblas() is not None
-
-    @staticmethod
-    def and_outputs_at_2_and_1_thread(openblas, tmp_path, raw):
-        """The trace (without `seconds`) and final matrix bytes of the `and`
-        run `raw`, at 2 OpenBLAS threads and at 1."""
-        set_threads, get_threads = openblas
-        cfg_path = write_config(tmp_path, raw)
-        out = tmp_path / "out"
-        assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
-
-        def run_at(threads):
-            set_threads(threads)
-            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-            assert get_threads() == threads
-            rows = [dataclasses.replace(r, seconds=0.0)
-                    for r in read_trace(out / "and_trace.csv")]
-            return rows, read_matrix(out / "and_A_final.mat").tobytes()
-
-        return run_at(2), run_at(1)
-
-    def test_small_and_run_does_not_depend_on_the_count(self, openblas, tmp_path):
-        # an `and`-only run is on one thread at any host count, so its
-        # outputs are bitwise the same at 2 threads and at 1
-        raw = {"dataset": {"preset": "DIR"}, "solvers": [{"name": "and", "stages": 4}]}
-        two, one = self.and_outputs_at_2_and_1_thread(openblas, tmp_path, raw)
-        assert two == one
-
-    def test_and_run_of_threaded_size_does_not_depend_on_the_count(self, openblas,
-                                                                   tmp_path):
-        # W·D² = 1024·32², with columns enough that two threads sum in
-        # another order than one: OpenBLAS threads the products of this run
-        raw = {"dataset": {"preset": "DIR", "W": 1024, "D": 32, "n": 400},
-               "solvers": [{"name": "and", "stages": 2, "iters_per_stage": 5}]}
-        two, one = self.and_outputs_at_2_and_1_thread(openblas, tmp_path, raw)
-        assert two == one
-
-    @pytest.fixture
-    def fake_openblas(self, monkeypatch):
-        """A fake OpenBLAS at 16 threads on 8 CPUs. Returns `(threads, calls,
-        seen)`: the current count, every count set, and the count each solver
-        started with."""
-        threads, calls, seen = [16], [], []
-
-        def set_threads(n):
-            calls.append(n)
-            threads[0] = n
-
-        monkeypatch.setattr(harness, "_openblas", lambda: (set_threads, lambda: threads[0]))
-        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)))
-        run_one = harness._run_one
-
-        def recording_run_one(*args):
-            seen.append(threads[0])
-            return run_one(*args)
-
-        monkeypatch.setattr(harness, "_run_one", recording_run_one)
-        return threads, calls, seen
-
-    @staticmethod
-    def run_fake(tmp_path, solvers, jobs=1, w=200, d=20, n=80, a_star=None):
-        """Generate a DIR dataset of `w x d` and `n` columns, then run `solvers`."""
-        raw = tiny_config()
-        raw["dataset"].update({"W": w, "D": d, "n": n})
-        raw["solvers"] = solvers
-        cfg = validate_config(raw)
-        harness.generate(cfg, tmp_path)
-        if a_star is not None:
-            write_matrix(tmp_path / "A_star.mat", a_star(read_matrix(tmp_path / "A_star.mat")))
-        return harness.run(cfg, tmp_path, jobs=jobs)
-
-    AND = {"name": "and", "stages": 2, "iters_per_stage": 3}
-    HALS = {"name": "hals", "outer_iters": 2}
-    MU = {"name": "mu", "outer_iters": 2}
-
-    # a run of `and` alone is on one thread at any --jobs; a run with a
-    # baseline caps the count at 8 CPUs // workers
-    @pytest.mark.parametrize("jobs, solvers, limit", [
-        (2, [AND, HALS, MU], 4),
-        (1, [AND, HALS, MU], 8),
-        (2, [AND], 1),  # one solver runs serially whatever --jobs says
-    ], ids=["pool", "jobs1", "one-solver"])
-    def test_run_sets_each_solvers_count(self, tmp_path, fake_openblas, jobs, solvers,
-                                         limit):
-        threads, calls, seen = fake_openblas
-        summary = self.run_fake(tmp_path, solvers, jobs=jobs)
-        assert [s["status"] for s in summary["solvers"]] == ["ok"] * len(solvers)
-        assert calls == [limit, 16] and seen == [limit] * len(solvers) and threads[0] == 16
-        assert summary["blas_threads"] == limit
-        assert not any("blas_threads" in s for s in summary["solvers"])
-
-    @pytest.mark.parametrize("name", ["hals", "anls", "mu"])
-    def test_serial_baseline_keeps_the_count(self, tmp_path, fake_openblas, name):
-        # a host count of one thread per CPU is already below 8 CPUs // 1
-        threads, calls, seen = fake_openblas
-        threads[0] = 8
-        summary = self.run_fake(tmp_path, [{"name": name, "outer_iters": 2}])
-        assert summary["solvers"][0]["status"] == "ok"
-        assert calls == [] and seen == [8] and threads[0] == 8
-        assert summary["blas_threads"] == 8
-
-    # W·D² = 1023·32² is just below 2**20, the size up to which a serial
-    # `and` solve was capped alone; 1024·32² is 2**20
-    @pytest.mark.parametrize("w, jobs", [(1023, 1), (1024, 1), (1023, 2), (1024, 2)],
-                             ids=["below", "at", "below-pool", "at-pool"])
-    def test_and_run_is_one_thread_at_any_size(self, tmp_path, fake_openblas, w, jobs):
-        threads, calls, seen = fake_openblas
-        solver_ = {"name": "and", "stages": 1, "iters_per_stage": 2}
-        summary = self.run_fake(tmp_path, [solver_, {**solver_, "label": "again"}],
-                                jobs=jobs, w=w, d=32, n=64)
-        assert [s["status"] for s in summary["solvers"]] == ["ok", "ok"]
-        assert calls == [1, 16] and seen == [1, 1] and threads[0] == 16
-        assert summary["blas_threads"] == 1
-
-    def test_refused_and_restores_the_count(self, tmp_path, fake_openblas):
-        threads, calls, seen = fake_openblas
-
-        def duplicate_column(a):
-            a[:, -1] = a[:, 0]
-            return a
-
-        summary = self.run_fake(tmp_path, [self.AND], a_star=duplicate_column)
-        assert summary["solvers"][0]["status"] == "refused"
-        assert calls == [1, 16] and seen == [1] and threads[0] == 16
-
-    def test_diverged_and_restores_the_count(self, tmp_path, fake_openblas, monkeypatch):
-        threads, calls, seen = fake_openblas
-        monkeypatch.setattr(solver, "_ETA_SCALE", 3.0)
-        summary = self.run_fake(tmp_path, [{"name": "and", "stages": 1, "iters_per_stage": 500}])
-        assert summary["solvers"][0]["status"] == "diverged"
-        assert calls == [1, 16] and seen == [1] and threads[0] == 16
-
-    def test_solver_that_raises_restores_the_count(self, tmp_path, fake_openblas,
-                                                   monkeypatch):
-        threads, calls, _ = fake_openblas
-
-        def interrupted(*args, **kwargs):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(harness, "run_and", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            self.run_fake(tmp_path, [self.AND])
-        assert calls == [1, 16] and threads[0] == 16
-
-
 def fresh_python(code, **env_overrides):
     """Run `code` in a fresh interpreter that imports the package from src/;
     an override of None removes the variable. Returns the JSON it prints."""
@@ -1000,35 +823,76 @@ def fresh_python(code, **env_overrides):
 
 
 class TestLazyImport:
-    # records OPENBLAS_THREAD_TIMEOUT as it is when numpy is first imported
+    # records OPENBLAS_NUM_THREADS as it is when numpy is first imported
     HOOK = """
 import json, os, sys
 seen = []
 class Hook:
     def find_spec(self, name, path=None, target=None):
         if name == "numpy" and not seen:
-            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
         return None
 sys.meta_path.insert(0, Hook())
 """
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "experiments.py"
 
     def test_import_loads_no_numpy(self):
         code = ("import json, sys; import andnmf; "
                 "print(json.dumps('numpy' in sys.modules))")
         assert fresh_python(code) is False
 
-    def test_cli_sets_thread_timeout_before_numpy_loads(self):
+    def test_cli_sets_one_blas_thread_before_numpy_loads(self):
         code = self.HOOK + "import andnmf.cli; print(json.dumps(seen))"
-        assert fresh_python(code, OPENBLAS_THREAD_TIMEOUT=None) == ["4"]
+        assert fresh_python(code, OPENBLAS_NUM_THREADS=None) == ["1"]
 
-    def test_user_thread_timeout_is_kept(self):
+    def test_user_blas_thread_count_is_kept(self):
         code = self.HOOK + "import andnmf.cli; print(json.dumps(seen))"
-        assert fresh_python(code, OPENBLAS_THREAD_TIMEOUT="28") == ["28"]
+        assert fresh_python(code, OPENBLAS_NUM_THREADS="3") == ["3"]
 
     def test_library_import_leaves_the_environment_alone(self):
         code = (self.HOOK + "import andnmf, andnmf.harness; andnmf.solver.run; "
-                "print(json.dumps([seen, os.environ.get('OPENBLAS_THREAD_TIMEOUT')]))")
-        assert fresh_python(code, OPENBLAS_THREAD_TIMEOUT=None) == [[None], None]
+                "print(json.dumps([seen, os.environ.get('OPENBLAS_NUM_THREADS')]))")
+        assert fresh_python(code, OPENBLAS_NUM_THREADS=None) == [[None], None]
+
+    @pytest.mark.parametrize("user, seen", [(None, "1"), ("3", "3")], ids=["unset", "user"])
+    def test_experiments_script_sets_one_blas_thread_before_numpy_loads(self, user, seen):
+        # loaded as a module, not as __main__, so that its main does not run
+        code = (self.HOOK + f"import runpy; runpy.run_path({str(self.SCRIPT)!r}, "
+                "run_name='experiments'); print(json.dumps(seen))")
+        assert fresh_python(code, OPENBLAS_NUM_THREADS=user) == [seen]
+
+
+def test_cli_run_is_the_same_bits_at_every_jobs(tmp_path):
+    # a size at which two OpenBLAS threads sum in another order than one; at
+    # the command's one thread, running solvers side by side changes no bit
+    raw = {"dataset": {"preset": "DIR", "W": 1024, "D": 32, "n": 400},
+           "solvers": [{"name": "and", "stages": 2, "iters_per_stage": 5},
+                       {"name": "hals", "outer_iters": 5}, {"name": "anls", "outer_iters": 3},
+                       {"name": "mu", "outer_iters": 5}]}
+    cfg_path = write_config(tmp_path, raw)
+    outs = [tmp_path / f"jobs{jobs}" for jobs in (1, 2)]
+    argvs = [argv for jobs, out in zip((1, 2), outs)
+             for argv in (["generate", "--config", str(cfg_path), "--out", str(out)],
+                          ["run", "--config", str(cfg_path), "--out", str(out),
+                           "--jobs", str(jobs)])]
+    code = (f"import json; from andnmf.cli import main; "
+            f"print(json.dumps([main(argv) for argv in {argvs!r}]))")
+    assert fresh_python(code, OPENBLAS_NUM_THREADS=None) == [0, 0, 0, 0]
+
+    def outputs(out):
+        """Every output file's bytes, with each trace's `seconds` column removed."""
+        files = {}
+        for path in sorted(out.iterdir()):
+            if path.name.endswith("_trace.csv"):
+                files[path.name] = [line.split(",")[:2] + line.split(",")[3:]
+                                    for line in path.read_text().splitlines()]
+            elif path.name != "summary.json":
+                files[path.name] = path.read_bytes()
+        return files
+
+    serial, pooled = map(outputs, outs)
+    assert len(serial) == 6 + 2 * 4  # the dataset files and manifest, a trace and a final each
+    assert pooled == serial
 
 
 def test_readme_preset_table_is_the_preset_table():
