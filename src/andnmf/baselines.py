@@ -6,11 +6,11 @@ ALS (cyclic exact single-column/row minimization, clipped at zero), and
 alternating NNLS approximated by projected gradient with step 1/L per block.
 All three are monotone per (half-)step up to the 1e-12 denominator floor.
 
-`run_baseline` checks Y and A0 once; the steps do arithmetic on checked
-arrays and read Y only as A^T Y and Y X^T, through the operand that
-`linalg.factor_columns` makes of it once per run. The residual ||Y - A X||_F
-of a row without a ground truth reads Y itself. After each step the
-solver's divergence rule checks A and X (see `solver`).
+`run_baseline` starts as the staged solver does (`solver.start`): one check
+of Y and A0, one trace recorder, one operand for Y. The steps do arithmetic
+on the checked arrays and read Y only as A^T Y and Y X^T, through that
+operand. The residual ||Y - A X||_F of a row without a ground truth reads Y
+itself. After each step the solver's divergence rule checks A and X.
 """
 
 from __future__ import annotations
@@ -19,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, factor_columns, frobenius_norm, spectral_norm
-from .solver import RunTrace, TraceRecorder
+from .linalg import first_non_finite, frobenius_norm, spectral_norm
+from .solver import RunTrace, start
 
 ALGORITHMS = ("mu", "hals", "anls")
 _EPS = 1e-12  # denominator floor of every update
+_ANLS_INNER_ITERS = 10  # projected-gradient steps per block of an ANLS step
 
 
 @dataclass(frozen=True)
@@ -86,25 +87,24 @@ def hals_step(a, x, y):
 def _pg_step(gram):
     """Projected-gradient step 1/||gram||_2; NaN when the Gram matrix
     overflowed, so the NaN iterate reaches the divergence rule."""
-    if not np.isfinite(gram).all():
+    if first_non_finite(gram) is not None:
         return np.nan
     return 1.0 / (spectral_norm(gram) + _EPS)
 
 
-def anls_step(a, x, y, inner_iters: int = 10):
-    """Approximate alternating NNLS: `inner_iters` projected-gradient steps on
-    X with step 1/||A^T A||_2, then the same for A; takes arrays run_baseline checked."""
-    if inner_iters == 0:
-        return a, x
+def anls_step(a, x, y):
+    """Approximate alternating NNLS: `_ANLS_INNER_ITERS` projected-gradient
+    steps on X with step 1/||A^T A||_2, then the same for A; takes arrays
+    run_baseline checked."""
     ata = a.T @ a
     aty = a.T @ y
     step = _pg_step(ata)
-    for _ in range(inner_iters):
+    for _ in range(_ANLS_INNER_ITERS):
         x = np.maximum(0.0, x - step * (ata @ x - aty))
     xxt = x @ x.T
     yxt = y @ x.T
     step = _pg_step(xxt)
-    for _ in range(inner_iters):
+    for _ in range(_ANLS_INNER_ITERS):
         a = np.maximum(0.0, a - step * (a @ xxt - yxt))
     return a, x
 
@@ -113,27 +113,18 @@ def run_baseline(cfg: BaselineConfig, y, a0, truth=None, eval_every: int = 1, on
     """Drive one baseline from a0, tracing the same schema as the staged solver
     (stage fixed at 0, iteration = outer index, alpha = 0).
 
-    X starts at seeded Unif[0, 1). Multiplicative updates require nonnegative
-    data; Y with negative entries is rejected up front, and a0 is clipped at
-    zero for MU since its iterations cannot leave the nonnegative orthant.
-    A NaN or an entry beyond `TraceRecorder.limit` in A or X raises DivergenceError.
+    X starts at seeded Unif[0, 1). After `solver.start`'s checks, MU rejects Y
+    with negative entries and clips a0 at zero, since its iterations cannot
+    leave the nonnegative orthant. A NaN or an entry beyond
+    `TraceRecorder.limit` in A or X raises DivergenceError.
     """
-    y = as_matrix(y, "y")
-    a = as_matrix(a0, "a0").copy()
-    if a.shape[0] != y.shape[0]:
-        raise ValueError(f"a0 has {a.shape[0]} rows but y has {y.shape[0]}")
+    a, y, recorder, yf = start(a0, y, truth, on_row, eval_every)
     if cfg.algorithm == "mu":
         if y.min() < 0:  # no W x n mask
-            raise ValueError(
-                "multiplicative updates require nonnegative data; "
-                "this dataset has negative entries"
-            )
+            raise ValueError("multiplicative updates require nonnegative data; "
+                             "this dataset has negative entries")
         a = np.maximum(a, 0.0)
-    d = a.shape[1]
-    rng = np.random.default_rng(cfg.seed)
-    x = rng.random((d, y.shape[1]))
-    recorder = TraceRecorder(y, a.shape, truth, on_row=on_row, eval_every=eval_every)
-    yf = factor_columns(y, d)
+    x = np.random.default_rng(cfg.seed).random((a.shape[1], y.shape[1]))
 
     for it in range(cfg.outer_iters):
         if cfg.algorithm == "mu":

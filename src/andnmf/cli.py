@@ -9,7 +9,8 @@ Subcommands:
 Exit codes: 0 success, 1 validation error (a usage error such as an unknown
 option, a bad config, bad values, a solver refusing its preconditions), 2
 runtime error or solver divergence (including a solver's "error" status), 3
-I/O or file-format error. `--help` exits 0.
+I/O or file-format error. `--help` exits 0. `run` exits with the largest
+code of its solvers' statuses (`STATUS_EXIT`).
 
 Every `andnmf` process runs OpenBLAS on one thread: the command sets
 `OPENBLAS_NUM_THREADS=1` before numpy loads, unless the environment already
@@ -20,7 +21,6 @@ the same bits at every `--jobs`.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -30,12 +30,14 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .config import PRESETS, load_config, preset_config, validate_config
 from .harness import evaluate, gcc_report, generate, run
-from .matio import MatrixFormatError
+from .matio import MatrixFormatError, json_text
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 EXIT_IO = 3
+STATUS_EXIT = {"ok": EXIT_OK, "refused": EXIT_VALIDATION,
+               "diverged": EXIT_RUNTIME, "error": EXIT_RUNTIME}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,7 +89,7 @@ def _load(args):
 
 
 def _emit(report, out_path):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json_text(report)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -105,12 +107,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             cfg, out = _load(args)
             summary = run(cfg, out, jobs=args.jobs)
-            statuses = [s["status"] for s in summary["solvers"]]
-            if any(s in ("diverged", "error") for s in statuses):
-                return EXIT_RUNTIME
-            if any(s == "refused" for s in statuses):
-                return EXIT_VALIDATION
-            return EXIT_OK
+            return max((STATUS_EXIT[s["status"]] for s in summary["solvers"]), default=EXIT_OK)
         if args.command == "eval":
             _emit(evaluate(args.estimate, args.truth), args.out)
             return EXIT_OK

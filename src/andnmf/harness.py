@@ -8,10 +8,10 @@ Directory layout written by `generate` / `run` under one output directory:
 Traces stream to disk as their rows are evaluated: with a ground truth, a
 stage's rows at a time (`solver.TraceRecorder`), by the stage's end, and
 every earlier row before a divergence row, so a diverging run leaves its
-whole partial trace behind. A divergence or runtime
-error is recorded in summary.json rather than crashing the other solvers. The manifest carries the resolved config, its
-hash, every derived seed, and library versions: enough to reproduce each file
-bitwise on the same machine.
+whole partial trace behind. A divergence or runtime error is recorded in
+summary.json rather than crashing the other solvers. The manifest carries
+the resolved config, its hash, every derived seed, and library versions:
+enough to reproduce each file bitwise on the same machine.
 
 This module sets no BLAS thread count and changes no environment. A
 caller that runs solvers in parallel sets `OPENBLAS_NUM_THREADS` before
@@ -21,7 +21,6 @@ numpy loads, as the `andnmf` command does (`cli`).
 from __future__ import annotations
 
 import concurrent.futures
-import json
 import sys
 import time
 from pathlib import Path
@@ -31,7 +30,7 @@ import numpy as np
 from . import __version__, metrics
 from .baselines import run_baseline
 from .config import ExperimentConfig
-from .matio import TraceWriter, read_matrix, write_matrix
+from .matio import TraceWriter, json_text, read_matrix, write_matrix
 from .solver import DivergenceError, run as run_and
 from .synth import generate_dataset, generate_ground_truth, generate_initialization
 from .weights import gcc_from_samples
@@ -64,23 +63,21 @@ def generate(cfg: ExperimentConfig, out_dir) -> dict:
             "python": sys.version.split()[0],
         },
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out / "manifest.json").write_text(json_text(manifest))
     return manifest
 
 
 def _run_one(entry, y, a0, truth, eval_every, out):
+    """Run one solver by one keyword call, streaming its trace to disk, and
+    return its status. The solver is read from this module's attributes at
+    each call, so a wrapper set on `run_and` or `run_baseline` sees the run."""
     t0 = time.perf_counter()
     status = {"label": entry.label, "solver": entry.name, "status": "ok"}
+    solve = run_and if entry.name == "and" else run_baseline
     try:
         with TraceWriter(out / f"{entry.label}_trace.csv") as writer:
-            if entry.name == "and":
-                result = run_and(a0, y, entry.config, truth=truth,
-                                 eval_every=eval_every, on_row=writer)
-            else:
-                result = run_baseline(entry.config, y, a0, truth=truth,
-                                      eval_every=eval_every, on_row=writer)
+            result = solve(cfg=entry.config, y=y, a0=a0, truth=truth,
+                           eval_every=eval_every, on_row=writer)
         write_matrix(out / f"{entry.label}_A_final.mat", result.a)
         rows = result.trace.rows
         status.update({
@@ -152,9 +149,7 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
             statuses = list(pool.map(solve, cfg.solvers))
 
     summary = {"config_sha256": cfg.config_hash(), "solvers": statuses}
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out / "summary.json").write_text(json_text(summary))
     return summary
 
 

@@ -49,7 +49,7 @@ def first_non_finite(a: np.ndarray) -> tuple[int, ...] | None:
     BLOCK_BYTES, at least one row, so the scan holds one block's boolean mask
     at a time; an array that fits in one block takes one `np.isfinite` call.
     """
-    step = max(1, BLOCK_BYTES // (a.itemsize * (a.size // a.shape[0])))
+    step = max(1, BLOCK_BYTES // (a.itemsize * math.prod(a.shape[1:])))
     for start in range(0, a.shape[0], step):
         finite = np.isfinite(a[start:start + step])
         if not finite.all():

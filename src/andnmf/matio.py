@@ -1,4 +1,4 @@
-"""On-disk formats: the NMF1 matrix container and the run-trace CSV.
+"""On-disk formats: the NMF1 matrix container, the run-trace CSV and JSON text.
 
 NMF1 layout (little-endian throughout):
 
@@ -13,14 +13,16 @@ not a full column-major copy. It is validated before the file is opened: a
 non-finite matrix leaves no partial file. A read fills one array straight
 from the file and checks it with the same block-wise scan.
 
-Trace values are written with 17 significant digits so a write/read round
-trip is exact.
+A trace line is a `solver.TraceRow`, its fields in declared order under
+`TRACE_HEADER`, with 17 significant digits so a write/read round trip is
+exact; only E_norm and N_norm may be empty. Every JSON file is `json_text`.
 """
 
 from __future__ import annotations
 
 import csv
-import math
+import dataclasses
+import json
 import os
 import struct
 
@@ -34,6 +36,9 @@ _HEADER = struct.Struct("<4sII")
 
 TRACE_HEADER = ("stage", "iter", "seconds", "alpha", "total_error",
                 "log10_error", "E_norm", "N_norm")
+_TRACE_FIELDS = dataclasses.fields(TraceRow)
+# how `read_trace` parses a field, by its declared type: an empty optional is None
+_PARSE = {"int": int, "float": float, "float | None": lambda s: float(s) if s else None}
 
 
 class MatrixFormatError(ValueError):
@@ -79,11 +84,12 @@ def read_matrix(path) -> np.ndarray:
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if math.isinf(x):
-        return "-inf" if x < 0 else "inf"
-    return format(x, ".17g")
+    return "" if x is None else format(x, ".17g")
+
+
+def json_text(obj) -> str:
+    """`obj` as JSON text: sorted keys, indent 2, a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 class TraceWriter:
@@ -96,11 +102,7 @@ class TraceWriter:
         self._writer.writerow(TRACE_HEADER)
 
     def __call__(self, r: TraceRow) -> None:
-        self._writer.writerow([
-            r.stage, r.iteration, _fmt(r.seconds), _fmt(r.alpha),
-            _fmt(r.total_error), _fmt(r.log10_error),
-            _fmt(r.e_norm), _fmt(r.n_norm),
-        ])
+        self._writer.writerow([_fmt(getattr(r, f.name)) for f in _TRACE_FIELDS])
 
     def __enter__(self):
         return self
@@ -115,16 +117,5 @@ def read_trace(path) -> list[TraceRow]:
         header = tuple(next(reader))
         if header != TRACE_HEADER:
             raise MatrixFormatError(f"{path}: unexpected trace header {header}")
-        rows = []
-        for rec in reader:
-            rows.append(TraceRow(
-                stage=int(rec[0]),
-                iteration=int(rec[1]),
-                seconds=float(rec[2]),
-                alpha=float(rec[3]),
-                total_error=float(rec[4]),
-                log10_error=float(rec[5]),
-                e_norm=float(rec[6]) if rec[6] else None,
-                n_norm=float(rec[7]) if rec[7] else None,
-            ))
-    return rows
+        return [TraceRow(*(_PARSE[f.type](v) for f, v in zip(_TRACE_FIELDS, rec, strict=True)))
+                for rec in reader]

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, full_rank_svd, huge_exponent, spectral_norms
+from .linalg import as_matrix, first_non_finite, full_rank_svd, huge_exponent, spectral_norms
 
 _ZERO_COL_TOL = 1e-24  # squared-norm cutoff below which a column is "zero"
 
@@ -171,7 +171,7 @@ class Evaluator:
                 f"shape mismatch: {np.shape(stack)} is not a coordinate stack "
                 f"of a {self.a_star.shape} estimate"
             )
-        if not np.all(np.isfinite(stack)):
+        if first_non_finite(stack) is not None:
             raise ValueError("estimate contains a non-finite entry")
         inspan, perp = stack[:, :d], stack[:, d:]
         off = _off_diagonal(self._mix @ inspan)

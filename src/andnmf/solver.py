@@ -49,9 +49,9 @@ formed once, at the stage end; without one they are the iterate itself.
 A stage that visits several windows cycles through different G_w, so it
 keeps the per-iteration loop in Gram form, at O(W D^2) an iteration.
 
-`run` checks its inputs once at entry; the stages do arithmetic, and `decode`
-checks its product P Y once: from finite inputs, a non-finite one diverges
-at the stage's iteration 0 (the limit below is not applied to Z).
+`start` checks the inputs once, for `run` and the baselines; the stages do
+arithmetic, and `decode` checks P Y once: from finite inputs, a non-finite
+one diverges at the stage's iteration 0 (the limit is not applied to Z).
 `TraceRecorder.check_divergence` guards the stages and the baselines: an entry
 that is NaN or beyond its `limit`, DIVERGENCE_LIMIT * max(1, max|Y|), in
 magnitude diverges, a limit that scales with Y and A0 as the iterates do. A
@@ -254,16 +254,8 @@ class TraceRecorder:
         raise DivergenceError(stage, iteration, self.trace, self.limit, cause)
 
     def _emit(self, stage, iteration, seconds, alpha, err, e_norm, n_norm):
-        row = TraceRow(
-            stage=stage,
-            iteration=iteration,
-            seconds=seconds,
-            alpha=alpha,
-            total_error=err,
-            log10_error=math.log10(err) if err > 0 else -math.inf,
-            e_norm=e_norm,
-            n_norm=n_norm,
-        )
+        row = TraceRow(stage, iteration, seconds, alpha, err,
+                       math.log10(err) if err > 0 else -math.inf, e_norm, n_norm)
         self.trace.rows.append(row)
         if self._on_row is not None:
             self._on_row(row)
@@ -390,6 +382,19 @@ def _closed_form(a, y, z, bm, lam, v, eta, alpha, j, iters, recorder):
     return _iterate(m, mu_k, phi_k, vt)
 
 
+def start(a0, y, truth=None, on_row=None, eval_every: int = 1):
+    """The checked start of a run from a0 on Y, `run`'s and every baseline's:
+    Y is checked, then A0 (copied), then that they have the same rows. Returns
+    (a, y, recorder, yf): the checked arrays, the run's `TraceRecorder`, and
+    the operand the run reads Y through (`linalg.factor_columns`)."""
+    y = as_matrix(y, "y")
+    a = as_matrix(a0, "a0").copy()
+    if a.shape[0] != y.shape[0]:
+        raise ValueError(f"a0 has {a.shape[0]} rows but y has {y.shape[0]}")
+    recorder = TraceRecorder(y, a.shape, truth, on_row, eval_every)
+    return a, y, recorder, factor_columns(y, a.shape[1])
+
+
 def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> AndResult:
     """Run the staged solver on Y from the initialization a0.
 
@@ -402,7 +407,7 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
     stage's rows in one evaluation at the stage end (see TraceRecorder), and
     every row of a stage before the next stage starts.
 
-    Y is read through one operand per run (`linalg.factor_columns`), and
+    `start` checks the inputs and makes the operand Y is read through, and
     each stage decodes all of it once and builds the windows it visits once
     (`_stage`). A stage that visits one window advances in closed form (the
     module docstring gives the form) and forms its stage-end A from the
@@ -423,15 +428,10 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
     The stage thresholds come from `cfg.schedule` alone, so a run with a
     ground truth and one without take the same steps and end on the same bits.
     """
-    a = as_matrix(a0, "a0").copy()
-    y = as_matrix(y, "y")
-    w, n = y.shape
-    if a.shape[0] != w:
-        raise ValueError(f"a0 has {a.shape[0]} rows but y has {w}")
-    recorder = TraceRecorder(y, a.shape, truth, on_row, eval_every)
+    a, y, recorder, yf = start(a0, y, truth, on_row, eval_every)
     trace = recorder.trace
+    n = y.shape[1]
     batch = n if cfg.batch == "full" else min(cfg.batch, n)
-    yf = factor_columns(y, a.shape[1])
 
     for j in range(cfg.stages):
         pinv = full_rank_pseudo_inverse(a, name="working matrix")

@@ -6,7 +6,7 @@ import pytest
 from andnmf import baselines
 from andnmf.baselines import BaselineConfig, anls_step, hals_step, mu_step, run_baseline
 from andnmf.linalg import factor_columns
-from andnmf.solver import DivergenceError
+from andnmf.solver import AndConfig, DivergenceError, run as run_and
 from andnmf.synth import InitSpec, NoiseSpec, generate_dataset, generate_ground_truth, generate_initialization
 from andnmf.weights import WeightSpec
 
@@ -70,7 +70,8 @@ class TestHALS:
 
 
 class TestANLS:
-    def test_orthonormal_basis_unconstrained_optimum(self):
+    def test_orthonormal_basis_unconstrained_optimum(self, monkeypatch):
+        monkeypatch.setattr(baselines, "_ANLS_INNER_ITERS", 200)
         rng = np.random.default_rng(3)
         # nonnegative orthonormal basis via disjoint supports, so the
         # unconstrained least-squares optimum A^T y is already feasible
@@ -79,21 +80,22 @@ class TestANLS:
             a[5 * j:5 * (j + 1), j] = 1.0 / np.sqrt(5.0)
         x_true = rng.random((4, 9))
         y = a @ x_true
-        _, x2 = anls_step(a, np.zeros((4, 9)), y, inner_iters=200)
+        _, x2 = anls_step(a, np.zeros((4, 9)), y)
         assert x2 == pytest.approx(a.T @ y, abs=1e-6)
 
-    def test_zero_inner_iters_noop(self):
+    def test_zero_inner_iters_noop(self, monkeypatch):
+        monkeypatch.setattr(baselines, "_ANLS_INNER_ITERS", 0)
         a, x, y = random_instance(4)
-        a2, x2 = anls_step(a, x, y, inner_iters=0)
+        a2, x2 = anls_step(a, x, y)
         assert np.array_equal(a2, a) and np.array_equal(x2, x)
 
     @pytest.mark.parametrize("seed", range(100))
     def test_objective_monotone_per_half_step(self, seed):
         a, x, y = random_instance(seed)
         before = objective(a, x, y)
-        _, x2 = anls_step(a, x, y, inner_iters=5)
+        _, x2 = anls_step(a, x, y)
         middle = objective(a, x2, y)
-        a2, x2b = anls_step(a, x, y, inner_iters=5)
+        a2, x2b = anls_step(a, x, y)
         assert np.array_equal(x2b, x2)
         after = objective(a2, x2, y)
         assert middle <= before + 1e-9
@@ -219,3 +221,40 @@ class TestRunBaseline:
         for bad in (-1, 2.5, 2.0, True, float("nan")):
             with pytest.raises(ValueError):
                 BaselineConfig("hals", outer_iters=bad)
+
+
+def _one_step(name, y, a0, truth):
+    """One short run of `and` or of a baseline, which starts by `solver.start`."""
+    if name == "and":
+        return run_and(a0, y, AndConfig(stages=1, iters_per_stage=1), truth=truth)
+    return run_baseline(BaselineConfig(name, outer_iters=1), y, a0, truth=truth)
+
+
+def _bad_inputs(case):
+    a, x, _ = random_instance(0)
+    y, truth = a @ x, None
+    if case in ("y", "both"):
+        y[2, 3] = np.nan
+    if case in ("a0", "both"):
+        a[1, 1] = np.inf
+    if case == "rows":
+        a = a[:-1]
+    if case == "truth":
+        truth = a[:, :-1]
+    return y, a, truth
+
+
+@pytest.mark.parametrize("case, message", [
+    ("y", "y contains non-finite entry at (2, 3)"),
+    ("a0", "a0 contains non-finite entry at (1, 1)"),
+    ("both", "y contains non-finite entry at (2, 3)"),
+    ("rows", "a0 has 14 rows but y has 15"),
+    ("truth", "shape mismatch: (15, 4) != (15, 3)"),
+])
+def test_every_solver_refuses_bad_inputs_alike(case, message):
+    # `and` and the baselines check Y, then A0, then the rows, then the truth
+    for name in ("and", *baselines.ALGORITHMS):
+        y, a0, truth = _bad_inputs(case)
+        with pytest.raises(ValueError) as exc:
+            _one_step(name, y, a0, truth)
+        assert str(exc.value) == message, name

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from andnmf import harness, solver
+from andnmf import cli, harness, solver
 from andnmf.cli import main
 from andnmf.config import PRESETS, ConfigError, preset_config, validate_config
 from andnmf.linalg import SvdConvergenceError
@@ -860,6 +860,15 @@ sys.meta_path.insert(0, Hook())
         code = (self.HOOK + f"import runpy; runpy.run_path({str(self.SCRIPT)!r}, "
                 "run_name='experiments'); print(json.dumps(seen))")
         assert fresh_python(code, OPENBLAS_NUM_THREADS=user) == [seen]
+
+
+@pytest.mark.parametrize("statuses, code", [
+    (["ok"], 0), (["ok", "refused"], 1), (["refused", "diverged"], 2), (["ok", "error"], 2),
+])
+def test_run_exits_with_the_largest_code_of_its_statuses(tmp_path, monkeypatch, statuses, code):
+    summary = {"solvers": [{"status": s} for s in statuses]}
+    monkeypatch.setattr(cli, "run", lambda cfg, out, jobs: summary)
+    assert main(["run", "--preset", "DIR", "--out", str(tmp_path)]) == code
 
 
 def test_cli_run_is_the_same_bits_at_every_jobs(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from andnmf.linalg import BLOCK_BYTES
 from andnmf.matio import (
     MAGIC,
+    TRACE_HEADER,
     MatrixFormatError,
     TraceWriter,
     read_matrix,
@@ -187,6 +188,8 @@ def test_trace_round_trip(tmp_path):
         TraceRow(0, 0, 0.001234, 0.1, 12.5, math.log10(12.5), 0.3, 0.001),
         TraceRow(0, 1, 0.002, 0.1, 11.0, math.log10(11.0), None, None),
         TraceRow(1, 0, 0.003, 0.1 / 1.1, 0.0, -math.inf, 0.1, 0.0),
+        # a divergence row: an unevaluated iterate, no norms
+        TraceRow(1, 4, 0.004, 0.1 / 1.1, math.inf, math.inf, None, None),
     ]
     path = tmp_path / "trace.csv"
     with TraceWriter(path) as write:
@@ -194,6 +197,16 @@ def test_trace_round_trip(tmp_path):
             write(r)
     back = read_trace(path)
     assert back == rows  # exact value round trip at 17 significant digits
+
+
+@pytest.mark.parametrize("field", [f for f in TRACE_HEADER if f not in ("E_norm", "N_norm")])
+def test_trace_reader_rejects_an_empty_field_that_is_always_written(tmp_path, field):
+    values = dict(zip(TRACE_HEADER, ["0", "1", "0.5", "0.1", "12.5", "1.1", "0.3", "0.001"]))
+    values[field] = ""
+    path = tmp_path / "trace.csv"
+    path.write_text(",".join(TRACE_HEADER) + "\n" + ",".join(values.values()) + "\n")
+    with pytest.raises(ValueError):
+        read_trace(path)
 
 
 def test_trace_header_exact(tmp_path):

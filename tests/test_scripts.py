@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -32,20 +33,25 @@ gate = _load("perfbench_gate", ROOT / "perfbench" / "gate.py")
 REFERENCE = json.loads((ROOT / "perfbench" / "reference.json").read_text())
 
 
+def _env_with_src(**extra):
+    """The environment of a child process that imports the package from src/."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 @pytest.mark.parametrize("experiment, args", [
     *((name, []) for name in experiments.EXPERIMENTS),
     # the only script path through the harness's thread pool
     ("comparison", ["--jobs", "2"]),
 ], ids=[*experiments.EXPERIMENTS, "comparison_jobs2"])
 def test_script_writes_summaries_and_traces(tmp_path, experiment, args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
         [sys.executable, str(SCRIPT), experiment, "--quick",
          "--out", str(tmp_path), *args],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=_env_with_src(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
@@ -71,6 +77,32 @@ def test_perfbench_tracer_instruments_the_package():
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_perfbench_tracer_sees_every_solver_call(tmp_path):
+    # the tracer replaces `harness.run_and` and `harness.run_baseline` after
+    # import and wraps the `on_row` keyword of each call; a harness that bound
+    # its solvers at import would leave every solver span out of a traced run
+    config = workloads.WORKLOADS["compare"].smoke_config(0)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    report = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracing.py"), str(report),
+         "run", "--config", str(cfg_path), "--out", str(out)],
+        env=_env_with_src(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = Counter(span[1] for span in json.loads(report.read_text())["spans"])
+    assert (spans["solver.run"], spans["baselines.run"]) == (1, 3)
+    for name in ("solver.decode", "baselines.mu_step", "baselines.hals_step",
+                 "baselines.anls_step"):
+        assert spans[name] >= 1, name
+    solvers = json.loads((out / "summary.json").read_text())["solvers"]
+    assert spans["harness.trace_write"] == sum(s["rows"] for s in solvers)
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

@@ -396,7 +396,6 @@ def test_factored_run_matches_the_explicit_reference_loop(name, batch, with_trut
 def _explicit(monkeypatch):
     """Make every run refuse its factor, so it reads Y itself."""
     monkeypatch.setattr(solver, "factor_columns", lambda y, d: y)
-    monkeypatch.setattr(baselines, "factor_columns", lambda y, d: y)
 
 
 @pytest.mark.parametrize("with_truth", [True, False], ids=["truth", "no-truth"])
