@@ -113,16 +113,15 @@ def run_baseline(cfg: BaselineConfig, y, a0, truth=None, eval_every: int = 1, on
     """Drive one baseline from a0, tracing the same schema as the staged solver
     (stage fixed at 0, iteration = outer index, alpha = 0).
 
-    X starts at seeded Unif[0, 1). After `solver.start`'s checks, MU rejects Y
-    with negative entries and clips a0 at zero, since its iterations cannot
-    leave the nonnegative orthant. A NaN or an entry beyond
-    `TraceRecorder.limit` in A or X raises DivergenceError.
+    X starts at seeded Unif[0, 1). Among `solver.start`'s checks, after those
+    of the inputs and before Y is factored, MU rejects Y with negative
+    entries; it clips a0 at zero, since its iterations cannot leave the
+    nonnegative orthant. A NaN or an entry beyond `TraceRecorder.limit` in A
+    or X raises DivergenceError.
     """
-    a, y, recorder, yf = start(a0, y, truth, on_row, eval_every)
-    if cfg.algorithm == "mu":
-        if y.min() < 0:  # no W x n mask
-            raise ValueError("multiplicative updates require nonnegative data; "
-                             "this dataset has negative entries")
+    mu = cfg.algorithm == "mu"
+    a, y, recorder, yf = start(a0, y, truth, on_row, eval_every, nonnegative=mu)
+    if mu:
         a = np.maximum(a, 0.0)
     x = np.random.default_rng(cfg.seed).random((a.shape[1], y.shape[1]))
 

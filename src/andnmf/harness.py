@@ -20,7 +20,6 @@ numpy loads, as the `andnmf` command does (`cli`).
 
 from __future__ import annotations
 
-import concurrent.futures
 import sys
 import time
 from pathlib import Path
@@ -145,6 +144,8 @@ def run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     if workers == 1:
         statuses = list(map(solve, cfg.solvers))
     else:
+        import concurrent.futures  # loads threading and logging: only a pool needs them
+
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             statuses = list(pool.map(solve, cfg.solvers))
 

@@ -15,9 +15,12 @@ one-matrix case): the ANLS step sizes, initialization levels and the
 evaluator's ||E||_2 and ||N||_2 all come from it.
 
 `factor_columns` is the one low-rank test of the data and the one place that
-knows how Y is held: a run factors Y = Q R once, Q W x r with orthonormal
+decides how Y is held: a run factors Y = Q R once, Q W x r with orthonormal
 columns and R = Q^T Y, and gets a `LowRank` operand, or Y itself when the
-factor is refused. Either is read only as m @ Y, Y @ m and Y[:, cols].
+factor is refused. Either is read only as m @ Y, Y @ m and Y[:, cols], save
+by `solver.run`, which reads Q and R themselves: a stage whose working
+matrix A lies in span(Q) to the factor's tolerance runs r rows high, on
+Q^T A and R.
 """
 
 from __future__ import annotations

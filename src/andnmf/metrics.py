@@ -25,7 +25,9 @@ r_i = s_i vt[:, i] the coordinates of a*_i,
 `Evaluator.coordinates` is the one split: the stack [X; R] of a matrix M,
 with R the R factor of M - u X. For every S, [X; R] S are coordinates of
 M S, so a W x c matrix is split once into D + min(W, c) rows and any
-estimate M S is evaluated from them with no W-sized work.
+estimate M S is evaluated from them with no W-sized work. The solver's
+rotated stages split M = Q, the orthonormal basis of Y's factor Y = Q R,
+once per run, and keep each row as coordinates(Q) (Q^T A).
 """
 
 from __future__ import annotations

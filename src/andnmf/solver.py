@@ -22,6 +22,18 @@ Every iteration is then
 
     update   A <- A + eta * (B_w - A @ G_w)
 
+When that operand is the factor Y = Q R (`linalg.LowRank`, Q W x r with
+orthonormal columns), a stage whose working matrix A lies in span(Q),
+||A - Q Q^T A||_F <= 1e-12 ||A||_F (the factor's own tolerance), runs
+rotated, on the r-row problem (Q^T A, R): P Y = (Q^T A)^+ R, and
+B_w = Q R_w Z_w^T keeps every update in span(Q). Its pseudo-inverse, the
+decode, each G_w and R_w Z_w^T and every update are r rows high, not W,
+and its last iterate is lifted once, A = Q (Q^T A). Every stage decides
+from its own explicit A, so chained one-stage runs end on the multi-stage
+run's bits. A stage whose A is out of span(Q) (an A0 with a part outside
+span(Y), until the stages shrink it), and every stage of a run whose factor
+is refused (noisy Y), runs explicit, W rows high; `_stage` runs both.
+
 A stage that visits one window (b = n, or T = 1) runs one fixed linear map,
 in closed form. With G = V diag(lambda) V^T from that same `eigh`,
 A~ = A V and B~ = B V, an update scales the columns: A~ <- A~ * mu + eta * B~
@@ -45,9 +57,13 @@ M = [A~ B~] once and forms each row's by the same scaling,
 
 With a truth these are D + min(W, 2D) rows, evaluated in O(D^3), and A is
 formed once, at the stage end; without one they are the iterate itself.
+A rotated stage's rows use the same identity with M = Q: they keep
+coordinates(Q) (Q^T A), D + min(W, r) rows, from the one coordinates(Q)
+of the run; without a truth, the lifted Q (Q^T A), whose residual reads Y.
 
 A stage that visits several windows cycles through different G_w, so it
-keeps the per-iteration loop in Gram form, at O(W D^2) an iteration.
+keeps the per-iteration loop in Gram form, at O(h D^2) an iteration for
+an iterate h = W or r rows high.
 
 `start` checks the inputs once, for `run` and the baselines; the stages do
 arithmetic, and `decode` checks P Y once: from finite inputs, a non-finite
@@ -56,20 +72,25 @@ one diverges at the stage's iteration 0 (the limit is not applied to Z).
 that is NaN or beyond its `limit`, DIVERGENCE_LIMIT * max(1, max|Y|), in
 magnitude diverges, a limit that scales with Y and A0 as the iterates do. A
 stage of several windows checks every iterate; a one-window stage checks the
-iterates of its trace rows (see `_closed_form`).
+iterates of its trace rows (see `_closed_form`). An iterate passes on its
+column norms, which Q keeps in a rotated stage; only one that fails that
+bound is formed W rows high for the entrywise check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import metrics
-from .linalg import (SvdConvergenceError, as_matrix, factor_columns, first_non_finite,
-                     frobenius_norm, full_rank_pseudo_inverse, threshold_elementwise)
+from .linalg import (_FACTOR_TOL, LowRank, SvdConvergenceError, as_matrix, factor_columns,
+                     first_non_finite, frobenius_norm, full_rank_pseudo_inverse,
+                     threshold_elementwise)
 
 DIVERGENCE_LIMIT = 1e12
 # numerator of the curvature-scaled step eta = _ETA_SCALE / (lambda_max(G0) + 1e-12)
@@ -125,7 +146,9 @@ class AndConfig:
     has no curvature, and `run` refuses it (ValueError). A stage that visits
     one window (full batch, or `iters_per_stage` 1) is one fixed linear map,
     which `run` applies in closed form in that eigenbasis of G0; any other
-    stage updates every iteration.
+    stage updates every iteration. Either kind runs r rows high, not W, when
+    Y is held as its factor Q R and the stage's working matrix lies in
+    span(Q) (see the module docstring); the hyperparameters are the same.
 
     What a window smaller than the dataset leaves as it is: the step comes
     from the first window alone, so a later window of more curvature can
@@ -191,7 +214,8 @@ class TraceRecorder:
     built, is the run's one divergence limit; `check_divergence` reads it.
 
     With a ground truth, `record` keeps a row as its iterate's `coordinates`
-    [X; R] (see `metrics`), D + min(W, D) rows for an explicit iterate. The
+    [X; R] (see `metrics`), D + min(W, D) rows for an explicit iterate,
+    D + min(W, r) for a rotated one (see the module docstring). The
     kept rows are evaluated by one `Evaluator.evaluate_coordinates` call at
     `flush()` (the caller's stage end) and before a divergence row. A row's
     `seconds` is the time its iterate was recorded, and rows reach `on_row`
@@ -307,20 +331,44 @@ def _iterate(m, mu_k, phi_k, vt) -> np.ndarray:
     return (m[:, :d] * mu_k + m[:, d:] * phi_k) @ vt
 
 
-def _stage(a, y, yf, pinv, alpha, j, iters, b, recorder):
-    """One stage from `a` over cyclic windows of `b` columns; returns its last
-    iterate. `yf` is the run's operand for Y (`linalg.factor_columns`).
+class _Frame(NamedTuple):
+    """How a stage holds its iterates and reads Y. An explicit stage holds
+    the W-row A and reads the run's operand for Y. A rotated stage holds the
+    r-row Q^T A of an A that lies in span(Q), Q of the run's factor Y = Q R,
+    and reads R; its iterates are A = Q (Q^T A)."""
 
-    The decode P Y is taken once, from `yf`. Iteration t reads the window
-    starting at column (t * b) mod n; each window the stage visits is sliced
-    out of `yf` and Z once, in visit order, as (start, Z_w, G_w, B_w) with
-    B_w = Y_w Z_w^T. Z_w is kept only for the residual of a row without a
-    ground truth, which slices Y_w of `y` when it is taken. One `eigh` of the
-    first G_w sets the step; a stage that visits one window advances in
-    closed form in its eigenbasis (`_closed_form`), any other by one update
-    per iteration."""
+    operand: object         # what the decode and each B_w read Y through
+    coordinates: Callable   # what a trace row keeps of an iterate
+    lift: Callable          # the W-row A of an iterate
+
+
+def _in_span(a, q):
+    """Q^T a when the working matrix `a` lies in the span of the orthonormal
+    columns `q` to the factor's own tolerance (`linalg.factor_columns`),
+    ||a - Q Q^T a||_F <= 1e-12 ||a||_F; else None."""
+    c = q.T @ a
+    if frobenius_norm(a - q @ c) <= _FACTOR_TOL * frobenius_norm(a):
+        return c
+    return None
+
+
+def _stage(a, y, frame, pinv, alpha, j, iters, b, recorder):
+    """One stage from `a` over cyclic windows of `b` columns; returns its last
+    iterate. `a`, `pinv` and the iterates are held as `frame` holds them
+    (`_Frame`): W rows high in an explicit stage, r in a rotated one.
+
+    The decode P Y is taken once, from `frame.operand`. Iteration t reads the
+    window starting at column (t * b) mod n; each window the stage visits is
+    sliced out of the operand and Z once, in visit order, as
+    (start, Z_w, G_w, B_w) with B_w = Y_w Z_w^T (R_w Z_w^T when rotated).
+    Z_w is kept only for the residual of a row without a ground truth, which
+    slices Y_w of `y` when it is taken. One `eigh` of the first G_w sets the
+    step; a stage that visits one window advances in closed form in its
+    eigenbasis (`_closed_form`), any other by one update per iteration, each
+    iterate passing the divergence check on its column norms (which Q keeps)
+    or, failing that, on the entries of its W-row A."""
     try:
-        z = decode(pinv, yf, alpha)
+        z = decode(pinv, frame.operand, alpha)
     except FloatingPointError as exc:  # no limit applies to Z, only finiteness
         recorder.diverge(j, 0, alpha, str(exc))
     n = y.shape[1]
@@ -330,7 +378,7 @@ def _stage(a, y, yf, pinv, alpha, j, iters, b, recorder):
         z_w = _window(z, start, b)
         # with a truth no row reads Z_w again, and Z is released below
         windows.append((start, z_w if recorder.evaluator is None else None,
-                        z_w @ z_w.T, _window(yf, start, b) @ z_w.T))
+                        z_w @ z_w.T, _window(frame.operand, start, b) @ z_w.T))
     del z, z_w
     try:
         lam, v = np.linalg.eigh(windows[0][2])
@@ -344,31 +392,34 @@ def _stage(a, y, yf, pinv, alpha, j, iters, b, recorder):
     if len(windows) == 1:
         _, z_w, _, bm = windows[0]
         return _closed_form(a, _window(y, 0, b), z_w, bm, lam, v, eta, alpha, j, iters,
-                            recorder)
+                            recorder, frame)
     for t in range(iters):
         start, z_w, g, bm = windows[t % len(windows)]
         a = a + eta * (bm - a @ g)
-        recorder.check_divergence(j, t, alpha, a)
+        if not _columns_within(a, recorder.limit):
+            recorder.check_divergence(j, t, alpha, frame.lift(a))
         if recorder.due(t, iters):
-            recorder.record(j, t, alpha, recorder.coordinates(a),
-                            lambda: frobenius_norm(_window(y, start, b) - a @ z_w))
+            x = frame.coordinates(a)
+            recorder.record(j, t, alpha, x,
+                            lambda: frobenius_norm(_window(y, start, b) - x @ z_w))
     return a
 
 
-def _closed_form(a, y, z, bm, lam, v, eta, alpha, j, iters, recorder):
+def _closed_form(a, y, z, bm, lam, v, eta, alpha, j, iters, recorder, frame):
     """`iters` updates A <- A + eta (B - A G) of one window (Y, Z, B) from
     `a`, in the eigenbasis G = V diag(lam) V^T that the stage took; returns
-    the last iterate.
+    the last iterate. `a`, `bm` and the iterates are held as `frame` holds
+    them (`_Frame`), so [A~ B~] is r rows high in a rotated stage.
 
-    A row forms its iterate's `coordinates` (the iterate itself without a
-    ground truth) and passes the divergence check when every column norm is
-    within the recorder's `limit`, since no entry exceeds its column's norm;
-    only a row that fails that bound forms its iterate for the entrywise
-    check."""
+    A row forms its iterate's `frame.coordinates` (the W-row iterate itself
+    without a ground truth) and passes the divergence check when every column
+    norm is within the recorder's `limit`, since no entry exceeds its
+    column's norm; only a row that fails that bound forms its W-row iterate
+    for the entrywise check."""
     mu = 1.0 - eta * lam
     vt = np.ascontiguousarray(v.T)  # a transposed view multiplies slower
     m = np.hstack([a @ v, bm @ v])  # [A~ B~]
-    coords = recorder.coordinates(m)
+    coords = frame.coordinates(m)
     mu_k, phi_k = np.ones_like(mu), np.zeros_like(mu)
     for t in range(iters):
         phi_k = phi_k + eta * mu_k
@@ -377,21 +428,26 @@ def _closed_form(a, y, z, bm, lam, v, eta, alpha, j, iters, recorder):
             continue
         x = _iterate(coords, mu_k, phi_k, vt)
         if not _columns_within(x, recorder.limit):
-            recorder.check_divergence(j, t, alpha, _iterate(m, mu_k, phi_k, vt))
+            recorder.check_divergence(j, t, alpha, frame.lift(_iterate(m, mu_k, phi_k, vt)))
         recorder.record(j, t, alpha, x, lambda: frobenius_norm(y - x @ z))
     return _iterate(m, mu_k, phi_k, vt)
 
 
-def start(a0, y, truth=None, on_row=None, eval_every: int = 1):
+def start(a0, y, truth=None, on_row=None, eval_every: int = 1, nonnegative: bool = False):
     """The checked start of a run from a0 on Y, `run`'s and every baseline's:
-    Y is checked, then A0 (copied), then that they have the same rows. Returns
-    (a, y, recorder, yf): the checked arrays, the run's `TraceRecorder`, and
-    the operand the run reads Y through (`linalg.factor_columns`)."""
+    Y is checked, then A0 (copied), then that they have the same rows, then,
+    for a `nonnegative` solver (MU), that Y has no negative entry, before Y
+    is factored. Returns (a, y, recorder, yf): the checked arrays, the run's
+    `TraceRecorder`, and the operand the run reads Y through
+    (`linalg.factor_columns`)."""
     y = as_matrix(y, "y")
     a = as_matrix(a0, "a0").copy()
     if a.shape[0] != y.shape[0]:
         raise ValueError(f"a0 has {a.shape[0]} rows but y has {y.shape[0]}")
     recorder = TraceRecorder(y, a.shape, truth, on_row, eval_every)
+    if nonnegative and y.min() < 0:  # no W x n mask
+        raise ValueError("multiplicative updates require nonnegative data; "
+                         "this dataset has negative entries")
     return a, y, recorder, factor_columns(y, a.shape[1])
 
 
@@ -416,6 +472,12 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
     A stage of several windows updates A every iteration. The iterates agree
     up to rounding.
 
+    Each stage starts from its explicit A. When Y is held as Q R and that A
+    lies in span(Q), the stage runs rotated, r rows high, on Q^T A and R,
+    and lifts its last iterate once; otherwise it runs explicit, W rows high
+    (see the module docstring). Either way the rows and the final matrix
+    agree up to rounding.
+
     An iterate with a NaN entry, or one beyond `TraceRecorder.limit` in
     magnitude, is not evaluated: its row records total_error = inf, and
     DivergenceError carries the partial trace. A stage of several windows
@@ -432,11 +494,19 @@ def run(a0, y, cfg: AndConfig, truth=None, eval_every: int = 1, on_row=None) -> 
     trace = recorder.trace
     n = y.shape[1]
     batch = n if cfg.batch == "full" else min(cfg.batch, n)
+    explicit = _Frame(yf, recorder.coordinates, lambda m: m)
+    rotated = None
+    if isinstance(yf, LowRank):  # Q is the run's, so its row coordinates are taken once
+        rotated = _Frame(yf.r, functools.partial(np.matmul, recorder.coordinates(yf.q)),
+                         functools.partial(np.matmul, yf.q))
 
     for j in range(cfg.stages):
-        pinv = full_rank_pseudo_inverse(a, name="working matrix")
+        a_q = None if rotated is None else _in_span(a, yf.q)
+        frame, m = (explicit, a) if a_q is None else (rotated, a_q)
+        pinv = full_rank_pseudo_inverse(m, name="working matrix")
         trace.pinv_count += 1
         alpha = stage_threshold(cfg.schedule, j)
-        a = _stage(a, y, yf, pinv, alpha, j, cfg.iters_per_stage, batch, recorder)
+        a = frame.lift(_stage(m, y, frame, pinv, alpha, j, cfg.iters_per_stage, batch,
+                              recorder))
         recorder.flush()
     return AndResult(a=a, trace=trace)

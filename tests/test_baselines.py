@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from andnmf import baselines
+from andnmf import baselines, solver
 from andnmf.baselines import BaselineConfig, anls_step, hals_step, mu_step, run_baseline
 from andnmf.linalg import factor_columns
 from andnmf.solver import AndConfig, DivergenceError, run as run_and
@@ -156,6 +156,17 @@ class TestRunBaseline:
         assert np.any(ds.y < 0)
         with pytest.raises(ValueError, match="negative"):
             run_baseline(BaselineConfig("mu", outer_iters=3), ds.y, init.a0, truth=gt)
+
+    def test_mu_refuses_negative_data_before_factoring_it(self, monkeypatch):
+        # the refusal reads only the checked Y: a refused run takes no factor
+        gt, ds, init = self.make_problem(kind="signed")
+        calls = []
+        monkeypatch.setattr(solver, "factor_columns", lambda y, d: calls.append(1) or y)
+        with pytest.raises(ValueError, match="negative"):
+            run_baseline(BaselineConfig("mu", outer_iters=3), ds.y, init.a0, truth=gt)
+        assert calls == []
+        run_baseline(BaselineConfig("hals", outer_iters=3), ds.y, init.a0, truth=gt)
+        assert calls == [1]
 
     @pytest.mark.parametrize("with_truth", [True, False])
     @pytest.mark.parametrize("algorithm", ["hals", "mu", "anls"])

@@ -841,6 +841,12 @@ sys.meta_path.insert(0, Hook())
                 "print(json.dumps('numpy' in sys.modules))")
         assert fresh_python(code) is False
 
+    def test_cli_loads_no_thread_pool(self):
+        # only a run with more than one worker opens a pool
+        code = ("import json, sys; import andnmf.cli; "
+                "print(json.dumps('concurrent.futures' in sys.modules))")
+        assert fresh_python(code) is False
+
     def test_cli_sets_one_blas_thread_before_numpy_loads(self):
         code = self.HOOK + "import andnmf.cli; print(json.dumps(seen))"
         assert fresh_python(code, OPENBLAS_NUM_THREADS=None) == ["1"]

@@ -8,7 +8,7 @@ import pytest
 
 from andnmf import metrics, solver
 from andnmf.baselines import BaselineConfig, run_baseline
-from andnmf.linalg import full_rank_pseudo_inverse
+from andnmf.linalg import factor_columns, full_rank_pseudo_inverse
 from andnmf.solver import (
     AndConfig,
     DivergenceError,
@@ -200,7 +200,9 @@ class TestRun:
         # column norms; a limit of 2 is above every entry of these iterates
         # (near A*, entries below about 1.1) and below every column norm
         # (about sqrt(60 / 3)), so each row forms its iterate, passes the
-        # entrywise check and is recorded as under the default limit
+        # entrywise check and is recorded as under the default limit; these
+        # stages are rotated (Y = Q R, Q 60 x 6), whose 6-row iterates have
+        # the column norms of A, and the check lifts each one it forms
         gt, ds, init = make_problem()
         cfg = AndConfig(stages=2, iters_per_stage=5)
         base = run(init.a0, ds.y, cfg, truth=gt)
@@ -208,7 +210,7 @@ class TestRun:
         iterate = solver._iterate
 
         def counting_iterate(m, *args):
-            if len(m) == len(ds.y):  # a W-row iterate, not coordinates
+            if len(m) == 6:  # a rotated iterate, not its D + 6 rows of coordinates
                 formed.append(m)
             return iterate(m, *args)
 
@@ -286,6 +288,19 @@ class TestRun:
         a0[:, 1] = a0[:, 0]
         with pytest.raises(ValueError, match="rank"):
             run(a0, ds.y, AndConfig(stages=1, iters_per_stage=1))
+
+    def test_a0_in_the_span_of_a_factor_of_rank_below_d_rejected(self):
+        # Y = A* X with a zero row of X has rank D - 1 = 5, and D of its
+        # columns lie in the span of its factor Q: the stage runs rotated,
+        # and its 5 x D working matrix has no full column rank
+        gt, ds, _ = make_problem()
+        x = ds.x.copy()
+        x[-1] = 0.0
+        y = gt.a_star @ x
+        assert factor_columns(y, 6).r.shape == (5, y.shape[1])
+        with pytest.raises(ValueError, match=r"working matrix has more columns than rows "
+                                             r"\(5, 6\): not of full column rank"):
+            run(y[:, :6], y, AndConfig(stages=1, iters_per_stage=1))
 
     def test_wide_a0_without_truth_rejected(self):
         # a start with more columns than rows has no full column rank, so no

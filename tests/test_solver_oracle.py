@@ -185,11 +185,12 @@ def test_run_matches_reference_loop(d, extra_w, n, seed, weights, batch_kind, wi
     pytest.param(7, 1, id="7-one-iteration"),
 ])
 def test_one_decode_per_full_batch_stage(monkeypatch, batch, iters):
-    # every stage decodes the whole of Y once, whatever its window, through
-    # the run's factor Y = Q R, R D = 4 rows high since rank Y = D; b = 10
-    # cycles through all 4 windows of n = 40 at T = 12, b = 7 visits 5 of 40
-    # windows, and at T = 1 it visits one window, so the stage runs in closed
-    # form, which forms its W x D iterate once, at the stage end
+    # every stage decodes the whole of Y once, whatever its window; A0 lies
+    # in the span of the run's factor Y = Q R, so every stage is rotated and
+    # decodes R, D = 4 rows high since rank Y = D; b = 10 cycles through all
+    # 4 windows of n = 40 at T = 12, b = 7 visits 5 of 40 windows, and at
+    # T = 1 it visits one window, so the stage runs in closed form, which
+    # forms its 4 x D iterate once, at the stage end
     gt, y, a0 = _problem(24, 4, 40, seed=3)
     n = y.shape[1]
     batch = n if batch == "n" else batch
@@ -198,18 +199,18 @@ def test_one_decode_per_full_batch_stage(monkeypatch, batch, iters):
     original_decode, original_iterate = solver.decode, solver._iterate
 
     def counting_decode(pinv, y_, alpha):
-        decodes.append((y_.shape, y_.r.shape))
+        decodes.append(y_.shape)
         return original_decode(pinv, y_, alpha)
 
     def counting_iterate(m, *args):
-        if len(m) == len(y):  # a W-row iterate, not coordinates
+        if len(m) == 4:  # a rotated iterate, not its D + 4 rows of coordinates
             formed.append(1)
         return original_iterate(m, *args)
 
     monkeypatch.setattr(solver, "decode", counting_decode)
     monkeypatch.setattr(solver, "_iterate", counting_iterate)
     got = run(a0, y, cfg, truth=gt)
-    assert decodes == [(y.shape, (4, n))] * cfg.stages
+    assert decodes == [(4, n)] * cfg.stages
     closed_form = batch in ("full", n) or iters == 1
     assert len(formed) == (cfg.stages if closed_form else 0)
     ref = reference_run(a0, y, cfg, truth=gt)
@@ -240,24 +241,25 @@ def test_no_truth_residual_is_of_the_row_iterate(batch):
 @pytest.mark.parametrize("batch", ["full", 9])
 def test_no_truth_last_row_is_the_final_residual(monkeypatch, batch):
     # the last row of a run without a truth is ||Y_w - A Z_w||_F of the final
-    # matrix A, on the last iteration's window Y_w and its decode Z_w by the
-    # last stage's pseudo-inverse
+    # matrix A, on the last iteration's window Y_w and its columns Z_w of the
+    # last stage's decode
     gt, y, a0 = _problem(30, 5, 60, seed=11)
     cfg = AndConfig(stages=3, iters_per_stage=7, batch=batch)
-    pinvs = []
-    original = solver.full_rank_pseudo_inverse
+    decodes = []
+    original = solver.decode
 
-    def recording_pinv(*args, **kwargs):
-        pinvs.append(original(*args, **kwargs))
-        return pinvs[-1]
+    def recording_decode(*args, **kwargs):
+        decodes.append(original(*args, **kwargs))
+        return decodes[-1]
 
-    monkeypatch.setattr(solver, "full_rank_pseudo_inverse", recording_pinv)
+    monkeypatch.setattr(solver, "decode", recording_decode)
     got = run(a0, y, cfg, eval_every=3)
     n = y.shape[1]
     b = n if batch == "full" else batch
-    y_w = y[:, ((cfg.iters_per_stage - 1) * b + np.arange(b)) % n]
+    cols = ((cfg.iters_per_stage - 1) * b + np.arange(b)) % n
+    y_w = y[:, cols]
     last = got.trace.rows[-1]
-    z_w = decode(pinvs[-1], y_w, last.alpha)
+    z_w = decodes[-1][:, cols]
     assert (last.stage, last.iteration) == (cfg.stages - 1, cfg.iters_per_stage - 1)
     assert last.total_error == pytest.approx(np.linalg.norm(y_w - got.a @ z_w), rel=REL_TOL, abs=0)
 
@@ -339,7 +341,8 @@ def test_full_batch_rows_match_reference_loop_at_every_height(w, eval_every):
 
 def test_full_batch_stage_forms_its_iterate_once(monkeypatch):
     # with a truth, every row of a stage is evaluated from coordinates, and
-    # the W x D iterate is formed only at the stage end
+    # the iterate is formed only at the stage end: 4 x D in these rotated
+    # stages (Y = Q R, Q 24 x 4), lifted once to the W x D A = Q (Q^T A)
     gt, y, a0 = _problem(24, 4, 40, seed=3)
     cfg = AndConfig(stages=3, iters_per_stage=5)
     formed = []
@@ -347,7 +350,7 @@ def test_full_batch_stage_forms_its_iterate_once(monkeypatch):
 
     def counting_iterate(m, *args):
         result = original(m, *args)
-        if len(m) == len(y):  # a W-row iterate, not coordinates
+        if len(m) == 4:  # a rotated iterate, not its D + 4 rows of coordinates
             formed.append(result)
         return result
 
@@ -355,7 +358,7 @@ def test_full_batch_stage_forms_its_iterate_once(monkeypatch):
     got = run(a0, y, cfg, truth=gt)
     assert len(got.trace.rows) == cfg.stages * cfg.iters_per_stage
     assert len(formed) == cfg.stages
-    assert formed[-1] is got.a
+    assert np.array_equal(got.a, factor_columns(y, 4).q @ formed[-1])
 
 
 def _rows_close(got_rows, ref_rows, y):
@@ -433,3 +436,93 @@ def test_noisy_data_runs_the_explicit_arithmetic(monkeypatch, with_truth):
         assert np.array_equal(g.a, r.a)
         assert [dataclasses.replace(row, seconds=0.0) for row in g.trace.rows] == \
                [dataclasses.replace(row, seconds=0.0) for row in r.trace.rows]
+
+
+def _decode_heights(monkeypatch):
+    """The height of each stage's decode operand, as the stages run: W of
+    an explicit stage, r of R in a rotated one."""
+    heights = []
+    original = solver.decode
+
+    def recording_decode(pinv, y_, alpha):
+        heights.append(y_.shape[0])
+        return original(pinv, y_, alpha)
+
+    monkeypatch.setattr(solver, "decode", recording_decode)
+    return heights
+
+
+def _same_run(got, ref, floor):
+    """Rows and final matrix of two runs within `_close`'s bound."""
+    assert [(g.stage, g.iteration, g.alpha) for g in got.trace.rows] == \
+           [(r.stage, r.iteration, r.alpha) for r in ref.trace.rows]
+    for g, r in zip(got.trace.rows, ref.trace.rows):
+        assert _close(g.total_error, r.total_error, floor)
+        assert (g.e_norm is None) == (r.e_norm is None)
+        if r.e_norm is not None:
+            assert _close(g.e_norm, r.e_norm, floor)
+            assert _close(g.n_norm, r.n_norm, floor)
+    assert _close(got.a, ref.a, floor)
+
+
+@pytest.mark.parametrize("with_truth", [True, False], ids=["truth", "no-truth"])
+@pytest.mark.parametrize("batch, iters", [
+    pytest.param("full", 6, id="full"),
+    pytest.param(7, 1, id="one-iteration"),
+    pytest.param(7, 12, id="wrapping"),
+    pytest.param(10, 12, id="non-wrapping"),
+])
+def test_rotated_stage_matches_the_explicit_stage(monkeypatch, batch, iters, with_truth):
+    # A0 = A* (I + U) lies in the span of Y = A* X = Q R, so every stage runs
+    # rotated, on Q^T A and R, 4 rows high; the same run with every stage
+    # kept explicit, W = 24 rows high, is its oracle. b = 7 windows of
+    # n = 40 wrap past the last column, b = 10 windows do not
+    gt, y, a0 = _problem(24, 4, 40, seed=3)
+    cfg = AndConfig(stages=4, iters_per_stage=iters, batch=batch)
+    truth = gt if with_truth else None
+    heights = _decode_heights(monkeypatch)
+    got = run(a0, y, cfg, truth=truth, eval_every=2)
+    assert heights == [4] * cfg.stages
+    heights.clear()
+    monkeypatch.setattr(solver, "_in_span", lambda a, q: None)
+    ref = run(a0, y, cfg, truth=truth, eval_every=2)
+    assert heights == [24] * cfg.stages
+    _same_run(got, ref, spectral_norm(gt.a_star))
+
+
+@pytest.mark.parametrize("with_truth", [True, False], ids=["truth", "no-truth"])
+def test_a_start_out_of_span_runs_explicit_stages_until_it_is_in_span(monkeypatch, with_truth):
+    # A0 = A* (I + U) + N with N out of span(Y): the stages shrink N by
+    # (I - eta G)^T, and each stage runs rotated only once its A is in span
+    # to 1e-12, here from stage 4 on; the explicit run is the oracle
+    gt = generate_ground_truth(24, 4, seed=3)
+    y = generate_dataset(gt, WeightSpec("dirichlet", 4, concentration=1.0, seed=4),
+                         NoiseSpec(0.0), 40, seed=5).y
+    a0 = generate_initialization(gt, InitSpec(r_l=0.5, r_n=0.5, seed=6)).a0
+    cfg = AndConfig(stages=6, iters_per_stage=50)
+    truth = gt if with_truth else None
+    heights = _decode_heights(monkeypatch)
+    got = run(a0, y, cfg, truth=truth, eval_every=10)
+    assert heights == [24] * 4 + [4] * 2
+    heights.clear()
+    monkeypatch.setattr(solver, "_in_span", lambda a, q: None)
+    ref = run(a0, y, cfg, truth=truth, eval_every=10)
+    assert heights == [24] * cfg.stages
+    _same_run(got, ref, spectral_norm(gt.a_star))
+
+
+@pytest.mark.parametrize("batch", [7, 10])
+def test_chained_one_stage_minibatch_runs_equal_the_staged_run(batch):
+    # every stage starts from its explicit A and decides for itself whether
+    # to run rotated, so one-stage runs chained at each stage's threshold end
+    # on the bits of the multi-stage run, as the full-batch chain of C8 does
+    gt, y, a0 = _problem(24, 4, 40, seed=3)
+    schedule = ThresholdSchedule()
+    a = a0
+    for j in range(5):
+        alpha = stage_threshold(schedule, j)
+        a = run(a, y, AndConfig(stages=1, iters_per_stage=12, batch=batch,
+                                schedule=ThresholdSchedule(alpha, 1.0)), truth=gt).a
+    full = run(a0, y, AndConfig(stages=5, iters_per_stage=12, batch=batch, schedule=schedule),
+               truth=gt)
+    assert np.array_equal(a, full.a)
